@@ -58,7 +58,6 @@ from .independence import (
     isolatable_vertices,
 )
 from .kn_partitions import (
-    DEFAULT_NODE_BUDGET,
     kn_alpha_i,
     layer_cardinality_check,
     necessary_condition_check,
@@ -153,10 +152,9 @@ class PairFacts:
 class GraphNFacts:
     """A graph together with the order of the complete second factor."""
 
-    def __init__(self, graph: Graph, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
+    def __init__(self, graph: Graph, n: int) -> None:
         self.graph = graph
         self.n = n
-        self.node_budget = node_budget
 
     @cached_property
     def instance(self) -> dict:
@@ -524,7 +522,7 @@ def _check_h_family_product(f: GraphNFacts) -> ClaimVerdict:
     params = h_family_params(f.graph)
     if params is None or f.n != params[1] + 1:
         return ClaimVerdict("h_family_product", f.instance, VACUOUS)
-    report = kn_alpha_i(f.graph, f.n, f.node_budget)
+    report = kn_alpha_i(f.graph, f.n)
     if report.i_value == report.alpha_value:
         return ClaimVerdict("h_family_product", f.instance, HOLDS)
     witness = {
@@ -733,17 +731,15 @@ def instance_shape(instance: Instance) -> str:
     raise TypeError(f"unrecognized instance {instance!r}")
 
 
-def _facts_for(shape: str, instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET):
+def _facts_for(shape: str, instance: Instance):
     if shape == SHAPE_GRAPH:
         return GraphFacts(instance)
     if shape == SHAPE_PAIR:
         return PairFacts(instance[0], instance[1])
-    return GraphNFacts(instance[0], instance[1], node_budget)
+    return GraphNFacts(instance[0], instance[1])
 
 
-def verify(
-    claim_id: str, instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET
-) -> ClaimVerdict:
+def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
     """Check one claim on one instance.  The instance must match the claim's
     shape: a Graph, a (Graph, Graph) pair, or a (Graph, n) pair."""
     claim = REGISTRY.get(claim_id)
@@ -752,7 +748,7 @@ def verify(
     shape = instance_shape(instance)
     if shape != claim.shape:
         raise TypeError(f"claim {claim_id} expects a {claim.shape} instance, got {shape}")
-    return claim.check(_facts_for(shape, instance, node_budget))
+    return claim.check(_facts_for(shape, instance))
 
 
 @dataclass
@@ -809,11 +805,7 @@ class SuiteReport:
         return {claim_id: tally.to_json() for claim_id, tally in self.tallies.items()}
 
 
-def run_suite(
-    claim_ids: Iterable[str],
-    instances: Iterable[Instance],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SuiteReport:
+def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteReport:
     """Apply every named claim to every instance of its shape.
 
     Facts are computed once per instance and shared by all claims on it.
@@ -829,15 +821,15 @@ def run_suite(
         group = by_shape.get(shape)
         if not group:
             continue
-        facts = _facts_for(shape, inst, node_budget)
+        facts = _facts_for(shape, inst)
         for claim in group:
             report.tallies[claim.claim_id].add(claim.check(facts))
     return report
 
 
-def _suite_chunk(args: tuple[tuple[str, ...], list[Instance], int]) -> SuiteReport:
-    claim_ids, chunk, node_budget = args
-    return run_suite(claim_ids, chunk, node_budget)
+def _suite_chunk(args: tuple[tuple[str, ...], list[Instance]]) -> SuiteReport:
+    claim_ids, chunk = args
+    return run_suite(claim_ids, chunk)
 
 
 def run_suite_parallel(
@@ -845,24 +837,23 @@ def run_suite_parallel(
     instances: Iterable[Instance],
     jobs: int = 1,
     chunk_size: int = 512,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SuiteReport:
     """Partition the instance stream across worker processes and merge the
     partial reports in stream order, so output is independent of timing."""
     ids = tuple(claim_ids)
     if jobs <= 1:
-        return run_suite(ids, instances, node_budget)
+        return run_suite(ids, instances)
     import multiprocessing
 
-    def chunked() -> Iterator[tuple[tuple[str, ...], list[Instance], int]]:
+    def chunked() -> Iterator[tuple[tuple[str, ...], list[Instance]]]:
         batch: list[Instance] = []
         for inst in instances:
             batch.append(inst)
             if len(batch) >= chunk_size:
-                yield ids, batch, node_budget
+                yield ids, batch
                 batch = []
         if batch:
-            yield ids, batch, node_budget
+            yield ids, batch
 
     report = SuiteReport({c: ClaimTally() for c in ids})
     ctx = multiprocessing.get_context("fork")

@@ -42,7 +42,7 @@ from .graphs import (
     to_vertices,
 )
 from .independence import isolatable_vertices, well_covered_report
-from .kn_partitions import DEFAULT_NODE_BUDGET, kn_alpha_i
+from .kn_partitions import kn_alpha_i
 from .products import direct_product
 from .verdicts import COUNTEREXAMPLE
 
@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def parse_graph_arg(text: str) -> Graph:
@@ -116,9 +126,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
     data.update(prod.to_json_sidecar())
     data.update(well_covered_report(prod.graph).to_json())
     if is_complete(h) and h.n >= 2:
-        data["partition_engine"] = kn_alpha_i(g, h.n, args.node_budget).to_json()
+        data["partition_engine"] = kn_alpha_i(g, h.n).to_json()
     elif is_complete(g) and g.n >= 2:
-        data["partition_engine"] = kn_alpha_i(h, g.n, args.node_budget).to_json()
+        data["partition_engine"] = kn_alpha_i(h, g.n).to_json()
     status = 0
     if args.check:
         verdict = verify("wc_direct", (g, h))
@@ -176,9 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
     if not 1 <= args.cap <= 64:
         raise ValueError("--cap must be between 1 and 64")
-    report = run_suite_parallel(
-        ids, _instances(args), jobs=args.jobs, node_budget=args.node_budget
-    )
+    report = run_suite_parallel(ids, _instances(args), jobs=args.jobs)
     data = {
         "version": __version__,
         "passed": report.passed,
@@ -257,7 +265,6 @@ def build_parser() -> _Parser:
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--check", action="store_true", help="also verify the factor conditions")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_product)
 
@@ -277,8 +284,7 @@ def build_parser() -> _Parser:
     p.add_argument("--orders", type=lambda s: [int(x) for x in s.split(",")], default=[2, 3])
     p.add_argument("--reps", action="store_true", help="pair scan over isomorphism classes only")
     p.add_argument("--no-targeted", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -287,7 +293,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=36)
     p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
     p.add_argument("--reps", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_scan)
 

@@ -184,7 +184,7 @@ def corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
     order.  Exhaustive only up to 7 vertices; beyond that the labeled count
     is out of desk range."""
     if max_n > MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
+        raise CapacityError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
     for n in range(1, max_n + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pairs)):
@@ -202,7 +202,7 @@ def corpus_representatives(max_n: int, connected_only: bool = True) -> Iterator[
     candidate.
     """
     if max_n > MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
+        raise CapacityError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
     for n in range(1, max_n + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         pos = _pair_positions(n)

@@ -14,25 +14,27 @@ maximal independent set exactly when four conditions hold:
 
 The weight n*|bracket| + sum |V_k| of a valid partition is the size of its
 maximal independent set, so i(G x K_n) and alpha(G x K_n) are the extreme
-weights over valid partitions.  ``kn_alpha_i`` searches partitions directly
-with pruning and falls back to enumerating the materialized product when a
-node budget is exhausted; both engines are exact.
+weights over valid partitions.  ``kn_alpha_i`` reads both extremes from one
+enumeration of the materialized product and decodes the extreme maximal
+independent sets into their partitions, so it shares the 64-vertex cap of
+``direct_product``.  ``enumerate_valid_partitions`` checks the conditions
+directly on every labeling of V(G) and serves as an independent oracle at
+small orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import kernel
+from .families import complete
 from .graphs import Graph, bits, delete_closed_neighborhood, is_bipartite, min_degree, to_vertices
 from .independence import is_well_covered, isolatable_vertices, well_covered_report
 from .products import ProductGraph, direct_product
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
-ENGINE_PARTITION = "partition-search"
 ENGINE_PRODUCT = "product-enumeration"
-
-DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class InvalidPartition(ValueError):
@@ -45,7 +47,7 @@ class WeakPartition:
 
     ``classes[k-1]`` holds V_k.  Parts may be empty; validity against the
     four conditions is checked by ``violations``, not at construction, so
-    search code can build candidates freely.
+    enumeration code can build candidates freely.
     """
 
     graph: Graph
@@ -124,7 +126,7 @@ def mis_from_partition(p: WeakPartition) -> int:
     bad = p.violations()
     if bad:
         raise InvalidPartition(f"invalid weak partition: {bad[0]}")
-    prod = direct_product(p.graph, _complete(p.n))
+    prod = direct_product(p.graph, complete(p.n))
     out = 0
     for g in bits(p.vbracket):
         out |= prod.layer_h(g)
@@ -180,7 +182,7 @@ class KnReport:
     alpha_value: int
     argmin: WeakPartition
     argmax: WeakPartition
-    engine: str
+    engine: ClassVar[str] = ENGINE_PRODUCT
 
     def to_json(self) -> dict:
         return {
@@ -194,122 +196,19 @@ class KnReport:
         }
 
 
-def _complete(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
-
-
-class _Budget(Exception):
-    pass
-
-
-def kn_alpha_i(g: Graph, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> KnReport:
+def kn_alpha_i(g: Graph, n: int) -> KnReport:
     """Exact i(G x K_n) and alpha(G x K_n), n >= 2.
 
-    Searches weak partitions vertex by vertex.  Labels are V0, an open set
-    of classes, or the bracket class; condition 1 and 3 violations prune at
-    assignment time, conditions 2 and 4 are decided for a vertex as soon as
-    its whole neighborhood is labeled, which in index order happens at the
-    highest-numbered closed neighbor.  Classes must be opened in increasing
-    order of their minimum vertex, so each unordered partition is visited
-    once.  Budget exhaustion falls back to enumerating the product.
+    Builds the product, takes its independence summary from the kernel in
+    one enumeration, and decodes the minimum and maximum maximal independent
+    sets into their weak partitions.  Products over 64 vertices raise
+    ``CapacityError`` as ``direct_product`` does.
     """
     if n < 2:
         raise ValueError("clique order must be at least 2")
-    try:
-        return _search(g, n, node_budget)
-    except _Budget:
-        return _from_product(g, n)
-
-
-def _from_product(g: Graph, n: int) -> KnReport:
-    i, a, wit_min, wit_max = kernel.independence_summary(direct_product(g, _complete(n)).graph.adj)
+    i, a, wit_min, wit_max = kernel.independence_summary(direct_product(g, complete(n)).graph.adj)
     return KnReport(
-        g.n, n, i, a,
-        partition_from_mis(g, n, wit_min),
-        partition_from_mis(g, n, wit_max),
-        ENGINE_PRODUCT,
-    )
-
-
-def _search(g: Graph, n: int, node_budget: int) -> KnReport:
-    ng = g.n
-    adj = g.adj
-    labels = [0] * ng  # 0 = V0, 1..n = class, n+1 = bracket
-    cls_mask = [0] * (n + 2)
-    bracket_label = n + 1
-    union_cls_b = 0  # all class vertices plus bracket vertices
-
-    # vertices whose open neighborhood is fully labeled once index v is:
-    # their conditions 2/4 become decidable exactly there
-    trigger_at: list[list[int]] = [[] for _ in range(ng)]
-    for u in range(ng):
-        last = max((nb for nb in bits(adj[u])), default=u)
-        trigger_at[max(last, u)].append(u)
-
-    best: list = [None, None]  # (weight, labels snapshot) for min and max
-    nodes = 0
-
-    def check_settled(u: int) -> bool:
-        lu = labels[u]
-        if lu == 0:
-            if adj[u] & cls_mask[bracket_label]:
-                return True
-            hit = 0
-            row = adj[u]
-            for k in range(1, n + 1):
-                if row & cls_mask[k]:
-                    hit += 1
-                    if hit == 2:
-                        return True
-            return False
-        if lu == bracket_label:
-            return True
-        return bool(adj[u] & cls_mask[lu])
-
-    def rec(v: int, used: int, weight: int) -> None:
-        nonlocal union_cls_b, nodes
-        if v == ng:
-            if best[0] is None or weight < best[0][0]:
-                best[0] = (weight, labels.copy())
-            if best[1] is None or weight > best[1][0]:
-                best[1] = (weight, labels.copy())
-            return
-        nodes += 1
-        if nodes > node_budget:
-            raise _Budget
-        bv = 1 << v
-        row = adj[v]
-        # try V0, each open class plus one fresh class, then bracket
-        for lab in range(0, min(used + 1, n) + 2):
-            if lab == min(used + 1, n) + 1:
-                lab = bracket_label
-                if row & union_cls_b:
-                    continue
-            elif lab:
-                if row & (union_cls_b & ~cls_mask[lab]):
-                    continue
-            labels[v] = lab
-            cls_mask[lab] |= bv
-            saved = union_cls_b
-            if lab:
-                union_cls_b |= bv
-            if all(check_settled(u) for u in trigger_at[v]):
-                add = n if lab == bracket_label else (1 if lab else 0)
-                rec(v + 1, used + (1 if lab == used + 1 else 0), weight + add)
-            cls_mask[lab] &= ~bv
-            union_cls_b = saved
-        labels[v] = 0
-
-    cls_mask[0] = 0
-    rec(0, 0, 0)
-    assert best[0] is not None and best[1] is not None
-    return KnReport(
-        ng, n,
-        best[0][0], best[1][0],
-        _labels_to_partition(g, n, best[0][1]),
-        _labels_to_partition(g, n, best[1][1]),
-        ENGINE_PARTITION,
+        g.n, n, i, a, partition_from_mis(g, n, wit_min), partition_from_mis(g, n, wit_max)
     )
 
 
@@ -360,7 +259,7 @@ def layer_cardinality_check(g: Graph, n: int, instance: dict | None = None) -> C
     if n < 2:
         raise ValueError("clique order must be at least 2")
     inst = instance if instance is not None else {"nG": g.n, "n": n}
-    prod = direct_product(g, _complete(n))
+    prod = direct_product(g, complete(n))
     for s in kernel.maximal_independent_sets(prod.graph.adj):
         for gv in range(g.n):
             size = (s & prod.layer_h(gv)).bit_count()
@@ -380,7 +279,7 @@ def necessary_condition_check(g: Graph, n: int, instance: dict | None = None) ->
     if n < 2:
         raise ValueError("clique order must be at least 2")
     inst = instance if instance is not None else {"nG": g.n, "n": n}
-    if not is_well_covered(direct_product(g, _complete(n)).graph):
+    if not is_well_covered(direct_product(g, complete(n)).graph):
         return ClaimVerdict("kn_necessary", inst, VACUOUS)
     for x in range(g.n):
         if g.degree(x) < n:

@@ -32,6 +32,7 @@ from wellcovered.families import (
     path,
 )
 from wellcovered.kn_partitions import (
+    enumerate_valid_partitions,
     kn_alpha_i,
     mis_from_partition,
     partition_from_mis,
@@ -136,6 +137,10 @@ def test_criterion_5_theorem_suite(capsys):
 
 
 def test_criterion_6_partition_engine_oracle(capsys):
+    """kn_alpha_i decodes the product summary, so its values are checked
+    against the sizes of the enumerated maximal independent sets and, at
+    small orders, against the weights of all valid partitions found by
+    testing the four conditions on every labeling of V(G)."""
     t0 = time.perf_counter()
     graphs = 0
     round_trips = 0
@@ -143,19 +148,30 @@ def test_criterion_6_partition_engine_oracle(capsys):
         graphs += 1
         for n in (2, 3):
             prod = direct_product(g, complete(n))
-            low, high, _, _ = kernel.independence_summary(prod.graph.adj)
             report = kn_alpha_i(g, n)
-            assert (report.i_value, report.alpha_value) == (low, high)
+            assert report.argmin.violations() == []
+            assert report.argmax.violations() == []
+            sizes = []
             for mis in kernel.maximal_independent_sets(prod.graph.adj):
                 p = partition_from_mis(g, n, mis)
                 assert p.violations() == []
                 assert p.weight() == mis.bit_count()
                 assert mis_from_partition(p) == mis
+                sizes.append(mis.bit_count())
                 round_trips += 1
+            assert (report.i_value, report.alpha_value) == (min(sizes), max(sizes))
+            assert (report.argmin.weight(), report.argmax.weight()) == (min(sizes), max(sizes))
+    partition_graphs = 0
+    for g in corpus(4, connected_only=False):
+        partition_graphs += 1
+        for n in (2, 3):
+            report = kn_alpha_i(g, n)
+            weights = [p.weight() for p in enumerate_valid_partitions(g, n)]
+            assert (report.i_value, report.alpha_value) == (min(weights), max(weights))
     announce(
         capsys,
-        f"criterion 6 PASS: engine matches brute force on {graphs} graphs x {{2,3}}; "
-        f"{round_trips} round trips",
+        f"criterion 6 PASS: engine matches MIS enumeration on {graphs} graphs x {{2,3}} "
+        f"and partition enumeration on {partition_graphs}; {round_trips} round trips",
         t0,
     )
 

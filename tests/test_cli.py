@@ -86,7 +86,7 @@ class TestProduct:
         assert data["alpha"] == data["i"] == 12
         assert data["well_covered"]
         engine = data["partition_engine"]
-        assert engine["engine"] == "partition-search"
+        assert engine["engine"] == "product-enumeration"
         assert (engine["i"], engine["alpha"]) == (12, 12)
 
     def test_complete_factor_on_left(self, capsys):
@@ -131,6 +131,11 @@ class TestGenerate:
         ]
         assert got == want and len(got) == 3
 
+    def test_corpus_cap_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "generate", "--max-n", "8")
+        assert code == 3
+        assert "resource cap" in err
+
     def test_no_input_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "generate")
         assert code == 1
@@ -171,6 +176,11 @@ class TestVerify:
         assert code == 1
         assert "--cap" in err
 
+    def test_corpus_cap_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--max-n", "8")
+        assert code == 3
+        assert "resource cap" in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
         _, second, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
@@ -209,6 +219,14 @@ class TestScan:
         assert lines[0] == f"version: {__version__}"
         assert lines[1].startswith("g=@ h=@ order=1 ")
         assert "well_covered=" in lines[1]
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_exits_1(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--max-n", "2", "--jobs", jobs])
+        assert info.value.code == 1
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestConsoleScript:

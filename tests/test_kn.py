@@ -1,15 +1,13 @@
 """Weak-partition machinery for products with complete graphs: the four
-validity conditions, the partition/MIS correspondence, and the search
-engine against plain product enumeration."""
+validity conditions, the partition/MIS correspondence, and kn_alpha_i
+against exhaustive enumeration of valid partitions."""
 
 import pytest
 
 from wellcovered import kernel
 from wellcovered.families import complete, corpus, cycle, h_family, path
-from wellcovered.graphs import Graph, from_edge_list, to_mask
+from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.kn_partitions import (
-    DEFAULT_NODE_BUDGET,
-    ENGINE_PARTITION,
     ENGINE_PRODUCT,
     InvalidPartition,
     WeakPartition,
@@ -120,10 +118,12 @@ class TestCorrespondence:
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_product_enumeration(self, n):
+        """The extremes agree with the weights of all valid partitions,
+        found by checking the four conditions on every labeling of V(G)."""
         for g in corpus(4):
             report = kn_alpha_i(g, n)
-            prod = direct_product(g, complete(n))
-            low, high, _, _ = kernel.independence_summary(prod.graph.adj)
+            weights = [p.weight() for p in enumerate_valid_partitions(g, n)]
+            low, high = min(weights), max(weights)
             assert (report.i_value, report.alpha_value) == (low, high)
             assert report.argmin.violations() == []
             assert report.argmax.violations() == []
@@ -133,19 +133,19 @@ class TestEngine:
     def test_h42_headline_value(self):
         report = kn_alpha_i(h_family(4, 2), 3)
         assert report.i_value == report.alpha_value == 12
-        assert report.engine == ENGINE_PARTITION
+        assert report.engine == ENGINE_PRODUCT == "product-enumeration"
 
     def test_c10_values(self):
         report = kn_alpha_i(cycle(5), 2)
         assert (report.i_value, report.alpha_value) == (4, 5)
 
-    def test_budget_fallback_same_numbers(self):
-        g = h_family(2, 2)
-        fast = kn_alpha_i(g, 3)
-        slow = kn_alpha_i(g, 3, node_budget=1)
-        assert slow.engine == ENGINE_PRODUCT
-        assert fast.engine == ENGINE_PARTITION
-        assert (fast.i_value, fast.alpha_value) == (slow.i_value, slow.alpha_value)
+    def test_product_vertex_cap(self):
+        # H(k, n) x K_(n+1) has i = alpha = k(n+1); H(4,3) x K4 has exactly
+        # 64 vertices, H(5,3) x K4 has 80
+        report = kn_alpha_i(h_family(4, 3), 4)
+        assert report.i_value == report.alpha_value == 16
+        with pytest.raises(CapacityError):
+            kn_alpha_i(h_family(5, 3), 4)
 
     def test_deterministic_witnesses(self):
         a = kn_alpha_i(cycle(7), 2)
