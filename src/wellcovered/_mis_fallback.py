@@ -52,6 +52,8 @@ def _maximal_sets(closed: list[int], s: int, p: int, x: int) -> Iterator[int]:
 
 
 def _closed_rows(adj: Sequence[int]) -> list[int]:
+    if len(adj) > 64:
+        raise ValueError("kernel limited to 64 vertices")
     return [row | 1 << v for v, row in enumerate(adj)]
 
 
@@ -96,6 +98,8 @@ def well_covered_size(adj: Sequence[int]) -> int:
 def direct_product_adj(adj_g: Sequence[int], adj_h: Sequence[int]) -> list[int]:
     """Adjacency of the direct product under index (g, h) -> g*nH + h."""
     nh = len(adj_h)
+    if len(adj_g) * nh > 64:
+        raise ValueError("product exceeds 64 vertices")
     out = []
     for g in range(len(adj_g)):
         row_g = adj_g[g]

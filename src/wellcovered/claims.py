@@ -9,8 +9,10 @@ can be re-checked by hand with the basic primitives.  Universally
 quantified inner objects (independent sets, maximal independent sets,
 perfect matchings) are enumerated exhaustively; nothing is sampled.
 
-The suite runner shares per-instance facts across all claims of a shape,
-tallies verdicts per claim, and merges partial reports associatively, so
+Each instance's graphs and products are built and summarized once, in the
+facts objects (``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every
+claim of the instance's shape reads them from there.  The suite runner
+tallies verdicts per claim and merges partial reports associatively, so
 instance streams can be partitioned across processes.
 """
 
@@ -47,22 +49,18 @@ from .graphs import (
     is_regular,
     min_degree,
     neighborhood,
-    split_isolated,
     to_mask,
     to_vertices,
 )
 from .independence import (
+    WellCoveredReport,
     berge_violation,
     enumerate_independent_sets,
     favaron_equivalence_verdict,
     isolatable_vertices,
+    well_covered_report,
 )
-from .kn_partitions import (
-    kn_alpha_i,
-    layer_cardinality_check,
-    necessary_condition_check,
-    bipartite_isolation_check,
-)
+from .kn_partitions import kn_alpha_i, layer_cardinality_check, necessary_condition_check
 from .products import ProductGraph, direct_product, product_bounds_check
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
@@ -82,24 +80,12 @@ class GraphFacts:
         return {"graph6": to_graph6(self.graph)}
 
     @cached_property
-    def summary(self) -> tuple[int, int, int, int]:
-        return kernel.independence_summary(self.graph.adj)
-
-    @cached_property
-    def wc_size(self) -> int:
-        return kernel.well_covered_size(self.graph.adj)
-
-    @property
-    def well_covered(self) -> bool:
-        return self.wc_size >= 0
+    def report(self) -> WellCoveredReport:
+        return well_covered_report(self.graph)
 
     @cached_property
     def has_isolated(self) -> bool:
         return self.graph.n > 0 and min_degree(self.graph) == 0
-
-    @cached_property
-    def very_well_covered(self) -> bool:
-        return self.well_covered and not self.has_isolated and 2 * self.wc_size == self.graph.n
 
     @cached_property
     def nontrivial_connected(self) -> bool:
@@ -130,27 +116,17 @@ class PairFacts:
         return direct_product(self.g.graph, self.h.graph)
 
     @cached_property
-    def product_wc_size(self) -> int:
-        return kernel.well_covered_size(self.product.graph.adj)
-
-    @property
-    def product_wc(self) -> bool:
-        return self.product_wc_size >= 0
-
-    @cached_property
-    def product_vwc(self) -> bool:
-        p = self.product.graph
-        if not self.product_wc or 2 * self.product_wc_size != p.n:
-            return False
-        return not (p.n > 0 and min_degree(p) == 0)
+    def product_report(self) -> WellCoveredReport:
+        return well_covered_report(self.product.graph)
 
     @property
     def wc_not_vwc(self) -> bool:
-        return self.product_wc and not self.product_vwc
+        return self.product_report.well_covered and not self.product_report.very_well_covered
 
 
 class GraphNFacts:
-    """A graph together with the order of the complete second factor."""
+    """A graph G together with the order n of the complete second factor,
+    and G x K_n with its maximal independent sets."""
 
     def __init__(self, graph: Graph, n: int) -> None:
         self.graph = graph
@@ -159,6 +135,14 @@ class GraphNFacts:
     @cached_property
     def instance(self) -> dict:
         return {"graph6": to_graph6(self.graph), "n": self.n}
+
+    @cached_property
+    def product(self) -> ProductGraph:
+        return direct_product(self.graph, complete(self.n))
+
+    @cached_property
+    def mis_list(self) -> list[int]:
+        return kernel.maximal_independent_sets(self.product.graph.adj)
 
 
 def _json_girth(value: int | float) -> int | str:
@@ -190,13 +174,15 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
 
 
 def _check_trivial_bounds(f: PairFacts) -> ClaimVerdict:
-    return product_bounds_check(f.g.graph, f.h.graph, f.instance)
+    return product_bounds_check(
+        f.g.graph, f.h.graph, f.g.report, f.h.report, f.product_report, f.instance
+    )
 
 
 def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
     """Deleting the closed neighborhood of any independent set of a
     well-covered graph leaves a well-covered graph."""
-    if not f.well_covered:
+    if not f.report.well_covered:
         return ClaimVerdict("residual_wc", f.instance, VACUOUS)
     g = f.graph
     for s in enumerate_independent_sets(g):
@@ -216,7 +202,7 @@ def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
 def _check_clique_leftover(f: GraphFacts) -> ClaimVerdict:
     """An independent set one short of maximum is maximal or leaves a clique."""
     g = f.graph
-    a = f.summary[1]
+    a = f.report.alpha
     if a >= 1:
         for s in enumerate_independent_sets(g):
             if s.bit_count() != a - 1:
@@ -237,28 +223,31 @@ def _check_wc_direct(f: PairFacts) -> ClaimVerdict:
     """A well-covered product forces well-covered factors whose isolate-free
     parts have equal independence ratios.  Pairs with an edgeless factor are
     treated as out of hypothesis: the isolate-free part is then empty and
-    the ratio is undefined."""
-    if not f.product_wc:
+    the ratio is undefined.
+
+    Isolated vertices lie in every maximal independent set, so the
+    isolate-free part G+ has alpha(G+) = alpha(G) - #isolated."""
+    if not f.product_report.well_covered:
         return ClaimVerdict("wc_direct", f.instance, VACUOUS)
     g, h = f.g.graph, f.h.graph
     if g.m == 0 or h.m == 0:
         return ClaimVerdict("wc_direct", f.instance, VACUOUS)
-    if not f.g.well_covered or not f.h.well_covered:
+    if not f.g.report.well_covered or not f.h.report.well_covered:
         witness = {
-            "g_well_covered": f.g.well_covered,
-            "h_well_covered": f.h.well_covered,
+            "g_well_covered": f.g.report.well_covered,
+            "h_well_covered": f.h.report.well_covered,
         }
         return ClaimVerdict("wc_direct", f.instance, COUNTEREXAMPLE, witness)
-    _, g_plus = split_isolated(g)
-    _, h_plus = split_isolated(h)
-    a_g = kernel.independence_summary(g_plus.graph.adj)[1]
-    a_h = kernel.independence_summary(h_plus.graph.adj)[1]
-    if a_g * h_plus.graph.n != a_h * g_plus.graph.n:
+    iso_g = g.adj.count(0)
+    iso_h = h.adj.count(0)
+    a_g, n_g = f.g.report.alpha - iso_g, g.n - iso_g
+    a_h, n_h = f.h.report.alpha - iso_h, h.n - iso_h
+    if a_g * n_h != a_h * n_g:
         witness = {
             "alpha_g_positive": a_g,
-            "n_g_positive": g_plus.graph.n,
+            "n_g_positive": n_g,
             "alpha_h_positive": a_h,
-            "n_h_positive": h_plus.graph.n,
+            "n_h_positive": n_h,
         }
         return ClaimVerdict("wc_direct", f.instance, COUNTEREXAMPLE, witness)
     return ClaimVerdict("wc_direct", f.instance, HOLDS)
@@ -267,7 +256,7 @@ def _check_wc_direct(f: PairFacts) -> ClaimVerdict:
 def _check_berge(f: GraphFacts) -> ClaimVerdict:
     """In a well-covered graph without isolated vertices, every independent
     set is at most as large as its open neighborhood."""
-    if not f.well_covered or f.has_isolated:
+    if not f.report.well_covered or f.has_isolated:
         return ClaimVerdict("berge", f.instance, VACUOUS)
     bad = berge_violation(f.graph)
     if bad is not None:
@@ -280,7 +269,7 @@ def _check_berge(f: GraphFacts) -> ClaimVerdict:
 
 
 def _check_favaron(f: GraphFacts) -> ClaimVerdict:
-    return favaron_equivalence_verdict(f.graph, f.instance)
+    return favaron_equivalence_verdict(f.graph, f.report.very_well_covered, f.instance)
 
 
 def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
@@ -289,11 +278,11 @@ def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
     both factors being very well-covered are all equivalent."""
     if f.g.has_isolated or f.h.has_isolated:
         return ClaimVerdict("vwc_product", f.instance, VACUOUS)
-    if not (f.g.very_well_covered or f.h.very_well_covered):
+    if not (f.g.report.very_well_covered or f.h.report.very_well_covered):
         return ClaimVerdict("vwc_product", f.instance, VACUOUS)
-    a = f.product_wc
-    b = f.product_vwc
-    c = f.g.very_well_covered and f.h.very_well_covered
+    a = f.product_report.well_covered
+    b = f.product_report.very_well_covered
+    c = f.g.report.very_well_covered and f.h.report.very_well_covered
     if a == b == c:
         return ClaimVerdict("vwc_product", f.instance, HOLDS)
     witness = {
@@ -307,28 +296,43 @@ def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
 def _check_layer_sizes(f: GraphNFacts) -> ClaimVerdict:
     if f.n < 2:
         return ClaimVerdict("layer_sizes", f.instance, VACUOUS)
-    return layer_cardinality_check(f.graph, f.n, f.instance)
+    return layer_cardinality_check(f.product, f.mis_list, f.instance)
 
 
 def _check_kn_necessary(f: GraphNFacts) -> ClaimVerdict:
     if f.n < 2:
         return ClaimVerdict("kn_necessary", f.instance, VACUOUS)
-    return necessary_condition_check(f.graph, f.n, f.instance)
+    product_wc = len({s.bit_count() for s in f.mis_list}) == 1
+    return necessary_condition_check(f.graph, f.n, product_wc, f.instance)
 
 
 def _check_bipartite_isolation(f: GraphFacts) -> ClaimVerdict:
-    return bipartite_isolation_check(f.graph, f.instance)
+    """A bipartite well-covered graph with minimum degree >= 2 has isolatable
+    vertices; deleting any closed neighborhood N[x] leaves an isolated vertex."""
+    b = f.graph
+    if is_bipartite(b) is None or min_degree(b) < 2 or not f.report.well_covered:
+        return ClaimVerdict("bipartite_isolation", f.instance, VACUOUS)
+    if f.isolatable_mask == 0:
+        return ClaimVerdict(
+            "bipartite_isolation", f.instance, COUNTEREXAMPLE, {"reason": "no isolatable vertices"}
+        )
+    for x in range(b.n):
+        residual = delete_closed_neighborhood(b, 1 << x)
+        if not any(residual.graph.adj[v] == 0 for v in range(residual.graph.n)):
+            witness = {"vertex": x, "residual_vertices": list(residual.kept)}
+            return ClaimVerdict("bipartite_isolation", f.instance, COUNTEREXAMPLE, witness)
+    return ClaimVerdict("bipartite_isolation", f.instance, HOLDS)
 
 
 def _check_closed_nbhd_size(f: PairFacts) -> ClaimVerdict:
     """With H nontrivial connected, G free of isolatable vertices, and the
     product well-covered, every independent k-set of G has closed
     neighborhood of size exactly k * n(G) / alpha(G)."""
-    hyp = f.h.nontrivial_connected and f.g.isolatable_mask == 0 and f.product_wc
+    hyp = f.h.nontrivial_connected and f.g.isolatable_mask == 0 and f.product_report.well_covered
     if not hyp:
         return ClaimVerdict("closed_nbhd_size", f.instance, VACUOUS)
     g = f.g.graph
-    a = f.g.summary[1]
+    a = f.g.report.alpha
     for s in enumerate_independent_sets(g):
         k = s.bit_count()
         if k == 0:
@@ -352,12 +356,12 @@ def _check_regularity(f: PairFacts) -> ClaimVerdict:
         f.g.nontrivial_connected
         and f.h.nontrivial_connected
         and f.g.isolatable_mask == 0
-        and f.product_wc
+        and f.product_report.well_covered
     )
     if not hyp:
         return ClaimVerdict("regularity", f.instance, VACUOUS)
     g = f.g.graph
-    a = f.g.summary[1]
+    a = f.g.report.alpha
     degree = is_regular(g)
     if degree is None or (degree + 1) * a != g.n:
         witness = {
@@ -389,7 +393,7 @@ def _check_no_isolatable_complete(f: PairFacts) -> ClaimVerdict:
     hyp = (
         f.g.nontrivial_connected
         and f.h.nontrivial_connected
-        and f.product_wc
+        and f.product_report.well_covered
         and f.g.isolatable_mask == 0
     )
     if not hyp:
@@ -413,7 +417,7 @@ def _check_both_complete(f: PairFacts) -> ClaimVerdict:
         and f.h.nontrivial_connected
         and f.g.isolatable_mask == 0
         and f.h.isolatable_mask == 0
-        and f.product_wc
+        and f.product_report.well_covered
     )
     if not hyp:
         return ClaimVerdict("both_complete", f.instance, VACUOUS)
@@ -552,7 +556,7 @@ def _check_support_leaf_unique(f: GraphFacts) -> ClaimVerdict:
     g = f.graph
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     supports = sorted({g.adj[v].bit_length() - 1 for v in leaves})
-    if not f.well_covered or not supports:
+    if not f.report.well_covered or not supports:
         return ClaimVerdict("support_leaf_unique", f.instance, VACUOUS)
     leaf_mask = to_mask(leaves)
     for x in supports:

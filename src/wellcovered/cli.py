@@ -22,12 +22,13 @@ from . import __version__, kernel
 from .claims import (
     CLAIM_IDS,
     REGISTRY,
+    PairFacts,
+    _json_girth,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
     run_suite_parallel,
     targeted_instances,
-    verify,
 )
 from .families import FamilySpec
 from .formats import from_graph6, load_graph_text, to_graph6
@@ -41,7 +42,7 @@ from .graphs import (
     is_regular,
     to_vertices,
 )
-from .independence import isolatable_vertices, well_covered_report
+from .independence import is_very_well_covered, isolatable_vertices, well_covered_report
 from .kn_partitions import kn_alpha_i
 from .products import direct_product
 from .verdicts import COUNTEREXAMPLE
@@ -81,10 +82,6 @@ def parse_graph_arg(text: str) -> Graph:
         ) from None
 
 
-def _json_girth(value) -> int | str:
-    return "infinite" if value == float("inf") else int(value)
-
-
 def _render(data: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(data, indent=2)
@@ -121,17 +118,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
-    prod = direct_product(g, h)
+    facts = PairFacts(g, h)
     data = {"version": __version__}
-    data.update(prod.to_json_sidecar())
-    data.update(well_covered_report(prod.graph).to_json())
+    data.update(facts.product.to_json_sidecar())
+    data.update(facts.product_report.to_json())
     if is_complete(h) and h.n >= 2:
         data["partition_engine"] = kn_alpha_i(g, h.n).to_json()
     elif is_complete(g) and g.n >= 2:
         data["partition_engine"] = kn_alpha_i(h, g.n).to_json()
     status = 0
     if args.check:
-        verdict = verify("wc_direct", (g, h))
+        verdict = REGISTRY["wc_direct"].check(facts)
         data["check"] = verdict.to_json()
         if verdict.status == COUNTEREXAMPLE:
             status = 2
@@ -139,15 +136,14 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return status
 
 
-def _passes_filter(g: Graph, name: str | None) -> bool:
+def _passes_filter(name: str | None, well_covered: bool, very_well_covered: bool) -> bool:
     if name is None:
         return True
-    report = well_covered_report(g)
     if name == "wc":
-        return report.well_covered
+        return well_covered
     if name == "vwc":
-        return report.very_well_covered
-    return report.well_covered and not report.very_well_covered
+        return very_well_covered
+    return well_covered and not very_well_covered
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -157,7 +153,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graphs = corpus_single_instances(args.max_n, args.reps)
     else:
         raise ValueError("nothing to generate: pass family specs or --max-n")
-    emitted = [to_graph6(g) for g in graphs if _passes_filter(g, args.filter)]
+    emitted = []
+    for g in graphs:
+        if args.filter is not None:
+            report = well_covered_report(g)
+            if not _passes_filter(args.filter, report.well_covered, report.very_well_covered):
+                continue
+        emitted.append(to_graph6(g))
     if args.format == "json":
         print(json.dumps({"version": __version__, "count": len(emitted), "graphs": emitted}, indent=2))
     else:
@@ -201,25 +203,13 @@ def _scan_row(pair: tuple[Graph, Graph]) -> dict:
     g, h = pair
     prod = direct_product(g, h)
     size = kernel.well_covered_size(prod.graph.adj)
-    wc = size >= 0
-    vwc = wc and 2 * size == prod.graph.n and all(prod.graph.adj[v] for v in range(prod.graph.n))
     return {
         "g": to_graph6(g),
         "h": to_graph6(h),
         "order": prod.graph.n,
-        "well_covered": wc,
-        "very_well_covered": vwc,
+        "well_covered": size >= 0,
+        "very_well_covered": is_very_well_covered(prod.graph, size),
     }
-
-
-def _row_passes(row: dict, name: str | None) -> bool:
-    if name is None:
-        return True
-    if name == "wc":
-        return row["well_covered"]
-    if name == "vwc":
-        return row["very_well_covered"]
-    return row["well_covered"] and not row["very_well_covered"]
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -234,7 +224,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rows = list(pool.imap(_scan_row, pairs, chunksize=64))
     else:
         rows = [_scan_row(p) for p in pairs]
-    rows = [r for r in rows if _row_passes(r, args.filter)]
+    rows = [r for r in rows if _passes_filter(args.filter, r["well_covered"], r["very_well_covered"])]
     if args.format == "json":
         print(json.dumps({"version": __version__, "pairs": rows}, indent=2))
     else:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .graphs import CapacityError, Graph, components, from_edge_list, is_complete
+from .graphs import (
+    CapacityError,
+    Graph,
+    complement,
+    components,
+    from_edge_list,
+    is_complete,
+    is_connected,
+)
 
 MAX_EXHAUSTIVE_N = 7
 
@@ -128,8 +136,7 @@ def multipartite_params(g: Graph) -> tuple[int, int] | None:
     size r, else None.  Checked on the complement: m disjoint cliques K_r."""
     if g.n == 0:
         return None
-    comp_adj = tuple(g.vertex_mask & ~(g.adj[v] | 1 << v) for v in range(g.n))
-    comp = Graph(g.n, comp_adj)
+    comp = complement(g)
     parts = components(comp)
     r = parts[0].bit_count()
     for p in parts:
@@ -163,22 +170,6 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _is_connected_adj(n: int, adj: list[int] | tuple[int, ...]) -> bool:
-    if n == 0:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            nxt |= adj[v]
-            frontier &= frontier - 1
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == (1 << n) - 1
-
-
 def corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
     """Every labeled simple graph with 1..max_n vertices, in (n, edge-mask)
     order.  Exhaustive only up to 7 vertices; beyond that the labeled count
@@ -189,7 +180,7 @@ def corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pairs)):
             g = _graph_from_mask(n, mask, pairs)
-            if connected_only and not _is_connected_adj(n, g.adj):
+            if connected_only and not is_connected(g):
                 continue
             yield g
 
@@ -222,7 +213,7 @@ def corpus_representatives(max_n: int, connected_only: bool = True) -> Iterator[
                     m &= m - 1
                 seen.add(relabeled)
             g = _graph_from_mask(n, mask, pairs)
-            if connected_only and not _is_connected_adj(n, g.adj):
+            if connected_only and not is_connected(g):
                 continue
             yield g
 

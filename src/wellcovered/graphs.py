@@ -211,30 +211,36 @@ def delete_closed_neighborhood(g: Graph, s: int) -> Subgraph:
     return induced_subgraph(g, g.vertex_mask & ~closed_neighborhood(g, s))
 
 
+def _reach(g: Graph, v: int) -> int:
+    """The vertices reachable from v, as a mask."""
+    adj = g.adj
+    comp = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            nxt |= adj[u]
+            frontier &= frontier - 1
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
 def components(g: Graph) -> list[int]:
     """Connected components as masks, ordered by smallest contained vertex."""
     seen = 0
     out = []
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            while frontier:
-                u = (frontier & -frontier).bit_length() - 1
-                nxt |= g.adj[u]
-                frontier &= frontier - 1
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
+        if not seen >> v & 1:
+            comp = _reach(g, v)
+            seen |= comp
+            out.append(comp)
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    """One search from vertex 0; the empty graph counts as connected."""
+    return g.n == 0 or _reach(g, 0) == g.vertex_mask
 
 
 def split_isolated(g: Graph) -> tuple[int, Subgraph]:

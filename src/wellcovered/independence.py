@@ -67,16 +67,22 @@ class WellCoveredReport:
         }
 
 
+def is_very_well_covered(g: Graph, wc_size: int) -> bool:
+    """Very well-covered: every maximal independent set has size n/2 and no
+    vertex is isolated.  ``wc_size`` is the common size of the maximal
+    independent sets, or -1 when they differ, as ``kernel.well_covered_size``
+    returns it."""
+    return wc_size >= 0 and 2 * wc_size == g.n and all(g.adj)
+
+
 def well_covered_report(g: Graph) -> WellCoveredReport:
     i, a, wit_min, wit_max = kernel.independence_summary(g.adj)
-    wc = i == a
-    no_isolated = all(g.adj[v] != 0 for v in range(g.n))
     return WellCoveredReport(
         n=g.n,
         alpha=a,
         i_number=i,
-        well_covered=wc,
-        very_well_covered=wc and 2 * a == g.n and no_isolated,
+        well_covered=i == a,
+        very_well_covered=is_very_well_covered(g, a if i == a else -1),
         witness_min=wit_min,
         witness_max=wit_max,
     )
@@ -213,14 +219,16 @@ def has_pairing_property(g: Graph, m: Matching) -> bool:
     return True
 
 
-def favaron_equivalence_verdict(g: Graph, instance: dict | None = None) -> ClaimVerdict:
-    """Check that these three agree: very well-covered; some perfect matching
-    has the pairing property; a perfect matching exists and all of them have
-    the pairing property."""
-    rep = well_covered_report(g)
+def favaron_equivalence_verdict(
+    g: Graph, very_well_covered: bool, instance: dict | None = None
+) -> ClaimVerdict:
+    """Check that these three agree: very well-covered (passed in, as
+    ``well_covered_report`` gives it); some perfect matching has the pairing
+    property; a perfect matching exists and all of them have the pairing
+    property."""
     matchings = list(perfect_matchings(g))
     good = [m for m in matchings if has_pairing_property(g, m)]
-    stmt_i = rep.very_well_covered
+    stmt_i = very_well_covered
     stmt_ii = bool(good)
     stmt_iii = bool(matchings) and len(good) == len(matchings)
     inst = instance if instance is not None else {"n": g.n, "edges": sorted(g.edges())}

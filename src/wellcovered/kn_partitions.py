@@ -29,8 +29,7 @@ from typing import ClassVar
 
 from . import kernel
 from .families import complete
-from .graphs import Graph, bits, delete_closed_neighborhood, is_bipartite, min_degree, to_vertices
-from .independence import is_well_covered, isolatable_vertices, well_covered_report
+from .graphs import Graph, bits, delete_closed_neighborhood, to_vertices
 from .products import ProductGraph, direct_product
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
@@ -254,14 +253,18 @@ def enumerate_valid_partitions(g: Graph, n: int) -> list[WeakPartition]:
     return out
 
 
-def layer_cardinality_check(g: Graph, n: int, instance: dict | None = None) -> ClaimVerdict:
-    """Every maximal independent set of G x K_n meets each layer in 0, 1, or n."""
+def layer_cardinality_check(
+    prod: ProductGraph, sets: list[int], instance: dict | None = None
+) -> ClaimVerdict:
+    """Every maximal independent set of G x K_n meets each layer in 0, 1, or n.
+
+    ``prod`` is G x K_n and ``sets`` its maximal independent sets."""
+    n = prod.n_h
     if n < 2:
         raise ValueError("clique order must be at least 2")
-    inst = instance if instance is not None else {"nG": g.n, "n": n}
-    prod = direct_product(g, complete(n))
-    for s in kernel.maximal_independent_sets(prod.graph.adj):
-        for gv in range(g.n):
+    inst = instance if instance is not None else {"nG": prod.n_g, "n": n}
+    for s in sets:
+        for gv in range(prod.n_g):
             size = (s & prod.layer_h(gv)).bit_count()
             if size not in (0, 1, n):
                 witness = {
@@ -273,13 +276,16 @@ def layer_cardinality_check(g: Graph, n: int, instance: dict | None = None) -> C
     return ClaimVerdict("layer_sizes", inst, HOLDS)
 
 
-def necessary_condition_check(g: Graph, n: int, instance: dict | None = None) -> ClaimVerdict:
+def necessary_condition_check(
+    g: Graph, n: int, product_well_covered: bool, instance: dict | None = None
+) -> ClaimVerdict:
     """If G x K_n is well-covered, every vertex of degree >= n leaves an
-    isolated vertex behind when its closed neighborhood is deleted."""
+    isolated vertex behind when its closed neighborhood is deleted.
+    ``product_well_covered`` says whether G x K_n is well-covered."""
     if n < 2:
         raise ValueError("clique order must be at least 2")
     inst = instance if instance is not None else {"nG": g.n, "n": n}
-    if not is_well_covered(direct_product(g, complete(n)).graph):
+    if not product_well_covered:
         return ClaimVerdict("kn_necessary", inst, VACUOUS)
     for x in range(g.n):
         if g.degree(x) < n:
@@ -296,21 +302,3 @@ def necessary_condition_check(g: Graph, n: int, instance: dict | None = None) ->
             }
             return ClaimVerdict("kn_necessary", inst, COUNTEREXAMPLE, witness)
     return ClaimVerdict("kn_necessary", inst, HOLDS)
-
-
-def bipartite_isolation_check(b: Graph, instance: dict | None = None) -> ClaimVerdict:
-    """A bipartite well-covered graph with minimum degree >= 2 has isolatable
-    vertices; deleting any closed neighborhood N[x] leaves an isolated vertex."""
-    inst = instance if instance is not None else {"n": b.n, "edges": sorted(b.edges())}
-    if is_bipartite(b) is None or min_degree(b) < 2 or not is_well_covered(b):
-        return ClaimVerdict("bipartite_isolation", inst, VACUOUS)
-    if isolatable_vertices(b) == 0:
-        return ClaimVerdict(
-            "bipartite_isolation", inst, COUNTEREXAMPLE, {"reason": "no isolatable vertices"}
-        )
-    for x in range(b.n):
-        residual = delete_closed_neighborhood(b, 1 << x)
-        if not any(residual.graph.adj[v] == 0 for v in range(residual.graph.n)):
-            witness = {"vertex": x, "residual_vertices": list(residual.kept)}
-            return ClaimVerdict("bipartite_isolation", inst, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("bipartite_isolation", inst, HOLDS)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .graphs import CapacityError, Graph, MAX_VERTICES, bits
-from .independence import well_covered_report
+from .independence import WellCoveredReport
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
 
@@ -98,15 +98,20 @@ def lift_independent(p: ProductGraph, i_mask: int) -> int:
     return out
 
 
-def product_bounds_check(g: Graph, h: Graph, instance: dict | None = None) -> ClaimVerdict:
+def product_bounds_check(
+    g: Graph,
+    h: Graph,
+    rep_g: WellCoveredReport,
+    rep_h: WellCoveredReport,
+    rep_p: WellCoveredReport,
+    instance: dict | None = None,
+) -> ClaimVerdict:
     """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
-    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors."""
+    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.  The
+    reports are ``well_covered_report`` of G, H and G x H."""
     inst = instance if instance is not None else {"nG": g.n, "nH": h.n}
     if any(g.adj[v] == 0 for v in range(g.n)) or any(h.adj[v] == 0 for v in range(h.n)):
         return ClaimVerdict("trivial_bounds", inst, VACUOUS)
-    rep_g = well_covered_report(g)
-    rep_h = well_covered_report(h)
-    rep_p = well_covered_report(direct_product(g, h).graph)
     lower = max(rep_g.alpha * h.n, rep_h.alpha * g.n)
     upper = min(rep_g.i_number * h.n, rep_h.i_number * g.n)
     if rep_p.alpha >= lower and rep_p.i_number <= upper:

@@ -2,9 +2,11 @@
 runner in both serial and parallel form."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from wellcovered import kernel
 from wellcovered.claims import (
     CLAIM_IDS,
     REGISTRY,
@@ -200,6 +202,37 @@ class TestSuite:
     def test_graph_n_orders(self):
         insts = list(corpus_graph_n_instances(2, orders=(2, 4)))
         assert [(g.n, n) for g, n in insts] == [(1, 2), (1, 4), (2, 2), (2, 4)]
+
+    @pytest.mark.parametrize(
+        "instance, expected",
+        [
+            # the single well_covered_size call is k3_dichotomy's G x K3
+            (path(3), {"independence_summary": 1, "well_covered_size": 1}),
+            (
+                (path(3), cycle(4)),
+                {"direct_product_adj": 1, "independence_summary": 3, "well_covered_size": 0},
+            ),
+            (
+                (cycle(5), 3),
+                {"direct_product_adj": 1, "maximal_independent_sets": 1, "well_covered_size": 0},
+            ),
+        ],
+        ids=["graph", "pair", "graph-n"],
+    )
+    def test_facts_built_once(self, monkeypatch, instance, expected):
+        """All claims of an instance read one summary per graph and product
+        and build each product once."""
+        calls = Counter()
+        for name in expected:
+            original = getattr(kernel, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+        assert run_suite(CLAIM_IDS, [instance]).passed
+        assert {name: calls[name] for name in expected} == expected
 
 
 class TestTallyMachinery:

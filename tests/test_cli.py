@@ -8,11 +8,19 @@ import subprocess
 import pytest
 
 from wellcovered import __version__
+from wellcovered.claims import corpus_pair_instances
 from wellcovered.cli import main
 from wellcovered.families import complete, corpus
 from wellcovered.formats import to_graph6
 from wellcovered.graphs import disjoint_union
 from wellcovered.independence import well_covered_report
+from wellcovered.products import direct_product
+
+FILTERS = {
+    "wc": lambda rep: rep.well_covered,
+    "vwc": lambda rep: rep.very_well_covered,
+    "wc-not-vwc": lambda rep: rep.well_covered and not rep.very_well_covered,
+}
 
 
 def run_cli(capsys, *argv):
@@ -121,15 +129,18 @@ class TestGenerate:
         _, out, _ = run_cli(capsys, "generate", "--max-n", "3", "--reps", "--format", "json")
         assert json.loads(out)["count"] == 4
 
-    def test_filter_matches_library(self, capsys):
+    @pytest.mark.parametrize(
+        "name, count", [("wc", 3), ("vwc", 1), ("wc-not-vwc", 2)], ids=["wc", "vwc", "wc-not-vwc"]
+    )
+    def test_filter_matches_library(self, capsys, name, count):
         _, out, _ = run_cli(
-            capsys, "generate", "--max-n", "3", "--filter", "wc", "--format", "json"
+            capsys, "generate", "--max-n", "3", "--filter", name, "--format", "json"
         )
         got = json.loads(out)["graphs"]
         want = [
-            to_graph6(g) for g in corpus(3) if well_covered_report(g).well_covered
+            to_graph6(g) for g in corpus(3) if FILTERS[name](well_covered_report(g))
         ]
-        assert got == want and len(got) == 3
+        assert got == want and len(got) == count
 
     def test_corpus_cap_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--max-n", "8")
@@ -202,6 +213,19 @@ class TestScan:
             assert row["order"] == prod.graph.n
             assert row["well_covered"] == rep.well_covered
             assert row["very_well_covered"] == rep.very_well_covered
+
+    @pytest.mark.parametrize("name", list(FILTERS))
+    def test_filter_matches_library(self, capsys, name):
+        _, out, _ = run_cli(
+            capsys, "scan", "--max-n", "3", "--cap", "9", "--filter", name, "--format", "json"
+        )
+        got = [(row["g"], row["h"]) for row in json.loads(out)["pairs"]]
+        want = [
+            (to_graph6(g), to_graph6(h))
+            for g, h in corpus_pair_instances(3, cap=9)
+            if FILTERS[name](well_covered_report(direct_product(g, h).graph))
+        ]
+        assert got == want and got
 
     def test_filter_finds_k3_square(self, capsys):
         _, out, _ = run_cli(

@@ -13,6 +13,7 @@ from brute import (
     is_independent,
     random_graph,
 )
+from wellcovered import _mis_fallback
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
 from wellcovered.graphs import Graph, from_edge_list, to_mask, to_vertices
 from wellcovered.independence import (
@@ -157,16 +158,43 @@ class TestMatchings:
         assert has_pairing_property(g, matchings[0])
 
 
+class TestKernelLimits:
+    """The pure kernel rejects input beyond 64 vertices with the compiled
+    kernel's messages instead of computing on it."""
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            "maximal_independent_sets",
+            "count_maximal_independent_sets",
+            "independence_summary",
+            "well_covered_size",
+        ],
+    )
+    def test_rows(self, fn):
+        full = (1 << 64) - 1
+        assert _mis_fallback.independence_summary([0] * 64) == (64, 64, full, full)
+        with pytest.raises(ValueError, match="kernel limited to 64 vertices"):
+            getattr(_mis_fallback, fn)([0] * 65)
+
+    def test_product(self):
+        assert len(_mis_fallback.direct_product_adj([0] * 8, [0] * 8)) == 64
+        with pytest.raises(ValueError, match="product exceeds 64 vertices"):
+            _mis_fallback.direct_product_adj([0] * 13, [0] * 5)
+
+
 class TestFavaronEquivalence:
     def test_holds_on_small_corpus(self):
         rng = random.Random(7)
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 7), rng.random())
-            assert favaron_equivalence_verdict(g).status == HOLDS
+            vwc = well_covered_report(g).very_well_covered
+            assert favaron_equivalence_verdict(g, vwc).status == HOLDS
 
     def test_statements_agree_on_named_graphs(self):
         for g in [cycle(4), cycle(5), cycle(6), path(4), complete(6), h_family(2, 2)]:
-            assert favaron_equivalence_verdict(g).status == HOLDS
+            vwc = well_covered_report(g).very_well_covered
+            assert favaron_equivalence_verdict(g, vwc).status == HOLDS
 
 
 class TestAgainstOracle:

@@ -7,6 +7,7 @@ import pytest
 from wellcovered import kernel
 from wellcovered.families import complete, corpus, cycle, h_family, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
+from wellcovered.independence import is_well_covered
 from wellcovered.kn_partitions import (
     ENGINE_PRODUCT,
     InvalidPartition,
@@ -166,15 +167,22 @@ class TestEngine:
 class TestClaimChecks:
     def test_layer_check_holds_everywhere_small(self):
         for g in corpus(4):
-            assert layer_cardinality_check(g, 2).status == HOLDS
+            prod = direct_product(g, complete(2))
+            sets = kernel.maximal_independent_sets(prod.graph.adj)
+            assert layer_cardinality_check(prod, sets).status == HOLDS
 
     def test_necessary_condition_vacuous_when_not_wc(self):
-        assert necessary_condition_check(cycle(5), 2).status == VACUOUS
+        assert necessary_condition(cycle(5), 2).status == VACUOUS
 
     def test_necessary_condition_holds_on_k3(self):
-        assert necessary_condition_check(complete(3), 3).status == HOLDS
+        assert necessary_condition(complete(3), 3).status == HOLDS
 
     def test_necessary_condition_holds_with_active_degree(self):
         # corona of K3: clique vertices have degree 3 >= 2 and the product
         # with K2 is well-covered, so the conclusion is exercised
-        assert necessary_condition_check(h_family(3, 1), 2).status == HOLDS
+        assert necessary_condition(h_family(3, 1), 2).status == HOLDS
+
+
+def necessary_condition(g, n):
+    product_wc = is_well_covered(direct_product(g, complete(n)).graph)
+    return necessary_condition_check(g, n, product_wc)

@@ -10,6 +10,7 @@ from brute import brute_summary, is_independent, random_graph
 from wellcovered import kernel
 from wellcovered.families import complete, cycle, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
+from wellcovered.independence import well_covered_report
 from wellcovered.products import direct_product, lift_independent, product_bounds_check
 from wellcovered.verdicts import HOLDS, VACUOUS
 
@@ -110,6 +111,11 @@ class TestLifting:
             lift_independent(bare, to_mask([0]))
 
 
+def bounds_check(g, h):
+    reports = [well_covered_report(x) for x in (g, h, direct_product(g, h).graph)]
+    return product_bounds_check(g, h, *reports)
+
+
 class TestBoundsCheck:
     def test_holds_for_isolate_free_pairs(self):
         rng = random.Random(2)
@@ -117,7 +123,7 @@ class TestBoundsCheck:
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 5), 0.6)
             h = random_graph(rng, rng.randint(1, 5), 0.6)
-            verdict = product_bounds_check(g, h)
+            verdict = bounds_check(g, h)
             assert verdict.status in (HOLDS, VACUOUS)
             if verdict.status == HOLDS:
                 seen_holds += 1
@@ -125,7 +131,7 @@ class TestBoundsCheck:
 
     def test_vacuous_with_isolated_vertex(self):
         g = from_edge_list(2, [])
-        assert product_bounds_check(g, complete(2)).status == VACUOUS
+        assert bounds_check(g, complete(2)).status == VACUOUS
 
     def test_bounds_against_oracle(self):
         rng = random.Random(31)
