@@ -34,7 +34,13 @@ from .independence import (
     well_covered_report,
 )
 from .kernel import BACKEND
-from .kn_partitions import KnReport, WeakPartition, enumerate_valid_partitions, kn_alpha_i
+from .kn_partitions import (
+    KnReport,
+    WeakPartition,
+    enumerate_valid_partitions,
+    kn_alpha_i,
+    kn_report,
+)
 from .products import ProductGraph, direct_product, lift_independent
 from .verdicts import ClaimVerdict
 
@@ -73,6 +79,7 @@ __all__ = [
     "is_well_covered",
     "isolatable_vertices",
     "kn_alpha_i",
+    "kn_report",
     "lift_independent",
     "load_graph_text",
     "multipartite_params",

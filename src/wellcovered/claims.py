@@ -60,7 +60,7 @@ from .independence import (
     isolatable_vertices,
     well_covered_report,
 )
-from .kn_partitions import kn_alpha_i, layer_cardinality_check, necessary_condition_check
+from .kn_partitions import kn_report, layer_cardinality_check, necessary_condition_check
 from .products import ProductGraph, direct_product, product_bounds_check
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
@@ -526,12 +526,17 @@ def _check_h_family_product(f: GraphNFacts) -> ClaimVerdict:
     params = h_family_params(f.graph)
     if params is None or f.n != params[1] + 1:
         return ClaimVerdict("h_family_product", f.instance, VACUOUS)
-    report = kn_alpha_i(f.graph, f.n)
-    if report.i_value == report.alpha_value:
+    # the first smallest and largest sets in visit order, as the kernel
+    # summary of the product would give them
+    wit_min = min(f.mis_list, key=int.bit_count)
+    wit_max = max(f.mis_list, key=int.bit_count)
+    i, a = wit_min.bit_count(), wit_max.bit_count()
+    if i == a:
         return ClaimVerdict("h_family_product", f.instance, HOLDS)
+    report = kn_report(f.graph, f.n, (i, a, wit_min, wit_max))
     witness = {
-        "i": report.i_value,
-        "alpha": report.alpha_value,
+        "i": i,
+        "alpha": a,
         "argmin": report.argmin.to_json(),
         "argmax": report.argmax.to_json(),
     }

@@ -43,7 +43,7 @@ from .graphs import (
     to_vertices,
 )
 from .independence import is_very_well_covered, isolatable_vertices, well_covered_report
-from .kn_partitions import kn_alpha_i
+from .kn_partitions import kn_alpha_i, kn_report
 from .products import direct_product
 from .verdicts import COUNTEREXAMPLE
 
@@ -121,9 +121,12 @@ def _cmd_product(args: argparse.Namespace) -> int:
     facts = PairFacts(g, h)
     data = {"version": __version__}
     data.update(facts.product.to_json_sidecar())
-    data.update(facts.product_report.to_json())
+    rep = facts.product_report
+    data.update(rep.to_json())
     if is_complete(h) and h.n >= 2:
-        data["partition_engine"] = kn_alpha_i(g, h.n).to_json()
+        # G x K_n is the product just summarized, in kn_report's layout
+        summary = (rep.i_number, rep.alpha, rep.witness_min, rep.witness_max)
+        data["partition_engine"] = kn_report(g, h.n, summary).to_json()
     elif is_complete(g) and g.n >= 2:
         data["partition_engine"] = kn_alpha_i(h, g.n).to_json()
     status = 0

@@ -14,12 +14,12 @@ maximal independent set exactly when four conditions hold:
 
 The weight n*|bracket| + sum |V_k| of a valid partition is the size of its
 maximal independent set, so i(G x K_n) and alpha(G x K_n) are the extreme
-weights over valid partitions.  ``kn_alpha_i`` reads both extremes from one
-enumeration of the materialized product and decodes the extreme maximal
-independent sets into their partitions, so it shares the 64-vertex cap of
-``direct_product``.  ``enumerate_valid_partitions`` checks the conditions
-directly on every labeling of V(G) and serves as an independent oracle at
-small orders.
+weights over valid partitions.  ``kn_alpha_i`` reads both extremes from the
+kernel summary of the materialized product and decodes the extreme maximal
+independent sets into their partitions (``kn_report``), so it shares the
+64-vertex cap of ``direct_product``.  ``enumerate_valid_partitions`` checks
+the conditions directly on every labeling of V(G) and serves as an
+independent oracle at small orders.
 """
 
 from __future__ import annotations
@@ -195,20 +195,26 @@ class KnReport:
         }
 
 
-def kn_alpha_i(g: Graph, n: int) -> KnReport:
-    """Exact i(G x K_n) and alpha(G x K_n), n >= 2.
-
-    Builds the product, takes its independence summary from the kernel in
-    one enumeration, and decodes the minimum and maximum maximal independent
-    sets into their weak partitions.  Products over 64 vertices raise
-    ``CapacityError`` as ``direct_product`` does.
-    """
-    if n < 2:
-        raise ValueError("clique order must be at least 2")
-    i, a, wit_min, wit_max = kernel.independence_summary(direct_product(g, complete(n)).graph.adj)
+def kn_report(g: Graph, n: int, summary: tuple[int, int, int, int]) -> KnReport:
+    """The report of G x K_n, n >= 2, read off the kernel summary
+    (i, alpha, min witness, max witness) of the product ``direct_product(g,
+    complete(n))``: both witnesses are decoded into their weak partitions."""
+    i, a, wit_min, wit_max = summary
     return KnReport(
         g.n, n, i, a, partition_from_mis(g, n, wit_min), partition_from_mis(g, n, wit_max)
     )
+
+
+def kn_alpha_i(g: Graph, n: int) -> KnReport:
+    """Exact i(G x K_n) and alpha(G x K_n), n >= 2.
+
+    Builds the product, takes its independence summary from the kernel,
+    and decodes it with ``kn_report``.  Products over 64
+    vertices raise ``CapacityError`` as ``direct_product`` does.
+    """
+    if n < 2:
+        raise ValueError("clique order must be at least 2")
+    return kn_report(g, n, kernel.independence_summary(direct_product(g, complete(n)).graph.adj))
 
 
 def _labels_to_partition(g: Graph, n: int, labels: list[int]) -> WeakPartition:

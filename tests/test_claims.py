@@ -216,8 +216,13 @@ class TestSuite:
                 (cycle(5), 3),
                 {"direct_product_adj": 1, "maximal_independent_sets": 1, "well_covered_size": 0},
             ),
+            # h_family_product reads i and alpha off the maximal independent sets
+            (
+                (h_family(2, 2), 3),
+                {"direct_product_adj": 1, "maximal_independent_sets": 1, "independence_summary": 0},
+            ),
         ],
-        ids=["graph", "pair", "graph-n"],
+        ids=["graph", "pair", "graph-n", "h-family"],
     )
     def test_facts_built_once(self, monkeypatch, instance, expected):
         """All claims of an instance read one summary per graph and product

@@ -7,13 +7,14 @@ import subprocess
 
 import pytest
 
-from wellcovered import __version__
+from wellcovered import __version__, kernel
 from wellcovered.claims import corpus_pair_instances
 from wellcovered.cli import main
-from wellcovered.families import complete, corpus
+from wellcovered.families import complete, corpus, cycle
 from wellcovered.formats import to_graph6
 from wellcovered.graphs import disjoint_union
 from wellcovered.independence import well_covered_report
+from wellcovered.kn_partitions import kn_alpha_i
 from wellcovered.products import direct_product
 
 FILTERS = {
@@ -96,6 +97,22 @@ class TestProduct:
         engine = data["partition_engine"]
         assert engine["engine"] == "product-enumeration"
         assert (engine["i"], engine["alpha"]) == (12, 12)
+
+    def test_complete_factor_summarized_once(self, capsys, monkeypatch):
+        """The partition view decodes the product report's summary instead of
+        enumerating G x K_n again."""
+        calls = []
+        original = kernel.independence_summary
+
+        def counted(adj):
+            calls.append(len(adj))
+            return original(adj)
+
+        monkeypatch.setattr(kernel, "independence_summary", counted)
+        _, out, _ = run_cli(capsys, "product", "cycle:5", "complete:3", "--format", "json")
+        assert calls == [15]
+        monkeypatch.undo()
+        assert json.loads(out)["partition_engine"] == kn_alpha_i(cycle(5), 3).to_json()
 
     def test_complete_factor_on_left(self, capsys):
         _, out, _ = run_cli(capsys, "product", "complete:3", "cycle:4", "--format", "json")

@@ -31,6 +31,7 @@ from wellcovered.independence import (
     perfect_matchings,
     well_covered_report,
 )
+from wellcovered.products import direct_product
 from wellcovered.verdicts import HOLDS
 
 
@@ -181,6 +182,35 @@ class TestKernelLimits:
         assert len(_mis_fallback.direct_product_adj([0] * 8, [0] * 8)) == 64
         with pytest.raises(ValueError, match="product exceeds 64 vertices"):
             _mis_fallback.direct_product_adj([0] * 13, [0] * 5)
+
+
+def summary_oracle_graphs():
+    rng = random.Random(2024)
+    graphs = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(150)]
+    families = [
+        (cycle(12), complete(3)), (cycle(13), complete(3)), (cycle(14), complete(3)),
+        (path(12), complete(3)), (path(14), complete(3)), (cycle(6), cycle(7)),
+        (cycle(5), cycle(8)), (cycle(4), cycle(16)), (h_family(4, 2), complete(3)),
+        (h_family(6, 2), complete(3)), (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
+    ]
+    graphs += [direct_product(g, h).graph for g, h in families]
+    return graphs + [Graph(0, ()), complete(64)]
+
+
+class TestBoundedSummary:
+    """The pure summary skips subtrees that cannot improve i or alpha; it must
+    still equal the extremes of the full enumeration, witnesses included."""
+
+    @pytest.mark.parametrize("g", summary_oracle_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+    def test_matches_full_enumeration(self, g):
+        sets = _mis_fallback.maximal_independent_sets(g.adj)
+        # min and max return the first extreme element, i.e. in visit order
+        wit_min = min(sets, key=int.bit_count)
+        wit_max = max(sets, key=int.bit_count)
+        expect = (wit_min.bit_count(), wit_max.bit_count(), wit_min, wit_max)
+        assert _mis_fallback.independence_summary(g.adj) == expect
+        if g.n <= 12:
+            assert expect[:2] == brute_summary(g.adj, g.n)
 
 
 class TestFavaronEquivalence:
