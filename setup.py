@@ -1,24 +1,13 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional C kernel ``src/wellcovered/_mis_core.c``.
 
 The package works without the extension (a pure-Python mirror of the kernel
-is selected at import time), so a failed or skipped compile is not fatal.
-Set WELLCOVERED_SKIP_EXT=1 to force a pure-Python install.
+is selected at import time), so a failed compile is not fatal.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("WELLCOVERED_SKIP_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("wellcovered._mis_core", ["src/wellcovered/_mis_core.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("wellcovered._mis_core", ["src/wellcovered/_mis_core.c"], optional=True)
+    ]
+)

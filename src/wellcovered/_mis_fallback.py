@@ -1,6 +1,6 @@
 """Pure-Python enumeration kernel.
 
-Mirror of the compiled kernel in ``_mis_core.pyx``: same algorithm, same
+Mirror of the compiled kernel in ``_mis_core.c``: same algorithm, same
 visit order, same results.  Kept dependency-free so the package works on
 interpreters without a C toolchain; the compiled twin is preferred at import
 time by ``kernel``.
@@ -14,12 +14,11 @@ when that count is 0) and tries each candidate in its closed neighborhood in
 increasing order, shrinking P twice per level, which is the classic pivot
 rule and keeps the tree near the number of emitted sets.
 
-The compiled kernel recurses; here the tree is walked in one loop over an
-explicit stack of (S, P, X, remaining candidates) tuples, so an emitted set
-costs one ``yield`` instead of one generator frame per tree level.  The stack
-is last in, first out and a node's next candidate is taken only after the
-previous candidate's subtree is done, so the visit order is the recursive
-one.
+Both kernels walk the tree in one loop over an explicit stack of
+(S, P, X, remaining candidates) frames; here an emitted set costs one
+``yield`` instead of one generator frame per tree level.  The stack is last
+in, first out and a node's next candidate is taken only after the previous
+candidate's subtree is done, so the visit order is the recursive one.
 
 ``independence_summary`` runs the same walk inline and skips a node with
 P nonempty when |S| + |P| <= alpha-so-far and |S| + 1 >= i-so-far.  Every set
@@ -27,7 +26,7 @@ emitted below such a node strictly contains S and lies inside S | P, so none
 is strictly smaller or strictly larger than a set already seen.  The
 witnesses are the first strict improvements in visit order, and skipped
 subtrees hold none, so (i, alpha, min witness, max witness) equal those of
-the full enumeration that the compiled kernel still runs.
+the full enumeration.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-``BACKEND`` is "cython" or "python".  Set WELLCOVERED_PURE=1 to force the
-fallback, which is useful for comparing the two implementations.
+``BACKEND`` is "c" (the extension built from ``_mis_core.c``) or "python"
+(``_mis_fallback``).  Set WELLCOVERED_PURE=1 to force the fallback, which is
+useful for comparing the two implementations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ else:
     try:
         from . import _mis_core as _impl  # type: ignore[no-redef]
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         from . import _mis_fallback as _impl  # type: ignore[no-redef]
 

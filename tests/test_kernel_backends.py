@@ -1,12 +1,13 @@
 """The compiled kernel and the pure-Python fallback must be observationally
-identical: same sets, same order, same witnesses, same short-circuits.
+identical: same sets, same order, same witnesses, same short-circuits, same
+errors.
 
-When the extension is not installed, the tracked ``_mis_core.c`` is compiled
-with the system C compiler into a temporary directory and loaded by path, so
-the parity checks run wherever a compiler is available."""
+The tracked ``_mis_core.c`` is compiled with the system C compiler, warnings
+as errors, into a temporary directory and loaded by path, so the parity
+checks run wherever a compiler is available, whether or not the extension is
+installed."""
 
 import importlib.util
-import os
 import random
 import shutil
 import subprocess
@@ -20,36 +21,41 @@ from brute import brute_maximal_independent_sets, brute_summary, random_graph
 from wellcovered import _mis_fallback as pure
 from wellcovered import kernel
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
+from wellcovered.graphs import from_edge_list
 from wellcovered.products import direct_product
 
 SOURCE = Path(pure.__file__).with_name("_mis_core.c")
+SEARCHES = (
+    "maximal_independent_sets",
+    "count_maximal_independent_sets",
+    "independence_summary",
+    "well_covered_size",
+)
 
 
 @pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    try:
-        from wellcovered import _mis_core
-
-        return _mis_core
-    except ImportError:
-        pass
+def compiled_path(tmp_path_factory):
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
-        pytest.skip("compiled kernel not built and no C compiler")
+        pytest.skip("no C compiler")
     name = "_mis_core" + sysconfig.get_config_var("EXT_SUFFIX")
     target = tmp_path_factory.mktemp("mis_core") / name
     include = "-I" + sysconfig.get_paths()["include"]
-    subprocess.run(
-        [compiler, "-O2", "-shared", "-fPIC", include, str(SOURCE), "-o", str(target)],
-        check=True,
+    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+    done = subprocess.run(
+        [compiler, *flags, include, str(SOURCE), "-o", str(target)],
         capture_output=True,
+        text=True,
     )
-    spec = importlib.util.spec_from_file_location("_mis_core", target)
+    assert done.returncode == 0, done.stderr
+    return target
+
+
+@pytest.fixture(scope="module")
+def compiled(compiled_path):
+    spec = importlib.util.spec_from_file_location("_mis_core", compiled_path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # the extension registers itself under its package name; drop that so
-    # the package still finds no installed extension
-    sys.modules.pop("wellcovered._mis_core", None)
     return module
 
 
@@ -69,6 +75,8 @@ def sample_graphs():
         graphs.append(random_graph(rng, rng.randint(1, 10), rng.random()))
     for _ in range(10):
         graphs.append(random_graph(rng, rng.randint(11, 18), 0.4))
+    # no vertices, and 64 isolated ones: one set, the full mask 2**64 - 1
+    graphs += [from_edge_list(0, []), from_edge_list(64, [])]
     return graphs
 
 
@@ -91,13 +99,30 @@ def test_identical_derived_quantities(compiled):
         (path(14), complete(3)),
         (cycle(4), cycle(16)),
         (h_family(4, 3), complete(4)),
+        (complete(8), cycle(8)),
+        (complete(0), cycle(5)),
+        (cycle(5), complete(0)),
     ],
-    ids=["C14xK3", "P14xK3", "C4xC16", "H43xK4"],
+    ids=["C14xK3", "P14xK3", "C4xC16", "H43xK4", "K8xC8", "K0xC5", "C5xK0"],
 )
 def test_identical_summary_on_large_products(compiled, g, h):
-    """Products where the pure summary skips the most subtrees."""
-    adj = direct_product(g, h).graph.adj
+    """The pure summary skips the most subtrees on the first four products;
+    the last three are the 64-vertex and 0-vertex edges of the product."""
+    adj = compiled.direct_product_adj(g.adj, h.adj)
+    assert adj == pure.direct_product_adj(g.adj, h.adj) == list(direct_product(g, h).graph.adj)
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
+
+
+def test_identical_limits(compiled):
+    calls = [(fn, ([0] * 65,)) for fn in SEARCHES]
+    calls.append(("direct_product_adj", ([0] * 13, [0] * 5)))
+    for fn, args in calls:
+        messages = []
+        for impl in (compiled, pure):
+            with pytest.raises(ValueError) as info:
+                getattr(impl, fn)(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], fn
 
 
 def test_agrees_with_subset_filter(compiled):
@@ -117,27 +142,37 @@ def test_order_64_boundary(compiled):
     assert len(sets) == 64
 
 
-def test_env_forces_fallback():
-    pytest.importorskip("wellcovered._mis_core", reason="compiled kernel not installed")
-    code = "import wellcovered; print(wellcovered.BACKEND)"
-    env = dict(os.environ, WELLCOVERED_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+def test_load_by_path_registers_nothing(compiled_path):
+    """A fresh interpreter that loads the extension by path gains no
+    ``sys.modules`` entry from it, so the package still sees no installed
+    extension."""
+    code = (
+        "import importlib.util, sys\n"
+        "before = set(sys.modules)\n"
+        f"spec = importlib.util.spec_from_file_location('_mis_core', {str(compiled_path)!r})\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
-    assert out.stdout.strip() == "python"
-    env.pop("WELLCOVERED_PURE")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "cython"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_kernel_selection(compiled, monkeypatch):
+    monkeypatch.setitem(sys.modules, "wellcovered._mis_core", compiled)
+    monkeypatch.delenv("WELLCOVERED_PURE", raising=False)
+    try:
+        importlib.reload(kernel)
+        assert kernel.BACKEND == "c"
+        assert kernel.independence_summary is compiled.independence_summary
+        monkeypatch.setenv("WELLCOVERED_PURE", "1")
+        importlib.reload(kernel)
+        assert kernel.BACKEND == "python"
+        assert kernel.independence_summary is pure.independence_summary
+    finally:
+        monkeypatch.undo()
+        importlib.reload(kernel)
 
 
 def test_selected_backend_exports_kernel_api():
-    for name in (
-        "maximal_independent_sets",
-        "count_maximal_independent_sets",
-        "independence_summary",
-        "well_covered_size",
-        "direct_product_adj",
-    ):
+    for name in (*SEARCHES, "direct_product_adj"):
         assert hasattr(kernel, name)
