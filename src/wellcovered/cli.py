@@ -274,7 +274,9 @@ def build_parser() -> _Parser:
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--cap", type=int, default=36, help="max product order for pair instances")
-    p.add_argument("--orders", type=lambda s: [int(x) for x in s.split(",")], default=[2, 3])
+    p.add_argument(
+        "--orders", type=lambda s: [_positive_int(x) for x in s.split(",")], default=[2, 3]
+    )
     p.add_argument("--reps", action="store_true", help="pair scan over isomorphism classes only")
     p.add_argument("--no-targeted", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)

@@ -20,11 +20,16 @@ independent sets into their partitions (``kn_report``), so it shares the
 64-vertex cap of ``direct_product``.  ``enumerate_valid_partitions`` checks
 the conditions directly on every labeling of V(G) and serves as an
 independent oracle at small orders.
+
+``kn_alpha_i`` and ``mis_from_partition`` build G x K_n once per (G, n) and
+keep the last 16 in a memo, so a run of round trips over one graph shares
+one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 from . import kernel
@@ -38,6 +43,16 @@ ENGINE_PRODUCT = "product-enumeration"
 
 class InvalidPartition(ValueError):
     """A weak partition violating disjointness, cover, or a numbered condition."""
+
+
+def _neighborhood(adj: tuple[int, ...], mask: int) -> int:
+    """N(mask): the union of the adjacency rows of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,10 +78,10 @@ class WeakPartition:
         if len(self.classes) != self.n:
             out.append(f"expected {self.n} classes, got {len(self.classes)}")
             return out
-        parts = [self.v0, *self.classes, self.vbracket]
+        v0, vb = self.v0, self.vbracket
         union = 0
         overlap = False
-        for p in parts:
+        for p in (v0, *self.classes, vb):
             if union & p:
                 overlap = True
             union |= p
@@ -74,25 +89,35 @@ class WeakPartition:
             out.append("disjointness")
         if union != g.vertex_mask:
             out.append("cover")
-        outside_ok = self.v0
-        for k, vk in enumerate(self.classes, start=1):
-            forbidden = g.vertex_mask & ~(outside_ok | vk)
-            if any(g.adj[u] & forbidden for u in bits(vk)):
-                out.append("condition 1")
-                break
+            if union & ~g.vertex_mask:
+                return out
+        adj = g.adj
+        # once/twice: the vertices in at least one/two of the N(V_k)
+        once = twice = 0
+        cond1 = cond2 = False
         for vk in self.classes:
-            if any(not g.adj[u] & vk for u in bits(vk)):
-                out.append("condition 2")
-                break
-        if any(g.adj[u] & self.vbracket for u in bits(self.vbracket)):
+            reach = 0
+            m = vk
+            while m:
+                low = m & -m
+                row = adj[low.bit_length() - 1]
+                if not row & vk:
+                    cond2 = True
+                reach |= row
+                m ^= low
+            if reach & ~(v0 | vk):
+                cond1 = True
+            twice |= once & reach
+            once |= reach
+        reach_b = _neighborhood(adj, vb)
+        if cond1:
+            out.append("condition 1")
+        if cond2:
+            out.append("condition 2")
+        if reach_b & vb:
             out.append("condition 3")
-        for u in bits(self.v0):
-            if g.adj[u] & self.vbracket:
-                continue
-            hit = sum(1 for vk in self.classes if g.adj[u] & vk)
-            if hit < 2:
-                out.append("condition 4")
-                break
+        if v0 & ~reach_b & ~twice:
+            out.append("condition 4")
         return out
 
     def weight(self) -> int:
@@ -114,31 +139,35 @@ def partition_weight(p: WeakPartition) -> int:
     return p.weight()
 
 
+@lru_cache(maxsize=16)
+def _kn_product(g: Graph, n: int) -> ProductGraph:
+    return direct_product(g, complete(n))
+
+
 def mis_from_partition(p: WeakPartition) -> int:
     """The maximal independent set of G x K_n encoded by a valid partition.
 
     Takes the full layer over every bracket vertex and the single product
     vertex (g, k-1) for g in V_k.  The result is checked to be maximal
-    independent in the materialized product; a failure raises rather than
+    independent in the materialized product, which is built once per
+    (G, n) and kept in a bounded memo; a failure raises rather than
     repairs, since it would contradict the partition correspondence.
     """
     bad = p.violations()
     if bad:
         raise InvalidPartition(f"invalid weak partition: {bad[0]}")
-    prod = direct_product(p.graph, complete(p.n))
+    prod = _kn_product(p.graph, p.n)
     out = 0
     for g in bits(p.vbracket):
         out |= prod.layer_h(g)
     for k, vk in enumerate(p.classes, start=1):
         for g in bits(vk):
             out |= 1 << prod.index(g, k - 1)
-    adj = prod.graph.adj
-    for v in bits(out):
-        if adj[v] & out:
-            raise RuntimeError("valid partition produced a non-independent set")
-    for v in range(prod.graph.n):
-        if not (out >> v & 1) and not adj[v] & out:
-            raise RuntimeError("valid partition produced a non-maximal set")
+    reach = _neighborhood(prod.graph.adj, out)
+    if reach & out:
+        raise RuntimeError("valid partition produced a non-independent set")
+    if reach | out != prod.graph.vertex_mask:
+        raise RuntimeError("valid partition produced a non-maximal set")
     return out
 
 
@@ -146,10 +175,13 @@ def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
     """Decode a maximal independent set of G x K_n into its weak partition.
 
     Rejects any set whose intersection with some layer has size outside
-    {0, 1, n}: no maximal independent set can do that.
+    {0, 1, n}: no maximal independent set can do that.  Bits at or above
+    g.n * n name no product vertex and are rejected too.
     """
     if n < 2:
         raise ValueError("clique order must be at least 2")
+    if i_mask >> g.n * n:
+        raise ValueError(f"set has bits outside the {g.n * n} vertices of G x K_{n}")
     v0 = 0
     vb = 0
     classes = [0] * n
@@ -208,13 +240,13 @@ def kn_report(g: Graph, n: int, summary: tuple[int, int, int, int]) -> KnReport:
 def kn_alpha_i(g: Graph, n: int) -> KnReport:
     """Exact i(G x K_n) and alpha(G x K_n), n >= 2.
 
-    Builds the product, takes its independence summary from the kernel,
-    and decodes it with ``kn_report``.  Products over 64
-    vertices raise ``CapacityError`` as ``direct_product`` does.
+    Builds the product (or reuses the memoized one), takes its independence
+    summary from the kernel, and decodes it with ``kn_report``.  Products
+    over 64 vertices raise ``CapacityError`` as ``direct_product`` does.
     """
     if n < 2:
         raise ValueError("clique order must be at least 2")
-    return kn_report(g, n, kernel.independence_summary(direct_product(g, complete(n)).graph.adj))
+    return kn_report(g, n, kernel.independence_summary(_kn_product(g, n).graph.adj))
 
 
 def _labels_to_partition(g: Graph, n: int, labels: list[int]) -> WeakPartition:

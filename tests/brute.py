@@ -2,7 +2,9 @@
 
 Everything here answers independence questions by filtering all 2^n vertex
 subsets, so it shares no code path with the branch-and-bound kernels it is
-used to cross-check.  Only usable for small n.
+used to cross-check.  Only usable for small n.  ``brute_violations`` checks
+the weak-partition conditions vertex by vertex, apart from the mask algebra
+of ``WeakPartition.violations``.
 """
 
 from __future__ import annotations
@@ -48,3 +50,54 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return Graph(n, tuple(adj))
+
+
+def brute_violations(
+    g: Graph, n: int, v0: int, classes: tuple[int, ...], bracket: int
+) -> list[str]:
+    """The requirements a weak partition (V0, classes, bracket) of G breaks,
+    checked vertex by vertex from the four conditions of ``kn_partitions``,
+    reported in the order and wording of ``WeakPartition.violations``."""
+    out = []
+    if n < 2:
+        out.append("clique order below 2")
+    if len(classes) != n:
+        out.append(f"expected {n} classes, got {len(classes)}")
+        return out
+    parts = [v0, *classes, bracket]
+    top = max(g.n, *(p.bit_length() for p in parts))
+    if any(sum(p >> v & 1 for p in parts) > 1 for v in range(top)):
+        out.append("disjointness")
+    missing = any(not any(p >> v & 1 for p in parts) for v in range(g.n))
+    stray = any(p >> v & 1 for p in parts for v in range(g.n, top))
+    if missing or stray:
+        out.append("cover")
+    if stray:
+        return out
+
+    def members(mask: int) -> list[int]:
+        return [v for v in range(g.n) if mask >> v & 1]
+
+    def adjacent(u: int, w: int) -> bool:
+        return bool(g.adj[u] >> w & 1)
+
+    if any(
+        adjacent(u, w) and not v0 >> w & 1 and not vk >> w & 1
+        for vk in classes
+        for u in members(vk)
+        for w in range(g.n)
+    ):
+        out.append("condition 1")
+    if any(
+        not any(adjacent(u, w) for w in members(vk)) for vk in classes for u in members(vk)
+    ):
+        out.append("condition 2")
+    if any(adjacent(u, w) for u in members(bracket) for w in members(bracket)):
+        out.append("condition 3")
+    for u in members(v0):
+        if any(adjacent(u, w) for w in members(bracket)):
+            continue
+        if sum(1 for vk in classes if any(adjacent(u, w) for w in members(vk))) < 2:
+            out.append("condition 4")
+            break
+    return out

@@ -209,6 +209,13 @@ class TestVerify:
         assert code == 3
         assert "resource cap" in err
 
+    @pytest.mark.parametrize("orders", ["-1", "0", "2,0", "2,x"])
+    def test_nonpositive_orders_exits_1(self, capsys, orders):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--max-n", "2", f"--orders={orders}"])
+        assert info.value.code == 1
+        assert "--orders" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
         _, second, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")

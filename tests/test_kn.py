@@ -2,9 +2,12 @@
 validity conditions, the partition/MIS correspondence, and kn_alpha_i
 against exhaustive enumeration of valid partitions."""
 
+import random
+
 import pytest
 
-from wellcovered import kernel
+from brute import brute_violations
+from wellcovered import kernel, kn_partitions
 from wellcovered.families import complete, corpus, cycle, h_family, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import is_well_covered
@@ -12,6 +15,7 @@ from wellcovered.kn_partitions import (
     ENGINE_PRODUCT,
     InvalidPartition,
     WeakPartition,
+    _kn_product,
     enumerate_valid_partitions,
     kn_alpha_i,
     layer_cardinality_check,
@@ -20,8 +24,17 @@ from wellcovered.kn_partitions import (
     partition_from_mis,
     partition_weight,
 )
-from wellcovered.products import direct_product
+from wellcovered.products import ProductGraph, direct_product
 from wellcovered.verdicts import HOLDS, VACUOUS
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty product memo before the test and after it, so a product
+    built or doctored here is never seen by another test."""
+    _kn_product.cache_clear()
+    yield
+    _kn_product.cache_clear()
 
 
 def c5_partition():
@@ -70,6 +83,12 @@ class TestConditions:
         p = WeakPartition(g, 1, g.vertex_mask, (0,), 0)
         assert "clique order below 2" in p.violations()
 
+    def test_vertex_bits_outside_graph_reported_as_cover(self):
+        p = WeakPartition(cycle(4), 2, 0b1111, (1 << 10, 0), 0)
+        assert p.violations() == ["cover"]
+        with pytest.raises(InvalidPartition, match="cover"):
+            mis_from_partition(p)
+
     def test_partition_weight_raises_with_reason(self):
         g = cycle(5)
         p = WeakPartition(g, 2, to_mask([2, 3]), (to_mask([4]), 0), to_mask([0, 1]))
@@ -93,6 +112,69 @@ class TestCorrespondence:
         with pytest.raises(ValueError, match="outside"):
             partition_from_mis(g, 3, fake)
 
+    def test_bits_outside_product_rejected(self):
+        with pytest.raises(ValueError, match="bits outside the 8 vertices"):
+            partition_from_mis(cycle(4), 2, 1 << 100)
+        with pytest.raises(ValueError, match="bits outside"):
+            partition_from_mis(cycle(4), 2, 1 << 8)
+
+    def test_product_over_64_vertices_raises_capacity_error(self):
+        # a valid partition whose product K33 x K2 has 66 vertices
+        g = complete(33)
+        p = WeakPartition(g, 2, g.vertex_mask & ~1, (0, 0), 1)
+        assert p.violations() == []
+        with pytest.raises(CapacityError, match="33\\*2 = 66 vertices"):
+            mis_from_partition(p)
+
+    def test_product_built_once_per_graph_and_order(self, monkeypatch, fresh_memo):
+        """kn_alpha_i and the round trip of every maximal independent set
+        of H(2,2) x K3 share one product."""
+        calls = []
+        original = kernel.direct_product_adj
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernel, "direct_product_adj", counted)
+        g = h_family(2, 2)
+        kn_alpha_i(g, 3)
+        sets = kernel.maximal_independent_sets(_kn_product(g, 3).graph.adj)
+        for mis in sets:
+            assert mis_from_partition(partition_from_mis(g, 3, mis)) == mis
+        assert len(sets) > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fault", ["non-independent", "non-maximal"])
+    def test_product_check_still_runs(self, monkeypatch, fresh_memo, fault):
+        """A product that disagrees with the partition makes the round trip
+        raise: the maximality check reads the product, not the partition."""
+        p = c5_partition()
+        mis = mis_from_partition(p)
+        _kn_product.cache_clear()
+        original = kn_partitions.direct_product
+
+        def doctored(g, h):
+            prod = original(g, h)
+            adj = list(prod.graph.adj)
+            if fault == "non-independent":
+                # one edge inside the encoded set
+                u, w = [v for v in range(prod.graph.n) if mis >> v & 1][:2]
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+            else:
+                # one vertex outside the set loses its edges into it
+                u = next(v for v in range(prod.graph.n) if not mis >> v & 1)
+                for w in range(prod.graph.n):
+                    if mis >> w & 1:
+                        adj[u] &= ~(1 << w)
+                        adj[w] &= ~(1 << u)
+            return ProductGraph(Graph(prod.graph.n, tuple(adj)), g.n, h.n, g, h)
+
+        monkeypatch.setattr(kn_partitions, "direct_product", doctored)
+        with pytest.raises(RuntimeError, match=f"produced a {fault} set"):
+            mis_from_partition(p)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_round_trip_over_corpus(self, n):
         for g in corpus(4):
@@ -114,6 +196,47 @@ class TestCorrespondence:
             )
             weights = sorted(p.weight() for p in enumerate_valid_partitions(g, n))
             assert weights == sizes
+
+
+def random_partition(rng: random.Random, g: Graph) -> tuple:
+    """A seeded random (n, V0, classes, bracket) for G: the partition of a
+    random maximal independent set of G x K_n or a random labeling, then at
+    most one corruption (wrong class count, overlapping parts, a missing
+    vertex, or a bit outside V(G))."""
+    n = rng.choice([1, 2, 2, 3, 3])
+    if n >= 2 and rng.random() < 0.5:
+        sets = kernel.maximal_independent_sets(direct_product(g, complete(n)).graph.adj)
+        p = partition_from_mis(g, n, rng.choice(sets))
+        parts = [p.v0, *p.classes, p.vbracket]
+    else:
+        parts = [0] * (n + 2)
+        for v in range(g.n):
+            parts[rng.randrange(n + 2)] |= 1 << v
+    fault = rng.randrange(8)
+    if fault == 0:
+        parts.insert(1, 0) if rng.random() < 0.5 else parts.pop(1)
+    elif fault == 1 and g.n:
+        parts[rng.randrange(len(parts))] |= 1 << rng.randrange(g.n)
+    elif fault == 2 and g.n:
+        v = rng.randrange(g.n)
+        parts = [p & ~(1 << v) for p in parts]
+    elif fault == 3:
+        parts[rng.randrange(len(parts))] |= 1 << g.n + rng.randrange(4)
+    return n, parts[0], tuple(parts[1:-1]), parts[-1]
+
+
+class TestViolationsOracle:
+    def test_matches_per_vertex_oracle(self):
+        rng = random.Random(7)
+        graphs = list(corpus(5, connected_only=False))
+        valid = 0
+        for _ in range(4000):
+            g = rng.choice(graphs)
+            n, v0, classes, bracket = random_partition(rng, g)
+            got = WeakPartition(g, n, v0, classes, bracket).violations()
+            assert got == brute_violations(g, n, v0, classes, bracket), (g, n, v0, classes, bracket)
+            valid += not got
+        assert 500 <= valid <= 3500
 
 
 class TestEngine:
