@@ -9,11 +9,15 @@ can be re-checked by hand with the basic primitives.  Universally
 quantified inner objects (independent sets, maximal independent sets,
 perfect matchings) are enumerated exhaustively; nothing is sampled.
 
-Each instance's graphs and products are built and summarized once, in the
-facts objects (``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every
-claim of the instance's shape reads them from there.  The suite runner
-tallies verdicts per claim and merges partial reports associatively, so
-instance streams can be partitioned across processes.
+Each instance's graphs and products are built once, in the facts objects
+(``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every claim of the
+instance's shape reads them from there.  A graph is summarized once.  A
+pair's product is only asked whether it is well-covered, by a search that
+stops at the second distinct maximal-set size; ``trivial_bounds`` proves
+its bounds with lifted factor witnesses and needs the product's exact
+alpha and i only if a certificate fails.  The suite runner tallies
+verdicts per claim and merges partial reports associatively, so instance
+streams can be partitioned across processes.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .independence import (
     berge_violation,
     enumerate_independent_sets,
     favaron_equivalence_verdict,
+    is_very_well_covered,
     isolatable_vertices,
     well_covered_report,
 )
@@ -117,11 +122,30 @@ class PairFacts:
 
     @cached_property
     def product_report(self) -> WellCoveredReport:
+        """The full summary of the product, for ``cli product``; the claims
+        read ``product_wc_size`` instead."""
         return well_covered_report(self.product.graph)
+
+    @cached_property
+    def product_wc_size(self) -> int:
+        """The common size of the product's maximal independent sets, or -1.
+        Read off ``product_report`` when that is already computed."""
+        report = self.__dict__.get("product_report")
+        if report is not None:
+            return report.alpha if report.well_covered else -1
+        return kernel.well_covered_size(self.product.graph.adj)
+
+    @property
+    def product_wc(self) -> bool:
+        return self.product_wc_size >= 0
+
+    @property
+    def product_vwc(self) -> bool:
+        return is_very_well_covered(self.product.graph, self.product_wc_size)
 
     @property
     def wc_not_vwc(self) -> bool:
-        return self.product_report.well_covered and not self.product_report.very_well_covered
+        return self.product_wc and not self.product_vwc
 
 
 class GraphNFacts:
@@ -174,9 +198,7 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
 
 
 def _check_trivial_bounds(f: PairFacts) -> ClaimVerdict:
-    return product_bounds_check(
-        f.g.graph, f.h.graph, f.g.report, f.h.report, f.product_report, f.instance
-    )
+    return product_bounds_check(f.product, f.g.report, f.h.report, f.instance)
 
 
 def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
@@ -207,10 +229,10 @@ def _check_clique_leftover(f: GraphFacts) -> ClaimVerdict:
         for s in enumerate_independent_sets(g):
             if s.bit_count() != a - 1:
                 continue
-            if closed_neighborhood(g, s) == g.vertex_mask:
-                continue
-            sub = delete_closed_neighborhood(g, s)
-            if not is_complete(sub.graph):
+            rest = g.vertex_mask & ~closed_neighborhood(g, s)
+            # G - N[S] is a clique exactly when every vertex left sees the rest
+            if any(rest & ~g.closed(v) for v in bits(rest)):
+                sub = delete_closed_neighborhood(g, s)
                 witness = {
                     "independent_set": to_vertices(s),
                     "residual_vertices": list(sub.kept),
@@ -227,7 +249,7 @@ def _check_wc_direct(f: PairFacts) -> ClaimVerdict:
 
     Isolated vertices lie in every maximal independent set, so the
     isolate-free part G+ has alpha(G+) = alpha(G) - #isolated."""
-    if not f.product_report.well_covered:
+    if not f.product_wc:
         return ClaimVerdict("wc_direct", f.instance, VACUOUS)
     g, h = f.g.graph, f.h.graph
     if g.m == 0 or h.m == 0:
@@ -280,8 +302,8 @@ def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
         return ClaimVerdict("vwc_product", f.instance, VACUOUS)
     if not (f.g.report.very_well_covered or f.h.report.very_well_covered):
         return ClaimVerdict("vwc_product", f.instance, VACUOUS)
-    a = f.product_report.well_covered
-    b = f.product_report.very_well_covered
+    a = f.product_wc
+    b = f.product_vwc
     c = f.g.report.very_well_covered and f.h.report.very_well_covered
     if a == b == c:
         return ClaimVerdict("vwc_product", f.instance, HOLDS)
@@ -328,7 +350,7 @@ def _check_closed_nbhd_size(f: PairFacts) -> ClaimVerdict:
     """With H nontrivial connected, G free of isolatable vertices, and the
     product well-covered, every independent k-set of G has closed
     neighborhood of size exactly k * n(G) / alpha(G)."""
-    hyp = f.h.nontrivial_connected and f.g.isolatable_mask == 0 and f.product_report.well_covered
+    hyp = f.h.nontrivial_connected and f.g.isolatable_mask == 0 and f.product_wc
     if not hyp:
         return ClaimVerdict("closed_nbhd_size", f.instance, VACUOUS)
     g = f.g.graph
@@ -356,7 +378,7 @@ def _check_regularity(f: PairFacts) -> ClaimVerdict:
         f.g.nontrivial_connected
         and f.h.nontrivial_connected
         and f.g.isolatable_mask == 0
-        and f.product_report.well_covered
+        and f.product_wc
     )
     if not hyp:
         return ClaimVerdict("regularity", f.instance, VACUOUS)
@@ -393,7 +415,7 @@ def _check_no_isolatable_complete(f: PairFacts) -> ClaimVerdict:
     hyp = (
         f.g.nontrivial_connected
         and f.h.nontrivial_connected
-        and f.product_report.well_covered
+        and f.product_wc
         and f.g.isolatable_mask == 0
     )
     if not hyp:
@@ -417,7 +439,7 @@ def _check_both_complete(f: PairFacts) -> ClaimVerdict:
         and f.h.nontrivial_connected
         and f.g.isolatable_mask == 0
         and f.h.isolatable_mask == 0
-        and f.product_report.well_covered
+        and f.product_wc
     )
     if not hyp:
         return ClaimVerdict("both_complete", f.instance, VACUOUS)

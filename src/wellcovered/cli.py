@@ -57,14 +57,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def parse_graph_arg(text: str) -> Graph:
@@ -263,7 +271,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="emit family graphs or a small-graph corpus as graph6")
     p.add_argument("specs", nargs="*", help="family specs such as h:4,2 or cycle:7")
-    p.add_argument("--max-n", type=int, default=None, help="stream the connected corpus instead")
+    p.add_argument(
+        "--max-n", type=_nonnegative_int, default=None, help="stream the connected corpus instead"
+    )
     p.add_argument("--reps", action="store_true", help="one graph per isomorphism class")
     p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
     common(p)
@@ -272,7 +282,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the claim suite over corpora and targeted instances")
     p.add_argument("claims", nargs="*", help="claim ids (default: all)")
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_nonnegative_int, default=4)
     p.add_argument("--cap", type=int, default=36, help="max product order for pair instances")
     p.add_argument(
         "--orders", type=lambda s: [_positive_int(x) for x in s.split(",")], default=[2, 3]
@@ -284,7 +294,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan", help="flag well-covered products over all factor pairs in range")
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_nonnegative_int, default=4)
     p.add_argument("--cap", type=int, default=36)
     p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
     p.add_argument("--reps", action="store_true")

@@ -14,6 +14,7 @@ from itertools import permutations
 from typing import Iterator
 
 from .graphs import (
+    MAX_VERTICES,
     CapacityError,
     Graph,
     complement,
@@ -26,9 +27,16 @@ from .graphs import (
 MAX_EXHAUSTIVE_N = 7
 
 
+def _check_order(n: int) -> None:
+    """Reject an order beyond the 64-vertex cap before anything is built."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the {MAX_VERTICES}-vertex limit")
+
+
 def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("order must be nonnegative")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
@@ -36,12 +44,14 @@ def complete(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
+    _check_order(n)
     return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("paths need at least 1 vertex")
+    _check_order(n)
     return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -50,8 +60,7 @@ def complete_multipartite(sizes: list[int]) -> Graph:
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
-    if n > 64:
-        raise CapacityError(f"{n} vertices exceed the 64-vertex limit")
+    _check_order(n)
     part_of = []
     for idx, s in enumerate(sizes):
         part_of.extend([idx] * s)
@@ -74,8 +83,7 @@ def h_family(k: int, n: int) -> Graph:
     if k < 1 or n < 1:
         raise ValueError("both parameters must be positive")
     order = k * (n + 1)
-    if order > 64:
-        raise CapacityError(f"{order} vertices exceed the 64-vertex limit")
+    _check_order(order)
     kn = k * n
     edges = [(u, v) for u in range(kn) for v in range(u + 1, kn)]
     for i in range(k):

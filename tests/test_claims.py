@@ -208,9 +208,10 @@ class TestSuite:
         [
             # the single well_covered_size call is k3_dichotomy's G x K3
             (path(3), {"independence_summary": 1, "well_covered_size": 1}),
+            # the product is only asked whether it is well-covered
             (
                 (path(3), cycle(4)),
-                {"direct_product_adj": 1, "independence_summary": 3, "well_covered_size": 0},
+                {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 1},
             ),
             (
                 (cycle(5), 3),
@@ -225,8 +226,8 @@ class TestSuite:
         ids=["graph", "pair", "graph-n", "h-family"],
     )
     def test_facts_built_once(self, monkeypatch, instance, expected):
-        """All claims of an instance read one summary per graph and product
-        and build each product once."""
+        """All claims of an instance read one summary per graph, build each
+        product once and ask it only what they need."""
         calls = Counter()
         for name in expected:
             original = getattr(kernel, name)

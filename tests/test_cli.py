@@ -73,6 +73,11 @@ class TestAnalyze:
         assert code == 1
         assert "cannot parse" in err
 
+    def test_family_cap_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", f"complete:{10**12}")
+        assert code == 3
+        assert "resource cap" in err
+
     def test_missing_argument_exits_1(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["analyze"])
@@ -125,6 +130,20 @@ class TestProduct:
         assert code == 0
         assert data["check"]["claim"] == "wc_direct"
         assert data["check"]["status"] == "holds"
+
+    def test_check_reads_well_coveredness_off_the_report(self, capsys, monkeypatch):
+        calls = []
+        original = kernel.well_covered_size
+
+        def counted(adj):
+            calls.append(len(adj))
+            return original(adj)
+
+        monkeypatch.setattr(kernel, "well_covered_size", counted)
+        code, out, _ = run_cli(capsys, "product", "cycle:4", "cycle:4", "--check")
+        assert code == 0
+        assert '"status": "holds"' in out
+        assert calls == []
 
     def test_capacity_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "product", "complete:9", "complete:9")
@@ -275,6 +294,25 @@ class TestScan:
             main([command, "--max-n", "2", "--jobs", jobs])
         assert info.value.code == 1
         assert "--jobs" in capsys.readouterr().err
+
+
+class TestMaxN:
+    @pytest.mark.parametrize("command", ["generate", "verify", "scan"])
+    def test_negative_exits_1(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--max-n", "-1"])
+        assert info.value.code == 1
+        assert "--max-n" in capsys.readouterr().err
+
+    def test_zero_is_the_empty_corpus(self, capsys):
+        _, out, _ = run_cli(capsys, "generate", "--max-n", "0", "--format", "json")
+        assert json.loads(out)["count"] == 0
+        _, out, _ = run_cli(capsys, "scan", "--max-n", "0", "--format", "json")
+        assert json.loads(out)["pairs"] == []
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "0", "--format", "json")
+        assert code == 0
+        # the targeted instances still run
+        assert json.loads(out)["claims"]["berge"]["holds"] >= 1
 
 
 class TestConsoleScript:

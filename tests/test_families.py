@@ -17,7 +17,7 @@ from wellcovered.families import (
     path,
 )
 from wellcovered.formats import to_graph6
-from wellcovered.graphs import from_edge_list
+from wellcovered.graphs import CapacityError, from_edge_list
 from wellcovered.independence import alpha, i_number, is_well_covered
 
 # labeled connected graphs on n vertices, then all labeled graphs, then
@@ -48,6 +48,11 @@ class TestNamed:
         assert not g.has_edge(0, 4)
         with pytest.raises(ValueError):
             path(0)
+
+    @pytest.mark.parametrize("build", [complete, cycle, path])
+    def test_order_capped_before_building(self, build):
+        with pytest.raises(CapacityError, match="64-vertex limit"):
+            build(10**12)
 
     def test_multipartite(self):
         g = complete_multipartite([2, 2, 2])

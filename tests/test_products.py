@@ -1,6 +1,7 @@
 """Direct product construction, layers, lifting, and the product bound
 check, against hand-computed adjacency and the subset-filter oracle."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from wellcovered.families import complete, cycle, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import well_covered_report
 from wellcovered.products import direct_product, lift_independent, product_bounds_check
-from wellcovered.verdicts import HOLDS, VACUOUS
+from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS
 
 
 @st.composite
@@ -112,8 +113,31 @@ class TestLifting:
 
 
 def bounds_check(g, h):
-    reports = [well_covered_report(x) for x in (g, h, direct_product(g, h).graph)]
-    return product_bounds_check(g, h, *reports)
+    return product_bounds_check(direct_product(g, h), well_covered_report(g), well_covered_report(h))
+
+
+def doctored(g, h, pair_u, pair_v):
+    """G x H with the edge between product vertices pair_u and pair_v
+    toggled, still carrying G and H."""
+    p = direct_product(g, h)
+    u, v = sorted((p.index(*pair_u), p.index(*pair_v)))
+    graph = from_edge_list(p.graph.n, set(p.graph.edges()) ^ {(u, v)})
+    return type(p)(graph, p.n_g, p.n_h, g, h)
+
+
+def counted_bounds_check(monkeypatch, p, rep_g=None):
+    """product_bounds_check on p, with the kernel summaries it runs counted.
+    ``rep_g`` stands in for the first factor's report."""
+    reports = rep_g or well_covered_report(p.factor_g), well_covered_report(p.factor_h)
+    calls = []
+    original = kernel.independence_summary
+
+    def counted(adj):
+        calls.append(len(adj))
+        return original(adj)
+
+    monkeypatch.setattr(kernel, "independence_summary", counted)
+    return product_bounds_check(p, *reports), calls
 
 
 class TestBoundsCheck:
@@ -128,6 +152,65 @@ class TestBoundsCheck:
             if verdict.status == HOLDS:
                 seen_holds += 1
         assert seen_holds > 0
+
+    def test_certificates_skip_the_product_summary(self, monkeypatch):
+        verdict, calls = counted_bounds_check(monkeypatch, direct_product(cycle(5), cycle(5)))
+        assert verdict.status == HOLDS
+        assert calls == []
+
+    def test_failed_certificate_falls_back_to_exact_values(self, monkeypatch):
+        # P3 x K2 is two copies of P3; the lifted maximum set {0, 2} x V(K2)
+        # is its unique maximum independent set.  An edge inside it turns one
+        # copy into a triangle, so alpha drops from 4 to 3, below the bound.
+        p = doctored(path(3), complete(2), (0, 0), (2, 0))
+        verdict, calls = counted_bounds_check(monkeypatch, p)
+        assert calls == [6]
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {
+            "alpha_product": 3,
+            "alpha_lower_bound": 4,
+            "i_product": 2,
+            "i_upper_bound": 2,
+        }
+        i_p, a_p = brute_summary(p.graph.adj, p.graph.n)
+        assert (verdict.witness["i_product"], verdict.witness["alpha_product"]) == (i_p, a_p)
+
+    @pytest.mark.parametrize(
+        "pair_u, pair_v",
+        [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 0), (1, 1))],
+        ids=["edge-in-maximum-set", "edge-in-minimum-set", "edge-off-minimum-set"],
+    )
+    def test_failed_certificate_holds_on_exact_values(self, monkeypatch, pair_u, pair_v):
+        # K2 x K3 is a 6-cycle, alpha 3 >= 3 and i 2 <= 2.  An edge added
+        # inside the lifted maximum set {0} x V(K3) or the lifted minimum set
+        # V(K2) x {0} breaks its independence; removing the edge (0,0)(1,1)
+        # leaves (1,1) undominated by the minimum set.  Each time the exact
+        # values still hold.
+        p = doctored(complete(2), complete(3), pair_u, pair_v)
+        verdict, calls = counted_bounds_check(monkeypatch, p)
+        assert calls == [6]
+        assert verdict.status == HOLDS
+
+    @pytest.mark.parametrize(
+        "field, mask", [("witness_max", 0b001), ("witness_min", 0b101)],
+        ids=["short-maximum-set", "long-minimum-set"],
+    )
+    def test_certificate_checks_witness_sizes(self, monkeypatch, field, mask):
+        # P3 x K2 with a first-factor witness of the wrong size: lifted, it is
+        # still independent (and dominating) but proves nothing about the
+        # bound, so the exact summary decides, and the bounds hold.
+        g = path(3)
+        rep_g = dataclasses.replace(well_covered_report(g), **{field: mask})
+        verdict, calls = counted_bounds_check(monkeypatch, direct_product(g, complete(2)), rep_g)
+        assert calls == [6]
+        assert verdict.status == HOLDS
+
+    def test_needs_carried_factors(self):
+        p = direct_product(cycle(4), complete(2))
+        bare = type(p)(p.graph, p.n_g, p.n_h)
+        reports = well_covered_report(cycle(4)), well_covered_report(complete(2))
+        with pytest.raises(ValueError, match="factors"):
+            product_bounds_check(bare, *reports)
 
     def test_vacuous_with_isolated_vertex(self):
         g = from_edge_list(2, [])
