@@ -43,7 +43,6 @@ from .graphs import (
     bits,
     closed_neighborhood,
     components,
-    delete_closed_neighborhood,
     disjoint_union,
     girth,
     induced_subgraph,
@@ -51,8 +50,10 @@ from .graphs import (
     is_complete,
     is_connected,
     is_regular,
+    isolated_in,
     min_degree,
     neighborhood,
+    residual,
     to_mask,
     to_vertices,
 )
@@ -208,12 +209,12 @@ def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
         return ClaimVerdict("residual_wc", f.instance, VACUOUS)
     g = f.graph
     for s in enumerate_independent_sets(g):
-        sub = delete_closed_neighborhood(g, s)
-        low, high, _, _ = kernel.independence_summary(sub.graph.adj)
+        rest = residual(g, s)
+        low, high, _, _ = kernel.independence_summary(induced_subgraph(g, rest).adj)
         if low != high:
             witness = {
                 "independent_set": to_vertices(s),
-                "residual_vertices": list(sub.kept),
+                "residual_vertices": to_vertices(rest),
                 "residual_i": low,
                 "residual_alpha": high,
             }
@@ -229,13 +230,12 @@ def _check_clique_leftover(f: GraphFacts) -> ClaimVerdict:
         for s in enumerate_independent_sets(g):
             if s.bit_count() != a - 1:
                 continue
-            rest = g.vertex_mask & ~closed_neighborhood(g, s)
+            rest = residual(g, s)
             # G - N[S] is a clique exactly when every vertex left sees the rest
             if any(rest & ~g.closed(v) for v in bits(rest)):
-                sub = delete_closed_neighborhood(g, s)
                 witness = {
                     "independent_set": to_vertices(s),
-                    "residual_vertices": list(sub.kept),
+                    "residual_vertices": to_vertices(rest),
                 }
                 return ClaimVerdict("clique_leftover", f.instance, COUNTEREXAMPLE, witness)
     return ClaimVerdict("clique_leftover", f.instance, HOLDS)
@@ -339,9 +339,9 @@ def _check_bipartite_isolation(f: GraphFacts) -> ClaimVerdict:
             "bipartite_isolation", f.instance, COUNTEREXAMPLE, {"reason": "no isolatable vertices"}
         )
     for x in range(b.n):
-        residual = delete_closed_neighborhood(b, 1 << x)
-        if not any(residual.graph.adj[v] == 0 for v in range(residual.graph.n)):
-            witness = {"vertex": x, "residual_vertices": list(residual.kept)}
+        rest = residual(b, 1 << x)
+        if not isolated_in(b, rest):
+            witness = {"vertex": x, "residual_vertices": to_vertices(rest)}
             return ClaimVerdict("bipartite_isolation", f.instance, COUNTEREXAMPLE, witness)
     return ClaimVerdict("bipartite_isolation", f.instance, HOLDS)
 
@@ -463,15 +463,16 @@ def _check_no_bipartite_residual(f: PairFacts) -> ClaimVerdict:
         return ClaimVerdict("no_bipartite_residual", f.instance, VACUOUS)
     g = f.g.graph
     for s in enumerate_independent_sets(g):
-        sub = delete_closed_neighborhood(g, s)
-        for comp in components(sub.graph):
+        rest = residual(g, s)
+        sub = induced_subgraph(g, rest)
+        for comp in components(sub):
             if comp.bit_count() < 2:
                 continue
-            piece = induced_subgraph(sub.graph, comp).graph
-            if is_bipartite(piece) is not None:
+            if is_bipartite(induced_subgraph(sub, comp)) is not None:
+                kept = to_vertices(rest)
                 witness = {
                     "independent_set": to_vertices(s),
-                    "component_vertices": [sub.to_old(v) for v in to_vertices(comp)],
+                    "component_vertices": [kept[v] for v in bits(comp)],
                 }
                 return ClaimVerdict(
                     "no_bipartite_residual", f.instance, COUNTEREXAMPLE, witness

@@ -89,12 +89,7 @@ def h_family(k: int, n: int) -> Graph:
     for i in range(k):
         z = kn + i
         edges.extend((z, i * n + j) for j in range(n))
-    if n == 2:
-        labels = [f"x{i + 1}" if j == 0 else f"y{i + 1}" for i in range(k) for j in range(2)]
-    else:
-        labels = [f"a{i + 1}_{j + 1}" for i in range(k) for j in range(n)]
-    labels.extend(f"z{i + 1}" for i in range(k))
-    return from_edge_list(order, edges, labels)
+    return from_edge_list(order, edges)
 
 
 def corona_with_k1(k: int) -> Graph:

@@ -2,10 +2,13 @@
 
 Every graph is simple and undirected, with vertices 0..n-1 and adjacency
 stored as one integer mask per vertex (bit u of ``adj[v]`` set iff uv is an
-edge).  Vertex subsets travel as plain ints under the same convention, which
-keeps set algebra down to machine operations and lets the enumeration kernel
-work on raw words.  Graphs are frozen after construction and safe to share
-or use as dict keys.
+edge); a ``Graph`` is exactly ``(n, adj)``.  Vertex subsets travel as plain
+ints under the same convention, which keeps set algebra down to machine
+operations and lets the enumeration kernel work on raw words.  A residual
+G - N[S] stays a mask of G's own vertices (``residual``, ``isolated_in``);
+``induced_subgraph`` renumbers it into a new ``Graph`` only where a caller
+needs one.  Graphs are frozen after construction and safe to share or use
+as dict keys.
 """
 
 from __future__ import annotations
@@ -54,15 +57,10 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with bitmask adjacency.
-
-    ``labels`` is an optional tuple of display names, used by family
-    constructors and reports; algorithms only ever see vertex ids.
-    """
+    """A simple undirected graph with bitmask adjacency."""
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -83,8 +81,6 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
                 m &= m - 1
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count does not match vertex count")
 
     @property
     def vertex_mask(self) -> int:
@@ -94,9 +90,6 @@ class Graph:
     def m(self) -> int:
         """Number of edges."""
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
 
     def closed(self, v: int) -> int:
         return self.adj[v] | 1 << v
@@ -115,16 +108,13 @@ class Graph:
                 yield (v, u)
                 row &= row - 1
 
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels: Iterable[str] | None = None) -> Graph:
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, rejecting loops and out-of-range ids."""
-    if n < 0 or n > MAX_VERTICES:
+    if n > MAX_VERTICES:
         raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
@@ -134,20 +124,21 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels: Iterable[st
             raise ValueError(f"edge ({u}, {v}) is a loop")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), tuple(labels) if labels is not None else None)
+    return Graph(n, tuple(adj))
 
 
-def from_adjacency(n: int, adj: Iterable[int], labels: Iterable[str] | None = None) -> Graph:
-    return Graph(n, tuple(adj), tuple(labels) if labels is not None else None)
+def from_adjacency(n: int, adj: Iterable[int]) -> Graph:
+    return Graph(n, tuple(adj))
 
 
 def neighborhood(g: Graph, s: int) -> int:
     """Open neighborhood N(S) as a mask; members of S appear only via edges."""
+    adj = g.adj
     out = 0
     while s:
-        v = (s & -s).bit_length() - 1
-        out |= g.adj[v]
-        s &= s - 1
+        low = s & -s
+        out |= adj[low.bit_length() - 1]
+        s ^= low
     return out
 
 
@@ -155,42 +146,27 @@ def closed_neighborhood(g: Graph, s: int) -> int:
     return neighborhood(g, s) | s
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """An induced subgraph together with its embedding into the parent.
-
-    ``kept[new_id]`` is the parent vertex the new id came from.
-    """
-
-    graph: Graph
-    kept: tuple[int, ...]
-
-    def to_old(self, new: int) -> int:
-        return self.kept[new]
-
-    def to_new(self, old: int) -> int | None:
-        lo, hi = 0, len(self.kept)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.kept[mid] < old:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.kept) and self.kept[lo] == old:
-            return lo
-        return None
-
-    def old_mask(self, new_mask: int) -> int:
-        out = 0
-        while new_mask:
-            v = (new_mask & -new_mask).bit_length() - 1
-            out |= 1 << self.kept[v]
-            new_mask &= new_mask - 1
-        return out
+def residual(g: Graph, s: int) -> int:
+    """The vertices of G - N[S] as a mask of G's own vertices."""
+    return g.vertex_mask & ~closed_neighborhood(g, s)
 
 
-def induced_subgraph(g: Graph, mask: int) -> Subgraph:
-    """Subgraph induced on the vertices of ``mask``, renumbered to 0..k-1."""
+def isolated_in(g: Graph, mask: int) -> int:
+    """The vertices of ``mask`` with no neighbor inside ``mask``, as a mask."""
+    adj = g.adj
+    out = 0
+    m = mask
+    while m:
+        low = m & -m
+        if not adj[low.bit_length() - 1] & mask:
+            out |= low
+        m ^= low
+    return out
+
+
+def induced_subgraph(g: Graph, mask: int) -> Graph:
+    """Subgraph induced on the vertices of ``mask``, renumbered to 0..k-1:
+    new vertex j is ``to_vertices(mask)[j]``."""
     kept = to_vertices(mask)
     index = {old: new for new, old in enumerate(kept)}
     adj = []
@@ -202,13 +178,7 @@ def induced_subgraph(g: Graph, mask: int) -> Subgraph:
             new_row |= 1 << index[u]
             row &= row - 1
         adj.append(new_row)
-    labels = tuple(g.label(v) for v in kept) if g.labels is not None else None
-    return Subgraph(Graph(len(kept), tuple(adj), labels), tuple(kept))
-
-
-def delete_closed_neighborhood(g: Graph, s: int) -> Subgraph:
-    """Induced subgraph on V minus N[S], with the mapping back to parent ids."""
-    return induced_subgraph(g, g.vertex_mask & ~closed_neighborhood(g, s))
+    return Graph(len(kept), tuple(adj))
 
 
 def _reach(g: Graph, v: int) -> int:
@@ -241,12 +211,6 @@ def components(g: Graph) -> list[int]:
 def is_connected(g: Graph) -> bool:
     """One search from vertex 0; the empty graph counts as connected."""
     return g.n == 0 or _reach(g, 0) == g.vertex_mask
-
-
-def split_isolated(g: Graph) -> tuple[int, Subgraph]:
-    """Split off degree-0 vertices: returns (isolated mask, rest as Subgraph)."""
-    isolated = to_mask(v for v in range(g.n) if g.adj[v] == 0)
-    return isolated, induced_subgraph(g, g.vertex_mask & ~isolated)
 
 
 def is_complete(g: Graph) -> bool:
@@ -335,7 +299,7 @@ def every_edge_in_triangle(g: Graph) -> bool:
 
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
-    return Graph(g.n, tuple(full & ~(g.adj[v] | 1 << v) for v in range(g.n)), g.labels)
+    return Graph(g.n, tuple(full & ~(g.adj[v] | 1 << v) for v in range(g.n)))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -343,8 +307,4 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
     if n > MAX_VERTICES:
         raise CapacityError(f"union on {n} vertices exceeds the {MAX_VERTICES}-vertex limit")
-    adj = g1.adj + tuple(row << g1.n for row in g2.adj)
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        labels = tuple(g1.label(v) for v in range(g1.n)) + tuple(g2.label(v) for v in range(g2.n))
-    return Graph(n, adj, labels)
+    return Graph(n, g1.adj + tuple(row << g1.n for row in g2.adj))

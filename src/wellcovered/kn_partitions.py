@@ -34,7 +34,7 @@ from typing import ClassVar
 
 from . import kernel
 from .families import complete
-from .graphs import Graph, bits, delete_closed_neighborhood, to_vertices
+from .graphs import Graph, bits, isolated_in, neighborhood, residual, to_vertices
 from .products import ProductGraph, direct_product
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
@@ -43,16 +43,6 @@ ENGINE_PRODUCT = "product-enumeration"
 
 class InvalidPartition(ValueError):
     """A weak partition violating disjointness, cover, or a numbered condition."""
-
-
-def _neighborhood(adj: tuple[int, ...], mask: int) -> int:
-    """N(mask): the union of the adjacency rows of the vertices in ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= adj[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ class WeakPartition:
                 cond1 = True
             twice |= once & reach
             once |= reach
-        reach_b = _neighborhood(adj, vb)
+        reach_b = neighborhood(g, vb)
         if cond1:
             out.append("condition 1")
         if cond2:
@@ -163,7 +153,7 @@ def mis_from_partition(p: WeakPartition) -> int:
     for k, vk in enumerate(p.classes, start=1):
         for g in bits(vk):
             out |= 1 << prod.index(g, k - 1)
-    reach = _neighborhood(prod.graph.adj, out)
+    reach = neighborhood(prod.graph, out)
     if reach & out:
         raise RuntimeError("valid partition produced a non-independent set")
     if reach | out != prod.graph.vertex_mask:
@@ -328,14 +318,14 @@ def necessary_condition_check(
     for x in range(g.n):
         if g.degree(x) < n:
             continue
-        residual = delete_closed_neighborhood(g, 1 << x)
-        if not any(residual.graph.adj[v] == 0 for v in range(residual.graph.n)):
+        rest = residual(g, 1 << x)
+        if not isolated_in(g, rest):
             witness = {
                 "vertex": x,
                 "degree": g.degree(x),
-                "residual_vertices": list(residual.kept),
+                "residual_vertices": to_vertices(rest),
                 "residual_min_degree": min(
-                    (residual.graph.degree(v) for v in range(residual.graph.n)), default=None
+                    ((g.adj[v] & rest).bit_count() for v in bits(rest)), default=None
                 ),
             }
             return ClaimVerdict("kn_necessary", inst, COUNTEREXAMPLE, witness)

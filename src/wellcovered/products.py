@@ -27,8 +27,8 @@ class ProductGraph:
     graph: Graph
     n_g: int
     n_h: int
-    factor_g: Graph | None = None
-    factor_h: Graph | None = None
+    factor_g: Graph
+    factor_h: Graph
 
     def index(self, g: int, h: int) -> int:
         if not (0 <= g < self.n_g and 0 <= h < self.n_h):
@@ -93,8 +93,6 @@ def _lift(layer, mask: int) -> int:
 
 def lift_independent(p: ProductGraph, i_mask: int) -> int:
     """I x V(H) as a product mask, for I independent in the first factor."""
-    if p.factor_g is None:
-        raise ValueError("product does not carry its factors")
     members = list(bits(i_mask))
     for a in members:
         for b in members:
@@ -123,8 +121,6 @@ def product_bounds_check(
     certificates always pass; only when one fails does the exact summary of
     G x H run, and the verdict and witness then follow its alpha and i."""
     g, h = p.factor_g, p.factor_h
-    if g is None or h is None:
-        raise ValueError("product does not carry its factors")
     inst = instance if instance is not None else {"nG": g.n, "nH": h.n}
     if any(g.adj[v] == 0 for v in range(g.n)) or any(h.adj[v] == 0 for v in range(h.n)):
         return ClaimVerdict("trivial_bounds", inst, VACUOUS)

@@ -1,6 +1,7 @@
 """Claim registry: dispatch, known verdicts, tallying, and the suite
 runner in both serial and parallel form."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -11,6 +12,8 @@ from wellcovered.claims import (
     CLAIM_IDS,
     REGISTRY,
     ClaimTally,
+    GraphFacts,
+    PairFacts,
     SuiteReport,
     corpus_graph_n_instances,
     corpus_pair_instances,
@@ -165,6 +168,55 @@ class TestKnownVerdicts:
         assert data["claim"] == "berge"
         assert data["status"] == "holds"
         assert set(data["instance"]) == {"graph6"}
+
+
+def forced(facts, **values):
+    """``facts`` with cached properties preset, so a claim runs its
+    conclusion on an instance whose hypothesis does not really hold."""
+    for name, value in values.items():
+        if name == "report":
+            value = dataclasses.replace(facts.report, **value)
+        facts.__dict__[name] = value
+    return facts
+
+
+class TestForcedWitnesses:
+    """Counterexample witnesses worked out by hand, reached by presetting a
+    fact the hypothesis reads; none of these graphs really satisfies it."""
+
+    def test_residual_wc(self):
+        # S = {} leaves all of P3, where i = 1 (the centre) and alpha = 2
+        f = forced(GraphFacts(path(3)), report={"well_covered": True})
+        verdict = REGISTRY["residual_wc"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {
+            "independent_set": [],
+            "residual_vertices": [0, 1, 2],
+            "residual_i": 1,
+            "residual_alpha": 2,
+        }
+
+    def test_clique_leftover(self):
+        # with alpha taken as 2, S = {0} of C6 leaves the path 2-3-4
+        f = forced(GraphFacts(cycle(6)), report={"alpha": 2})
+        verdict = REGISTRY["clique_leftover"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {"independent_set": [0], "residual_vertices": [2, 3, 4]}
+
+    def test_bipartite_isolation(self):
+        # C6 is bipartite with minimum degree 2; N[0] leaves the path 2-3-4
+        f = forced(GraphFacts(cycle(6)), report={"well_covered": True})
+        verdict = REGISTRY["bipartite_isolation"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {"vertex": 0, "residual_vertices": [2, 3, 4]}
+
+    def test_no_bipartite_residual(self):
+        # C7 itself is an odd cycle; N[0] leaves the path 2-3-4-5
+        f = forced(PairFacts(cycle(7), complete(2)), product_wc_size=1)
+        assert f.wc_not_vwc
+        verdict = REGISTRY["no_bipartite_residual"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {"independent_set": [0], "component_vertices": [2, 3, 4, 5]}
 
 
 class TestSuite:

@@ -78,6 +78,18 @@ class TestAnalyze:
         assert code == 3
         assert "resource cap" in err
 
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [("-1 0\n", 1, "error:"), ("-1 1\n0 1\n", 1, "error:"), ("65 0\n", 3, "resource cap")],
+        ids=["negative", "negative-with-edge", "over-cap"],
+    )
+    def test_edge_list_vertex_count_exit_code(self, capsys, tmp_path, text, code, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        got, _, err = run_cli(capsys, "analyze", f"@{path}")
+        assert got == code
+        assert message in err
+
     def test_missing_argument_exits_1(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["analyze"])

@@ -75,17 +75,8 @@ class TestNamed:
                 if a != b:
                     assert g.has_edge(a, b)
 
-    def test_h_family_labels(self):
-        assert h_family(3, 2).labels == (
-            "x1", "y1", "x2", "y2", "x3", "y3", "z1", "z2", "z3",
-        )
-        assert h_family(2, 3).labels == (
-            "a1_1", "a1_2", "a1_3", "a2_1", "a2_2", "a2_3", "z1", "z2",
-        )
-
     def test_corona_is_h_with_single_blocks(self):
-        assert corona_with_k1(3).adj == h_family(3, 1).adj
-        assert corona_with_k1(3).labels == h_family(3, 1).labels
+        assert corona_with_k1(3) == h_family(3, 1)
 
 
 class TestRecognition:

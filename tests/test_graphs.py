@@ -1,6 +1,7 @@
 """Graph representation and structural predicates, checked against frozen
 values and a networkx oracle."""
 
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,6 @@ from wellcovered.graphs import (
     Graph,
     complement,
     components,
-    delete_closed_neighborhood,
     disjoint_union,
     every_edge_in_triangle,
     from_edge_list,
@@ -24,10 +24,11 @@ from wellcovered.graphs import (
     is_complete,
     is_connected,
     is_regular,
+    isolated_in,
     min_degree,
     neighborhood,
     closed_neighborhood,
-    split_isolated,
+    residual,
     to_mask,
     to_vertices,
 )
@@ -66,14 +67,13 @@ class TestConstruction:
         with pytest.raises(CapacityError):
             Graph(65, tuple([0] * 65))
 
+    def test_fields_are_order_and_rows(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+
     def test_edge_list_round_trip(self):
         g = from_edge_list(4, [(0, 1), (2, 3), (1, 2)])
         assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
         assert g.m == 3
-
-    def test_labels(self):
-        g = from_edge_list(2, [(0, 1)], labels=["a", "b"])
-        assert g.label(0) == "a" and g.label(1) == "b"
 
 
 class TestMasks:
@@ -95,9 +95,13 @@ class TestStructure:
 
     def test_split_isolated(self):
         g = from_edge_list(4, [(1, 3)])
-        iso, sub = split_isolated(g)
+        iso = isolated_in(g, g.vertex_mask)
         assert to_vertices(iso) == [0, 2]
-        assert sub.graph.n == 2 and sub.graph.m == 1
+        rest = induced_subgraph(g, g.vertex_mask & ~iso)
+        assert rest.n == 2 and rest.m == 1
+        # isolation is relative to the mask: 1 loses its only neighbor
+        assert to_vertices(isolated_in(g, to_mask([0, 1, 2]))) == [0, 1, 2]
+        assert isolated_in(g, 0) == 0
 
     def test_complete_and_regular(self):
         assert is_complete(complete(4))
@@ -127,16 +131,18 @@ class TestStructure:
 
     def test_induced_subgraph_maps_back(self):
         g = cycle(5)
-        sub = induced_subgraph(g, to_mask([1, 2, 4]))
-        assert sub.graph.n == 3
-        assert sorted(sub.to_old(v) for v in range(3)) == [1, 2, 4]
-        assert sub.graph.has_edge(sub.to_new(1), sub.to_new(2))
-        assert not sub.graph.has_edge(sub.to_new(1), sub.to_new(4))
+        mask = to_mask([1, 2, 4])
+        sub = induced_subgraph(g, mask)
+        kept = to_vertices(mask)
+        assert sub.n == 3 and kept == [1, 2, 4]
+        assert sub.has_edge(kept.index(1), kept.index(2))
+        assert not sub.has_edge(kept.index(1), kept.index(4))
 
     def test_delete_closed_neighborhood(self):
         g = cycle(6)
-        sub = delete_closed_neighborhood(g, to_mask([0]))
-        assert list(sub.kept) == [2, 3, 4]
+        assert to_vertices(residual(g, to_mask([0]))) == [2, 3, 4]
+        assert residual(g, 0) == g.vertex_mask
+        assert residual(g, to_mask([0, 3])) == 0
 
     def test_complement_involution(self):
         g = cycle(5)
@@ -166,6 +172,21 @@ class TestAgainstNetworkx:
         ours = girth(g)
         theirs = nx.girth(to_networkx(g)) if g.n else math.inf
         assert ours == theirs
+
+    @given(graphs(), st.integers(min_value=0, max_value=(1 << 8) - 1))
+    def test_residual_and_isolated(self, g, s):
+        s &= g.vertex_mask
+        nxg = to_networkx(g)
+        closed = set(to_vertices(s)).union(*(nxg[v] for v in to_vertices(s)))
+        rest = residual(g, s)
+        assert to_vertices(rest) == sorted(set(range(g.n)) - closed)
+        piece = nxg.subgraph(to_vertices(rest))
+        assert to_vertices(isolated_in(g, rest)) == sorted(nx.isolates(piece))
+        sub = induced_subgraph(g, rest)
+        kept = to_vertices(rest)
+        assert sorted((kept[u], kept[v]) for u, v in sub.edges()) == sorted(
+            tuple(sorted(e)) for e in piece.edges()
+        )
 
     def test_girth_random_bulk(self):
         rng = random.Random(20260822)

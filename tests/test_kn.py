@@ -9,6 +9,7 @@ import pytest
 from brute import brute_violations
 from wellcovered import kernel, kn_partitions
 from wellcovered.families import complete, corpus, cycle, h_family, path
+from wellcovered.formats import from_graph6, to_graph6
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import is_well_covered
 from wellcovered.kn_partitions import (
@@ -25,7 +26,7 @@ from wellcovered.kn_partitions import (
     partition_weight,
 )
 from wellcovered.products import ProductGraph, direct_product
-from wellcovered.verdicts import HOLDS, VACUOUS
+from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS
 
 
 @pytest.fixture
@@ -35,6 +36,21 @@ def fresh_memo():
     _kn_product.cache_clear()
     yield
     _kn_product.cache_clear()
+
+
+@pytest.fixture
+def product_calls(monkeypatch, fresh_memo):
+    """The argument tuples of every kernel.direct_product_adj call made
+    during the test, starting from an empty product memo."""
+    calls = []
+    original = kernel.direct_product_adj
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "direct_product_adj", counted)
+    return calls
 
 
 def c5_partition():
@@ -126,24 +142,25 @@ class TestCorrespondence:
         with pytest.raises(CapacityError, match="33\\*2 = 66 vertices"):
             mis_from_partition(p)
 
-    def test_product_built_once_per_graph_and_order(self, monkeypatch, fresh_memo):
+    def test_product_built_once_per_graph_and_order(self, product_calls):
         """kn_alpha_i and the round trip of every maximal independent set
         of H(2,2) x K3 share one product."""
-        calls = []
-        original = kernel.direct_product_adj
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(kernel, "direct_product_adj", counted)
         g = h_family(2, 2)
         kn_alpha_i(g, 3)
         sets = kernel.maximal_independent_sets(_kn_product(g, 3).graph.adj)
         for mis in sets:
             assert mis_from_partition(partition_from_mis(g, 3, mis)) == mis
         assert len(sets) > 1
-        assert len(calls) == 1
+        assert len(product_calls) == 1
+
+    def test_graph6_round_trip_shares_the_product(self, product_calls):
+        """A family graph equals its graph6 round trip, so kn_alpha_i on the
+        two finds one memoized product."""
+        g = h_family(2, 2)
+        parsed = from_graph6(to_graph6(g))
+        assert parsed == g and hash(parsed) == hash(g)
+        assert kn_alpha_i(g, 3) == kn_alpha_i(parsed, 3)
+        assert len(product_calls) == 1
 
     @pytest.mark.parametrize("fault", ["non-independent", "non-maximal"])
     def test_product_check_still_runs(self, monkeypatch, fresh_memo, fault):
@@ -304,6 +321,18 @@ class TestClaimChecks:
         # corona of K3: clique vertices have degree 3 >= 2 and the product
         # with K2 is well-covered, so the conclusion is exercised
         assert necessary_condition(h_family(3, 1), 2).status == HOLDS
+
+    def test_necessary_condition_witness(self):
+        # told that C5 x K2 is well-covered (it is not): deleting N[0] leaves
+        # the edge 23, which has no isolated vertex
+        verdict = necessary_condition_check(cycle(5), 2, True)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {
+            "vertex": 0,
+            "degree": 2,
+            "residual_vertices": [2, 3],
+            "residual_min_degree": 1,
+        }
 
 
 def necessary_condition(g, n):

@@ -105,12 +105,6 @@ class TestLifting:
         with pytest.raises(ValueError, match="not independent"):
             lift_independent(p, to_mask([0, 1]))
 
-    def test_lift_needs_carried_factors(self):
-        p = direct_product(cycle(4), complete(2))
-        bare = type(p)(p.graph, p.n_g, p.n_h)
-        with pytest.raises(ValueError, match="factors"):
-            lift_independent(bare, to_mask([0]))
-
 
 def bounds_check(g, h):
     return product_bounds_check(direct_product(g, h), well_covered_report(g), well_covered_report(h))
@@ -204,13 +198,6 @@ class TestBoundsCheck:
         verdict, calls = counted_bounds_check(monkeypatch, direct_product(g, complete(2)), rep_g)
         assert calls == [6]
         assert verdict.status == HOLDS
-
-    def test_needs_carried_factors(self):
-        p = direct_product(cycle(4), complete(2))
-        bare = type(p)(p.graph, p.n_g, p.n_h)
-        reports = well_covered_report(cycle(4)), well_covered_report(complete(2))
-        with pytest.raises(ValueError, match="factors"):
-            product_bounds_check(bare, *reports)
 
     def test_vacuous_with_isolated_vertex(self):
         g = from_edge_list(2, [])
