@@ -1,10 +1,12 @@
 /* Compiled enumeration kernel.
  *
  * Same algorithm, visit order and results as _mis_fallback.py; see that
- * module for the description and for why the summary bound is exact.
- * Graphs arrive as sequences of per-vertex adjacency masks and must fit in
- * 64 bits.  One search loop over an explicit stack serves every entry point;
- * the mode says what happens to each emitted set.
+ * module for the description, for why the summary bound is exact and for why
+ * a summary walked one component of G[within] at a time has the witnesses
+ * of one walk over all of G[within].  Graphs arrive as sequences of
+ * per-vertex adjacency masks and must fit in 64 bits.  One search loop over
+ * an explicit stack serves every entry point; the mode says what happens to
+ * each emitted set, and the summary starts it once per component.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -68,12 +70,13 @@ static int expand(const Search *st, uint64_t s, uint64_t p)
     return k + POPCNT(p) > st->hi || k + 1 < st->lo;
 }
 
-/* Branch on the candidates of the first vertex of P | X with the fewest of
- * them, lowest first.  A stacked frame is one level of S, so at most 64 are
- * live, and the walk visits sets in the order of the recursive search. */
-static int walk(const uint64_t *closed, int n, Search *st)
+/* The search from P = start, X = {}.  Branch on the candidates of the first
+ * vertex of P | X with the fewest of them, lowest first.  A stacked frame is
+ * one level of S, so at most 64 are live, and the walk visits sets in the
+ * order of the recursive search. */
+static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
-    Frame stack[64], f = {0, n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1, 0, 0};
+    Frame stack[64], f = {0, start, 0, 0};
     int top = 0, best, pivot, c, v;
     uint64_t bu, m;
     for (;;) {
@@ -133,19 +136,32 @@ static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows)
     return n;
 }
 
-/* Runs the search in the given mode; -1 with an exception set on failure. */
+/* The closed rows of a graph: its order, or -1 with an exception set. */
+static Py_ssize_t load_closed(PyObject *adj, uint64_t *closed)
+{
+    Py_ssize_t v, n = load_rows(adj, closed);
+    for (v = 0; v < n; v++)
+        closed[v] |= (uint64_t)1 << v;
+    return n;
+}
+
+static uint64_t all_vertices(Py_ssize_t n)
+{
+    return n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+}
+
+/* Runs the search over every vertex in the given mode; -1 with an exception
+ * set on failure. */
 static int run(PyObject *adj, Search *st, int mode)
 {
     uint64_t closed[64];
-    Py_ssize_t v, n = load_rows(adj, closed);
+    Py_ssize_t n = load_closed(adj, closed);
     if (n < 0)
         return -1;
-    for (v = 0; v < n; v++)
-        closed[v] |= (uint64_t)1 << v;
     *st = (Search){mode, NULL, 0, 65, -1, 0, 0};
     if (mode == COLLECT && (st->out = PyList_New(0)) == NULL)
         return -1;
-    if (walk(closed, (int)n, st) >= 0)
+    if (walk(closed, all_vertices(n), st) >= 0)
         return 0;
     Py_CLEAR(st->out);
     return -1;
@@ -163,13 +179,55 @@ static PyObject *count_maximal_independent_sets(PyObject *Py_UNUSED(self), PyObj
     return run(adj, &st, COUNT) < 0 ? NULL : PyLong_FromLongLong(st.count);
 }
 
-static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *adj)
+/* Sums the bounded walk of each connected component of G[within]. */
+static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                      Py_ssize_t nargs)
 {
+    uint64_t closed[64], within, comp, frontier, reach, m, min_wit = 0, max_wit = 0;
+    int lo = 0, hi = 0, overflow;
+    Py_ssize_t n;
     Search st;
-    if (run(adj, &st, SUMMARY) < 0)
+    if (nargs < 1 || nargs > 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "independence_summary() takes 1 or 2 positional arguments (%zd given)",
+                            nargs);
+    if ((n = load_closed(args[0], closed)) < 0)
         return NULL;
-    return Py_BuildValue("(iiKK)", st.lo, st.hi, (unsigned long long)st.min_wit,
-                         (unsigned long long)st.max_wit);
+    within = all_vertices(n);
+    if (nargs == 2 && args[1] != Py_None) {
+        m = PyLong_AsUnsignedLongLong(args[1]);
+        /* an int that is negative or wider than 64 bits has a bit >= n */
+        overflow = m == (uint64_t)-1 && PyErr_Occurred();
+        if (overflow && !PyErr_ExceptionMatches(PyExc_OverflowError))
+            return NULL;
+        PyErr_Clear();
+        if (overflow || m & ~within)
+            return PyErr_Format(PyExc_ValueError, "within mask mentions vertices >= %zd", n);
+        within = m;
+    }
+    while (within) {
+        comp = frontier = within & -within;
+        while (frontier) {
+            reach = 0;
+            for (m = frontier; m; m &= m - 1)
+                reach |= closed[CTZ(m)];
+            frontier = reach & within & ~comp;
+            comp |= frontier;
+        }
+        within &= ~comp;
+        if (comp & (comp - 1)) {
+            st = (Search){SUMMARY, NULL, 0, 65, -1, 0, 0};
+            walk(closed, comp, &st);
+        } else {
+            st = (Search){SUMMARY, NULL, 0, 1, 1, comp, comp}; /* its only maximal set */
+        }
+        lo += st.lo;
+        hi += st.hi;
+        min_wit |= st.min_wit;
+        max_wit |= st.max_wit;
+    }
+    return Py_BuildValue("(iiKK)", lo, hi, (unsigned long long)min_wit,
+                         (unsigned long long)max_wit);
 }
 
 static PyObject *well_covered_size(PyObject *Py_UNUSED(self), PyObject *adj)
@@ -219,9 +277,11 @@ static PyMethodDef methods[] = {
     {"maximal_independent_sets", maximal_independent_sets, METH_O,
      "All maximal independent sets as masks, in deterministic visit order."},
     {"count_maximal_independent_sets", count_maximal_independent_sets, METH_O, NULL},
-    {"independence_summary", independence_summary, METH_O,
-     "(i, alpha, min witness, max witness): the smallest and largest sizes of\n"
-     "a maximal independent set and the first set of each size in visit order."},
+    {"independence_summary", (PyCFunction)(void (*)(void))independence_summary, METH_FASTCALL,
+     "independence_summary(adj, within=None, /)\n--\n\n"
+     "(i, alpha, min witness, max witness) of G[within], in G's own labels:\n"
+     "the smallest and largest sizes of a maximal independent set and the\n"
+     "first set of each size in visit order.  within defaults to every vertex."},
     {"well_covered_size", well_covered_size, METH_O,
      "Common maximal-set size if well-covered, else -1; stops at the second size."},
     {"direct_product_adj", direct_product_adj, METH_VARARGS,

@@ -27,6 +27,24 @@ is strictly smaller or strictly larger than a set already seen.  The
 witnesses are the first strict improvements in visit order, and skipped
 subtrees hold none, so (i, alpha, min witness, max witness) equal those of
 the full enumeration.
+
+The summary covers G[within], in G's own labels, and walks each connected
+component of G[within] on its own, from P = that component and X = {}; a
+one-vertex component is its own only maximal set.  i and alpha add up over
+the components, and the witnesses are the unions of the components' ones.
+Those unions are the witnesses one walk over all of G[within] finds, so the
+output is the same.  Every maximal set of G[within] is a union of one
+maximal set per component, and the smallest (largest) ones are the unions of
+smallest (largest) ones.  Where that walk separates two unions, it branches
+at a pivot of a component in which they differ, in the order the
+component's own walk uses: the pivot is the first vertex of P | X with the
+fewest candidates, and a candidate count only sees the pivot's own
+component.  So the first smallest and first largest unions in visit order
+are the unions of each component's first ones.  One walk over a product of
+two connected bipartite graphs, which has two components, visits about the
+product of their two trees; one walk per component visits their sum.  The
+enumerating entry points and ``well_covered_size`` keep the single walk over
+all of G, so their output order does not change.
 """
 
 from __future__ import annotations
@@ -88,19 +106,51 @@ def count_maximal_independent_sets(adj: Sequence[int]) -> int:
     return sum(1 for _ in _maximal_sets(_closed_rows(adj), full))
 
 
-def independence_summary(adj: Sequence[int]) -> tuple[int, int, int, int]:
-    """(i, alpha, min witness, max witness): the smallest and largest sizes of
-    a maximal independent set and the first set of each size in visit order.
+def independence_summary(adj: Sequence[int], within: int | None = None, /) -> tuple[int, int, int, int]:
+    """(i, alpha, min witness, max witness) of G[within], in G's own labels:
+    the smallest and largest sizes of a maximal independent set and the first
+    set of each size in visit order.  ``within`` defaults to every vertex.
 
-    Walks the tree of ``_maximal_sets`` but skips every subtree whose sets can
-    be neither smaller than ``lo`` nor larger than ``hi``."""
+    Sums the bounded walk of each connected component of G[within]."""
     closed = _closed_rows(adj)
+    if within is None:
+        within = (1 << len(adj)) - 1
+    elif within >> len(adj):
+        raise ValueError(f"within mask mentions vertices >= {len(adj)}")
+    lo = hi = min_wit = max_wit = 0
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= closed[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & within & ~comp
+            comp |= frontier
+        within ^= comp
+        if comp & comp - 1:
+            c_lo, c_hi, c_min, c_max = _summary_walk(closed, comp)
+        else:
+            c_lo = c_hi = 1
+            c_min = c_max = comp
+        lo += c_lo
+        hi += c_hi
+        min_wit |= c_min
+        max_wit |= c_max
+    return lo, hi, min_wit, max_wit
+
+
+def _summary_walk(closed: list[int], start: int) -> tuple[int, int, int, int]:
+    """The summary of the search from P = ``start``, X = {}, skipping every
+    subtree whose sets can be neither smaller than ``lo`` nor larger than
+    ``hi``."""
     lo, hi = 65, -1
     min_wit = max_wit = 0
     stack: list[tuple[int, int, int, int]] = []
     push = stack.append
     pop = stack.pop
-    s, p, x = 0, (1 << len(adj)) - 1, 0
+    s, p, x = 0, start, 0
     while True:
         branch = 0
         if p:

@@ -180,16 +180,13 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
     if f.h.has_isolated:
         return ClaimVerdict("inverse_image", f.instance, VACUOUS)
     prod = f.product
-    adj = prod.graph.adj
     full = prod.graph.vertex_mask
     for mis in f.g.mis_list:
         lifted = 0
         for gv in bits(mis):
             lifted |= prod.layer_h(gv)
-        broken = any(adj[v] & lifted for v in bits(lifted)) or any(
-            not adj[v] & lifted for v in bits(full & ~lifted)
-        )
-        if broken:
+        reach = neighborhood(prod.graph, lifted)
+        if reach & lifted or reach | lifted != full:
             witness = {
                 "factor_mis": to_vertices(mis),
                 "lifted": prod.pairs(lifted),
@@ -210,7 +207,7 @@ def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
     g = f.graph
     for s in enumerate_independent_sets(g):
         rest = residual(g, s)
-        low, high, _, _ = kernel.independence_summary(induced_subgraph(g, rest).adj)
+        low, high, _, _ = kernel.independence_summary(g.adj, rest)
         if low != high:
             witness = {
                 "independent_set": to_vertices(s),

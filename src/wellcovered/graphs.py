@@ -14,8 +14,9 @@ as dict keys.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_VERTICES = 64
 
@@ -55,6 +56,66 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _spaced(count: int, gap: int) -> int:
+    """``count`` one bits, ``gap`` positions apart from bit 0 up."""
+    return ((1 << count * gap) - 1) // ((1 << gap) - 1)
+
+
+def _transpose_steps(stride: int) -> list[tuple[int, int]]:
+    """(shift, mask) per step j = 1, 2, 4, ... of a stride x stride bit
+    matrix with row r at bit r * stride.  Step j swaps bit (r, c) with bit
+    (r + j, c - j) wherever bit j of r is 0 and of c is 1, which exchanges
+    bit j of the row and column index; all steps map (r, c) to (c, r)."""
+    steps = []
+    j = 1
+    while j < stride:
+        periods = stride // (2 * j)
+        columns = ((1 << j) - 1 << j) * _spaced(periods, 2 * j)
+        rows = _spaced(j, stride) * _spaced(periods, 2 * j * stride)
+        steps.append((j * (stride - 1), columns * rows))
+        j *= 2
+    return steps
+
+
+def _bit_matrix_layout(n: int) -> tuple[Callable[..., bytes], int, tuple[tuple[int, int], ...]]:
+    """How ``Graph`` packs n >= 2 rows into one int: row v at bit v * stride,
+    with the stride the least of 8, 16, 32 and 64 that holds n bits.  Returns
+    the packer, the mask of the diagonal and of the bits at or above n in
+    each row, and the transpose steps with j < n, the only ones that move a
+    bit of an n x n matrix."""
+    stride = max(8, 1 << (n - 1).bit_length())
+    rows, diagonal, steps = _STRIDES[stride]
+    pack = struct.Struct(f"<{n}{'BHIQ'[(stride // 8).bit_length() - 1]}").pack
+    outside = (((1 << stride) - (1 << n)) * rows | diagonal) & (1 << n * stride) - 1
+    return pack, outside, tuple(steps[: (n - 1).bit_length()])
+
+
+# per stride: bit 0 of every row, the diagonal and the transpose steps
+_STRIDES = {
+    stride: (_spaced(stride, stride), _spaced(stride, stride + 1), _transpose_steps(stride))
+    for stride in (8, 16, 32, 64)
+}
+_LAYOUTS = {n: _bit_matrix_layout(n) for n in range(2, MAX_VERTICES + 1)}
+
+
+def _first_defect(n: int, adj: tuple[int, ...]) -> str:
+    """The message for the first row, in vertex order, that is out of range,
+    has a loop or has an edge its endpoint's row lacks."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"adjacency row of vertex {v} mentions vertices >= {n}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+        m = row
+        while m:
+            u = (m & -m).bit_length() - 1
+            if not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {v} and {u}"
+            m &= m - 1
+    raise AssertionError("no defect in rows the bulk check rejected")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph with bitmask adjacency."""
@@ -63,24 +124,33 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count {self.n} is negative")
-        if self.n > MAX_VERTICES:
-            raise CapacityError(f"{self.n} vertices exceed the {MAX_VERTICES}-vertex limit")
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency has {len(self.adj)} rows for {self.n} vertices")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row of vertex {v} mentions vertices >= {self.n}")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
-                m &= m - 1
+        n, adj = self.n, self.adj
+        if type(adj) is not tuple:
+            adj = tuple(adj)
+            object.__setattr__(self, "adj", adj)
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
+        if n > MAX_VERTICES:
+            raise CapacityError(f"{n} vertices exceed the {MAX_VERTICES}-vertex limit")
+        if len(adj) != n:
+            raise ValueError(f"adjacency has {len(adj)} rows for {n} vertices")
+        if n < 2:
+            valid = not any(adj)  # the zero row is the only valid one
+        else:
+            # rows in range, no loops and a symmetric matrix: the packed
+            # rows miss ``outside`` and equal their transpose
+            pack, outside, steps = _LAYOUTS[n]
+            try:
+                packed = int.from_bytes(pack(*adj), "little")
+            except struct.error:  # a row is negative or wider than the stride
+                packed = outside
+            t = packed
+            for shift, mask in steps:
+                x = (t ^ t >> shift) & mask
+                t ^= x ^ x << shift
+            valid = not packed & outside and t == packed
+        if not valid:
+            raise ValueError(_first_defect(n, adj))
 
     @property
     def vertex_mask(self) -> int:

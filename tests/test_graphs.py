@@ -63,6 +63,68 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(1, (0b10,))
 
+    @pytest.mark.parametrize(
+        "n, adj, message",
+        [
+            # the first bad row decides; within a row: range, loop, asymmetry
+            (2, (0b10, 0b10), "asymmetric adjacency between 0 and 1"),
+            (2, (0b11, 0b00), "self-loop at vertex 0"),
+            (2, (0b101, 0b01), "adjacency row of vertex 0 mentions vertices >= 2"),
+            (2, (0b10, 0b100), "asymmetric adjacency between 0 and 1"),
+            (2, (0b00, -1), "adjacency row of vertex 1 mentions vertices >= 2"),
+            (3, (0b000, 0b101, 0b110), "asymmetric adjacency between 1 and 0"),
+            (40, (0,) * 39 + (1 << 39,), "self-loop at vertex 39"),
+            (64, (0,) * 62 + (1 << 63, 1 << 62 | 1 << 64), "adjacency row of vertex 63 mentions vertices >= 64"),
+            (64, (0,) * 63 + (1 << 62,), "asymmetric adjacency between 63 and 62"),
+        ],
+    )
+    def test_first_defect_message(self, n, adj, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, adj)
+        assert str(info.value) == message
+
+    def test_validation_matches_pairwise_oracle(self):
+        """Corrupted random rows get the verdict and message of a check that
+        looks at one vertex pair at a time."""
+
+        def oracle(n, adj):
+            for v, row in enumerate(adj):
+                if row < 0 or row >= 1 << n:
+                    return f"adjacency row of vertex {v} mentions vertices >= {n}"
+                if row >> v & 1:
+                    return f"self-loop at vertex {v}"
+                for u in range(n):
+                    if row >> u & 1 and not adj[u] >> v & 1:
+                        return f"asymmetric adjacency between {v} and {u}"
+            return None
+
+        rng = random.Random(77)
+        for _ in range(3000):
+            n = rng.choice([rng.randint(0, 9), rng.randint(10, 64)])
+            adj = list(random_graph(rng, n, rng.random()).adj)
+            for _ in range(rng.randint(0, 3) if n else 0):
+                v = rng.randrange(n)
+                kind = rng.randrange(4)
+                if kind == 0:
+                    adj[v] ^= 1 << rng.randrange(n)
+                elif kind == 1:
+                    adj[v] |= 1 << v
+                elif kind == 2:
+                    adj[v] |= 1 << rng.randrange(n, n + 70)
+                else:
+                    adj[v] = ~adj[v]
+            try:
+                Graph(n, tuple(adj))
+                got = None
+            except ValueError as err:
+                got = str(err)
+            assert got == oracle(n, adj), (n, adj)
+
+    def test_rows_are_stored_as_a_tuple(self):
+        g = Graph(2, [0b10, 0b01])
+        assert g.adj == (0b10, 0b01) and type(g.adj) is tuple
+        assert g == path(2) and hash(g) == hash(path(2))
+
     def test_rejects_oversized_order(self):
         with pytest.raises(CapacityError):
             Graph(65, tuple([0] * 65))

@@ -15,7 +15,7 @@ from brute import (
 )
 from wellcovered import _mis_fallback
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
-from wellcovered.graphs import Graph, from_edge_list, to_mask, to_vertices
+from wellcovered.graphs import Graph, disjoint_union, from_edge_list, to_mask, to_vertices
 from wellcovered.independence import (
     Matching,
     alpha,
@@ -192,8 +192,15 @@ def summary_oracle_graphs():
         (path(12), complete(3)), (path(14), complete(3)), (cycle(6), cycle(7)),
         (cycle(5), cycle(8)), (cycle(4), cycle(16)), (h_family(4, 2), complete(3)),
         (h_family(6, 2), complete(3)), (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
+        # two components each: the summary walks them one at a time
+        (cycle(6), cycle(6)), (cycle(4), cycle(8)), (path(4), path(6)),
     ]
     graphs += [direct_product(g, h).graph for g, h in families]
+    graphs += [
+        disjoint_union(cycle(5), path(4)),
+        disjoint_union(disjoint_union(complete(1), h_family(3, 2)), complete(1)),
+        disjoint_union(random_graph(rng, 9, 0.3), random_graph(rng, 8, 0.5)),
+    ]
     return graphs + [Graph(0, ()), complete(64)]
 
 

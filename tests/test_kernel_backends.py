@@ -21,7 +21,7 @@ from brute import brute_maximal_independent_sets, brute_summary, random_graph
 from wellcovered import _mis_fallback as pure
 from wellcovered import kernel
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
-from wellcovered.graphs import from_edge_list
+from wellcovered.graphs import bits, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
 from wellcovered.products import direct_product
 
 SOURCE = Path(pure.__file__).with_name("_mis_core.c")
@@ -111,6 +111,59 @@ def test_identical_summary_on_large_products(compiled, g, h):
     adj = compiled.direct_product_adj(g.adj, h.adj)
     assert adj == pure.direct_product_adj(g.adj, h.adj) == list(direct_product(g, h).graph.adj)
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
+
+
+def within_graphs():
+    """Products with two or more components, disjoint unions and the 0- and
+    64-vertex edges: the inputs where the summary runs per component."""
+    rng = random.Random(7)
+    graphs = [
+        direct_product(g, h).graph
+        for g, h in [(cycle(4), cycle(16)), (cycle(6), cycle(6)), (cycle(8), cycle(8)), (path(4), path(6))]
+    ]
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        graphs.append(disjoint_union(g, random_graph(rng, rng.randint(0, 12), rng.random())))
+    return graphs + [from_edge_list(0, []), from_edge_list(64, [])]
+
+
+@pytest.mark.parametrize("g", within_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_identical_summary_within(compiled, g):
+    rng = random.Random(g.n * 1000 + g.m)
+    masks = [None, g.vertex_mask, 0] + [rng.getrandbits(g.n) for _ in range(20)]
+    for m in masks:
+        assert compiled.independence_summary(g.adj, m) == pure.independence_summary(g.adj, m)
+
+
+@pytest.mark.parametrize("impl", ["compiled", "pure"])
+def test_summary_within_is_induced_summary(compiled, impl):
+    """The summary of G[within] in G's labels is the summary of the induced
+    subgraph, its witnesses mapped back through ``to_vertices(within)``."""
+    summary = (compiled if impl == "compiled" else pure).independence_summary
+    rng = random.Random(13)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 16), rng.random())
+        m = rng.getrandbits(g.n)
+        kept = to_vertices(m)
+        i, a, wit_min, wit_max = pure.independence_summary(induced_subgraph(g, m).adj)
+        back = [to_mask(kept[v] for v in bits(w)) for w in (wit_min, wit_max)]
+        assert summary(g.adj, m) == (i, a, *back)
+
+
+def test_identical_within_errors(compiled):
+    for adj, within in [([0] * 3, 0b1000), ([0] * 3, -1), ([0] * 64, 1 << 64), ([0] * 64, -1), ([], 1)]:
+        messages = []
+        for impl in (compiled, pure):
+            with pytest.raises(ValueError) as info:
+                impl.independence_summary(adj, within)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"within mask mentions vertices >= {len(adj)}"
+    for impl in (compiled, pure):
+        # positional only, as the benchmark's replay records calls
+        with pytest.raises(TypeError):
+            impl.independence_summary([0], within=1)
+        with pytest.raises(TypeError):
+            impl.independence_summary([0], 1, 1)
 
 
 def test_identical_limits(compiled):
