@@ -192,16 +192,32 @@ def summary_oracle_graphs():
         (path(12), complete(3)), (path(14), complete(3)), (cycle(6), cycle(7)),
         (cycle(5), cycle(8)), (cycle(4), cycle(16)), (h_family(4, 2), complete(3)),
         (h_family(6, 2), complete(3)), (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
-        # two components each: the summary walks them one at a time
-        (cycle(6), cycle(6)), (cycle(4), cycle(8)), (path(4), path(6)),
     ]
     graphs += [direct_product(g, h).graph for g, h in families]
-    graphs += [
+    return graphs + [Graph(0, ()), complete(64)]
+
+
+def split_oracle_graphs():
+    """Graphs of several components: the summary walks them one at a time."""
+    rng = random.Random(2025)
+    families = [(cycle(6), cycle(6)), (cycle(4), cycle(8)), (path(4), path(6))]
+    graphs = [direct_product(g, h).graph for g, h in families]
+    return graphs + [
         disjoint_union(cycle(5), path(4)),
         disjoint_union(disjoint_union(complete(1), h_family(3, 2)), complete(1)),
         disjoint_union(random_graph(rng, 9, 0.3), random_graph(rng, 8, 0.5)),
     ]
-    return graphs + [Graph(0, ()), complete(64)]
+
+
+def assert_summary_matches_enumeration(g):
+    sets = _mis_fallback.maximal_independent_sets(g.adj)
+    # min and max return the first extreme element, i.e. in visit order
+    wit_min = min(sets, key=int.bit_count)
+    wit_max = max(sets, key=int.bit_count)
+    expect = (wit_min.bit_count(), wit_max.bit_count(), wit_min, wit_max)
+    assert _mis_fallback.independence_summary(g.adj) == expect
+    if g.n <= 12:
+        assert expect[:2] == brute_summary(g.adj, g.n)
 
 
 class TestBoundedSummary:
@@ -210,14 +226,11 @@ class TestBoundedSummary:
 
     @pytest.mark.parametrize("g", summary_oracle_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
     def test_matches_full_enumeration(self, g):
-        sets = _mis_fallback.maximal_independent_sets(g.adj)
-        # min and max return the first extreme element, i.e. in visit order
-        wit_min = min(sets, key=int.bit_count)
-        wit_max = max(sets, key=int.bit_count)
-        expect = (wit_min.bit_count(), wit_max.bit_count(), wit_min, wit_max)
-        assert _mis_fallback.independence_summary(g.adj) == expect
-        if g.n <= 12:
-            assert expect[:2] == brute_summary(g.adj, g.n)
+        assert_summary_matches_enumeration(g)
+
+    @pytest.mark.parametrize("g", split_oracle_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+    def test_components_match_full_enumeration(self, g):
+        assert_summary_matches_enumeration(g)
 
 
 class TestFavaronEquivalence:
