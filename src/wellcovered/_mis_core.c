@@ -7,6 +7,17 @@
  * per-vertex adjacency masks and must fit in 64 bits.  One search loop over
  * an explicit stack serves every entry point; the mode says what happens to
  * each emitted set, and the summary starts it once per component.
+ *
+ * The summary also remembers finished states (P, {}) in a hash table, under
+ * the rules of _mis_fallback.  The completions of a node depend only on
+ * (P, X), so an entry can stand for the subtree of any node in that state.
+ * An expanded state pushes an exit marker under its children with lo and hi
+ * as they were; when it pops, a side whose extreme moved is exact, the
+ * extreme minus |S| with its first witness minus S, since skipped subtrees
+ * hold no strict improvement; a side that did not move bounds the
+ * completions by the extreme minus |S|.  A later node applies an exact side
+ * like an emitted set and adds a bound side to its skip test, so the
+ * summary is that of the walk without a table.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,10 +33,43 @@ static int CTZ(uint64_t x) { int c = 0; for (; !(x & 1); x >>= 1) ++c; return c;
 
 enum { COLLECT, COUNT, SUMMARY, WELL_COVERED };
 
-/* S built so far, P free to join it, X excluded, candidates still to try */
+/* The summary's table of finished states (P, {}), with the rules of
+ * _mis_fallback: only in a walk over a component of at least
+ * TABLE_MIN_ORDER vertices, only for states with at least TABLE_MIN_FREE
+ * free vertices, at most TABLE_CAP states a walk, and no lookups for the
+ * rest of the walk after TABLE_WINDOW lookups with fewer than TABLE_MIN_HITS
+ * hits.  The slots start at TABLE_SLOTS and double to keep them at most half
+ * full, so a walk holds at most 2 * TABLE_CAP slots of 32 bytes. */
+#ifndef TABLE_MIN_ORDER
+#define TABLE_MIN_ORDER 24
+#endif
+#ifndef TABLE_MIN_FREE
+#define TABLE_MIN_FREE 8
+#endif
+#ifndef TABLE_CAP
+#define TABLE_CAP 4096
+#endif
+#ifndef TABLE_MIN_HITS
+#define TABLE_MIN_HITS 8
+#endif
+#define TABLE_WINDOW 64
+#define TABLE_SLOTS 64
+
+/* S built so far, P free to join it, X excluded, candidates still to try;
+ * an exit marker has no candidates and keeps lo and hi from its entry */
 typedef struct {
     uint64_t s, p, x, branch;
+    int lo, hi;
 } Frame;
+
+/* A finished state (P, {}): the least and the greatest size of a
+ * completion, a set T inside P with S | T emitted below the state, each
+ * exact with its first witness T when w is nonzero, else a bound.  A free
+ * slot has p == 0. */
+typedef struct {
+    uint64_t p, w_lo, w_hi;
+    int c_lo, c_hi;
+} Entry;
 
 typedef struct {
     int mode;
@@ -33,6 +77,12 @@ typedef struct {
     long long count;           /* COUNT */
     int lo, hi;                /* SUMMARY, WELL_COVERED: extreme sizes seen */
     uint64_t min_wit, max_wit; /* first set of each extreme size */
+    int min_free;              /* SUMMARY: least |P| of a remembered state */
+    int room;                  /* states the table may still take */
+    int window, hits;          /* lookups left in this window, hits in it */
+    Entry *slots;              /* the table, NULL until its first state */
+    size_t mask;               /* slot count - 1 */
+    int shift;                 /* 64 - log2(slot count) */
 } Search;
 
 /* 1 to stop the walk, -1 on a Python error, else 0. */
@@ -58,30 +108,117 @@ static int emit(Search *st, uint64_t s)
     return st->mode == WELL_COVERED && st->lo != st->hi;
 }
 
-/* The summary skips a node with P nonempty when |S| + |P| <= hi and
- * |S| + 1 >= lo: each set below it strictly contains S and lies inside
- * S | P, so none is a strict new extreme.  Other modes expand every node. */
-static int expand(const Search *st, uint64_t s, uint64_t p)
+/* The slot of state (p, {}), or the free slot where it would go. */
+static Entry *slot(const Search *st, uint64_t p)
 {
-    int k;
+    /* Fibonacci hashing: the top bits of the product depend on every bit of p */
+    size_t i = (size_t)((p * 0x9E3779B97F4A7C15ull) >> st->shift);
+    for (;; i++) {
+        Entry *e = &st->slots[i & st->mask];
+        if (!e->p || e->p == p)
+            return e;
+    }
+}
+
+/* Stores a finished state.  Without memory for a larger table it drops
+ * the state, which only costs a later walk of its subtree. */
+static void remember(Search *st, const Frame *f)
+{
+    int k = POPCNT(f->s);
+    size_t n = st->mask + 1, i;
+    Entry *e, *old = st->slots;
+    /* the states taken, this one included, fill at most half the slots */
+    if (old == NULL || n < 2 * (size_t)(TABLE_CAP - st->room)) {
+        n = old == NULL ? TABLE_SLOTS : 2 * n;
+        if ((st->slots = PyMem_Calloc(n, sizeof(Entry))) == NULL) {
+            st->slots = old;
+            return;
+        }
+        st->mask = n - 1;
+        st->shift = 64 - CTZ(n);
+        for (i = 0; old != NULL && i < n / 2; i++)
+            if (old[i].p)
+                *slot(st, old[i].p) = old[i];
+        PyMem_Free(old);
+    }
+    e = slot(st, f->p);
+    if (!e->p)
+        *e = (Entry){f->p, 0, 0, 1, POPCNT(f->p)};
+    /* a side is exact if the subtree moved its extreme, else a bound that
+     * only tightens: an exact side stays exact */
+    if (st->lo < f->lo) {
+        e->c_lo = st->lo - k;
+        e->w_lo = st->min_wit ^ f->s;
+    } else if (e->c_lo < st->lo - k) {
+        e->c_lo = st->lo - k;
+        e->w_lo = 0;
+    }
+    if (st->hi > f->hi) {
+        e->c_hi = st->hi - k;
+        e->w_hi = st->max_wit ^ f->s;
+    } else if (e->c_hi > st->hi - k) {
+        e->c_hi = st->hi - k;
+        e->w_hi = 0;
+    }
+}
+
+/* Whether to expand a node with P nonempty: 0 to skip it, 1 to expand it, 2
+ * to expand it and push an exit marker that remembers it.  The summary
+ * skips it when |S| + |P| <= hi and |S| + 1 >= lo: each set below it
+ * strictly contains S and lies inside S | P, so none is a strict new
+ * extreme.  A remembered state first applies its exact sides like emitted
+ * sets and then tightens both bounds.  Other modes expand every node. */
+static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
+{
+    int k, nfree, go;
+    const Entry *e;
     if (st->mode != SUMMARY)
         return 1;
     k = POPCNT(s);
-    return k + POPCNT(p) > st->hi || k + 1 < st->lo;
+    nfree = POPCNT(p);
+    if (k + nfree <= st->hi && k + 1 >= st->lo)
+        return 0;
+    if (nfree < st->min_free || x)
+        return 1;
+    e = st->slots == NULL ? NULL : slot(st, p);
+    if (e == NULL || !e->p) {
+        go = st->room ? 2 : 1;
+        st->room -= go == 2;
+    } else {
+        st->hits++;
+        if (e->w_lo && k + e->c_lo < st->lo) {
+            st->lo = k + e->c_lo;
+            st->min_wit = s | e->w_lo;
+        }
+        if (e->w_hi && k + e->c_hi > st->hi) {
+            st->hi = k + e->c_hi;
+            st->max_wit = s | e->w_hi;
+        }
+        go = k + e->c_hi > st->hi || k + e->c_lo < st->lo ? 2 : 0;
+    }
+    if (!--st->window) {
+        if (st->hits < TABLE_MIN_HITS)
+            st->min_free = 65;
+        st->window = TABLE_WINDOW;
+        st->hits = 0;
+    }
+    return go;
 }
 
 /* The search from P = start, X = {}.  Branch on the candidates of the first
- * vertex of P | X with the fewest of them, lowest first.  A stacked frame is
- * one level of S, so at most 64 are live, and the walk visits sets in the
- * order of the recursive search. */
+ * vertex of P | X with the fewest of them, lowest first.  Each level of S
+ * holds at most one stacked frame and one exit marker, so at most 128 are
+ * live, and the walk visits sets in the order of the recursive search. */
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
-    Frame stack[64], f = {0, start, 0, 0};
-    int top = 0, best, pivot, c, v;
+    Frame stack[128], f = {0, start, 0, 0, 0, 0};
+    int top = 0, best, pivot, c, v, go;
     uint64_t bu, m;
     for (;;) {
         f.branch = 0;
-        if (f.p && expand(st, f.s, f.p)) {
+        if (f.p && (go = expand(st, f.s, f.p, f.x)) != 0) {
+            if (go == 2)
+                stack[top++] = (Frame){f.s, f.p, f.x, 0, st->lo, st->hi};
             best = 65;
             pivot = 0;
             for (m = f.p | f.x; m && best; m &= m - 1) {
@@ -98,16 +235,18 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
         } else if (!f.p && !f.x && (c = emit(st, f.s)) != 0) {
             return c;
         }
-        if (!f.branch) {
+        while (!f.branch) {
             if (!top)
                 return 0;
             f = stack[--top];
+            if (!f.branch)
+                remember(st, &f);
         }
         v = CTZ(f.branch);
         bu = (uint64_t)1 << v;
         f.branch ^= bu;
         if (f.branch)
-            stack[top++] = (Frame){f.s, f.p & ~bu, f.x | bu, f.branch};
+            stack[top++] = (Frame){f.s, f.p & ~bu, f.x | bu, f.branch, 0, 0};
         f.s |= bu;
         f.p &= ~closed[v];
         f.x &= ~closed[v];
@@ -158,7 +297,7 @@ static int run(PyObject *adj, Search *st, int mode)
     Py_ssize_t n = load_closed(adj, closed);
     if (n < 0)
         return -1;
-    *st = (Search){mode, NULL, 0, 65, -1, 0, 0};
+    *st = (Search){mode, NULL, 0, 65, -1, 0, 0, 65, 0, 0, 0, NULL, 0, 0};
     if (mode == COLLECT && (st->out = PyList_New(0)) == NULL)
         return -1;
     if (walk(closed, all_vertices(n), st) >= 0)
@@ -186,7 +325,7 @@ static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const
     uint64_t closed[64], within, comp, frontier, reach, m, min_wit = 0, max_wit = 0;
     int lo = 0, hi = 0, overflow;
     Py_ssize_t n;
-    Search st;
+    Search st = {SUMMARY, NULL, 0, 0, 0, 0, 0, 65, 0, 0, 0, NULL, 0, 0};
     if (nargs < 1 || nargs > 2)
         return PyErr_Format(PyExc_TypeError,
                             "independence_summary() takes 1 or 2 positional arguments (%zd given)",
@@ -216,10 +355,19 @@ static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const
         }
         within &= ~comp;
         if (comp & (comp - 1)) {
-            st = (Search){SUMMARY, NULL, 0, 65, -1, 0, 0};
+            st.lo = 65;
+            st.hi = -1;
+            st.min_free = POPCNT(comp) >= TABLE_MIN_ORDER ? TABLE_MIN_FREE : 65;
+            st.room = TABLE_CAP;
+            st.window = TABLE_WINDOW;
+            st.hits = 0;
             walk(closed, comp, &st);
+            PyMem_Free(st.slots);
+            st.slots = NULL;
         } else {
-            st = (Search){SUMMARY, NULL, 0, 1, 1, comp, comp}; /* its only maximal set */
+            /* its only maximal set */
+            st.lo = st.hi = 1;
+            st.min_wit = st.max_wit = comp;
         }
         lo += st.lo;
         hi += st.hi;

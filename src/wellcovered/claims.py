@@ -42,10 +42,8 @@ from .graphs import (
     Graph,
     bits,
     closed_neighborhood,
-    components,
     disjoint_union,
     girth,
-    induced_subgraph,
     is_bipartite,
     is_complete,
     is_connected,
@@ -219,14 +217,30 @@ def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
     return ClaimVerdict("residual_wc", f.instance, HOLDS)
 
 
+def _independent_sets_of_size(g: Graph, size: int) -> Iterator[int]:
+    """The independent sets of exactly ``size`` vertices, in the order
+    ``enumerate_independent_sets`` yields them: its recursion, cut off at
+    that depth."""
+
+    def rec(s: int, cands: int, left: int) -> Iterator[int]:
+        if not left:
+            yield s
+            return
+        m = cands
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            yield from rec(s | 1 << v, m & ~g.adj[v], left - 1)
+
+    return rec(0, g.vertex_mask, size)
+
+
 def _check_clique_leftover(f: GraphFacts) -> ClaimVerdict:
     """An independent set one short of maximum is maximal or leaves a clique."""
     g = f.graph
     a = f.report.alpha
     if a >= 1:
-        for s in enumerate_independent_sets(g):
-            if s.bit_count() != a - 1:
-                continue
+        for s in _independent_sets_of_size(g, a - 1):
             rest = residual(g, s)
             # G - N[S] is a clique exactly when every vertex left sees the rest
             if any(rest & ~g.closed(v) for v in bits(rest)):
@@ -460,21 +474,41 @@ def _check_no_bipartite_residual(f: PairFacts) -> ClaimVerdict:
         return ClaimVerdict("no_bipartite_residual", f.instance, VACUOUS)
     g = f.g.graph
     for s in enumerate_independent_sets(g):
-        rest = residual(g, s)
-        sub = induced_subgraph(g, rest)
-        for comp in components(sub):
-            if comp.bit_count() < 2:
-                continue
-            if is_bipartite(induced_subgraph(sub, comp)) is not None:
-                kept = to_vertices(rest)
-                witness = {
-                    "independent_set": to_vertices(s),
-                    "component_vertices": [kept[v] for v in bits(comp)],
-                }
-                return ClaimVerdict(
-                    "no_bipartite_residual", f.instance, COUNTEREXAMPLE, witness
-                )
+        comp = _bipartite_component(g, residual(g, s))
+        if comp:
+            witness = {
+                "independent_set": to_vertices(s),
+                "component_vertices": to_vertices(comp),
+            }
+            return ClaimVerdict("no_bipartite_residual", f.instance, COUNTEREXAMPLE, witness)
     return ClaimVerdict("no_bipartite_residual", f.instance, HOLDS)
+
+
+def _bipartite_component(g: Graph, mask: int) -> int:
+    """The first component of G[mask], by least vertex, with two or more
+    vertices and no odd cycle, as a mask of G's vertices; 0 if there is none.
+    A breadth-first search by layers finds each component, and the component
+    has an odd cycle exactly when an edge joins two vertices of one layer."""
+    adj = g.adj
+    left = mask
+    while left:
+        comp = frontier = left & -left
+        odd = False
+        while frontier:
+            reach = 0
+            m = frontier
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length() - 1]
+                m ^= low
+            if reach & frontier:
+                odd = True
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        left &= ~comp
+        if not odd and comp & comp - 1:
+            return comp
+    return 0
 
 
 def _in_triangle(g: Graph, w: int) -> bool:

@@ -74,12 +74,6 @@ def from_graph6(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
-def to_edge_list_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted((min(e), max(e)) for e in g.edges()))
-    return "\n".join(lines) + "\n"
-
-
 def from_edge_list_text(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:

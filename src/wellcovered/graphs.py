@@ -363,10 +363,6 @@ def is_bipartite(g: Graph) -> tuple[int, int] | None:
     return side0, g.vertex_mask & ~side0
 
 
-def every_edge_in_triangle(g: Graph) -> bool:
-    return all(g.adj[u] & g.adj[v] for u, v in g.edges())
-
-
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
     return Graph(g.n, tuple(full & ~(g.adj[v] | 1 << v) for v in range(g.n)))

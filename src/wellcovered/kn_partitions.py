@@ -121,14 +121,6 @@ class WeakPartition:
         }
 
 
-def partition_weight(p: WeakPartition) -> int:
-    """Weight n*|bracket| + sum |V_k| of a valid partition."""
-    bad = p.violations()
-    if bad:
-        raise InvalidPartition(f"invalid weak partition: {bad[0]}")
-    return p.weight()
-
-
 @lru_cache(maxsize=16)
 def _kn_product(g: Graph, n: int) -> ProductGraph:
     return direct_product(g, complete(n))

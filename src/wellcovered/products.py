@@ -35,11 +35,6 @@ class ProductGraph:
             raise ValueError(f"({g}, {h}) outside factor ranges {self.n_g}x{self.n_h}")
         return g * self.n_h + h
 
-    def factor_pair(self, idx: int) -> tuple[int, int]:
-        if not 0 <= idx < self.graph.n:
-            raise ValueError(f"index {idx} outside product range")
-        return divmod(idx, self.n_h)
-
     def layer_h(self, g: int) -> int:
         """The H-layer over g: all (g, h), always independent."""
         if not 0 <= g < self.n_g:
@@ -51,18 +46,6 @@ class ProductGraph:
         if not 0 <= h < self.n_h:
             raise ValueError(f"vertex {h} outside second factor")
         return sum(1 << g * self.n_h + h for g in range(self.n_g))
-
-    def project_g(self, s: int) -> int:
-        out = 0
-        for idx in bits(s):
-            out |= 1 << idx // self.n_h
-        return out
-
-    def project_h(self, s: int) -> int:
-        out = 0
-        for idx in bits(s):
-            out |= 1 << idx % self.n_h
-        return out
 
     def pairs(self, s: int) -> list[tuple[int, int]]:
         """Decode a product mask into sorted (g, h) pairs, for reports."""

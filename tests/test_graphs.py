@@ -16,7 +16,6 @@ from wellcovered.graphs import (
     complement,
     components,
     disjoint_union,
-    every_edge_in_triangle,
     from_edge_list,
     girth,
     induced_subgraph,
@@ -185,11 +184,6 @@ class TestStructure:
         assert sides is not None
         assert sides[0] | sides[1] == cycle(6).vertex_mask
         assert is_bipartite(cycle(5)) is None
-
-    def test_every_edge_in_triangle(self):
-        assert every_edge_in_triangle(complete(3))
-        assert not every_edge_in_triangle(path(2))
-        assert every_edge_in_triangle(Graph(0, ()))
 
     def test_induced_subgraph_maps_back(self):
         g = cycle(5)

@@ -2,6 +2,7 @@
 independent brute force, matching and pairing-property behavior, and
 property tests against the subset-filter oracle."""
 
+import gc
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from brute import (
 )
 from wellcovered import _mis_fallback
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
-from wellcovered.graphs import Graph, disjoint_union, from_edge_list, to_mask, to_vertices
+from wellcovered.graphs import Graph, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
 from wellcovered.independence import (
     Matching,
     alpha,
@@ -192,6 +193,7 @@ def summary_oracle_graphs():
         (path(12), complete(3)), (path(14), complete(3)), (cycle(6), cycle(7)),
         (cycle(5), cycle(8)), (cycle(4), cycle(16)), (h_family(4, 2), complete(3)),
         (h_family(6, 2), complete(3)), (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
+        (cycle(5), cycle(7)), (path(8), complete(3)),
     ]
     graphs += [direct_product(g, h).graph for g, h in families]
     return graphs + [Graph(0, ()), complete(64)]
@@ -220,6 +222,46 @@ def assert_summary_matches_enumeration(g):
         assert expect[:2] == brute_summary(g.adj, g.n)
 
 
+@pytest.fixture
+def table_everywhere(monkeypatch):
+    """Remember every finished state of every walk, small graphs included."""
+    monkeypatch.setattr(_mis_fallback, "TABLE_MIN_ORDER", 0)
+    monkeypatch.setattr(_mis_fallback, "TABLE_MIN_FREE", 1)
+    monkeypatch.setattr(_mis_fallback, "TABLE_MIN_HITS", 0)
+
+
+def table_soundness_graphs():
+    rng = random.Random(2026)
+    graphs = [random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(200)]
+    families = [(cycle(12), complete(3)), (path(8), complete(3)), (cycle(5), cycle(5))]
+    return graphs + [direct_product(g, h).graph for g, h in families]
+
+
+def assert_table_is_sound(g):
+    """Every entry the walk leaves holds, for the state (P, {}), the least and
+    greatest completion sizes or bounds on them: the completions are the
+    maximal independent sets of G[P], first to last in the order of a walk
+    from P."""
+    closed = _mis_fallback._closed_rows(g.adj)
+    table = {}
+    _mis_fallback._summary_walk(closed, g.vertex_mask, table)
+    for p, (c_lo, w_lo, c_hi, w_hi) in table.items():
+        sets = list(_mis_fallback._maximal_sets(closed, p))
+        first_min = min(sets, key=int.bit_count)
+        first_max = max(sets, key=int.bit_count)
+        if p.bit_count() <= 12:
+            sub = induced_subgraph(g, p)
+            assert brute_summary(sub.adj, sub.n) == (first_min.bit_count(), first_max.bit_count())
+        if w_lo:
+            assert (c_lo, w_lo) == (first_min.bit_count(), first_min)
+        else:
+            assert c_lo <= first_min.bit_count()
+        if w_hi:
+            assert (c_hi, w_hi) == (first_max.bit_count(), first_max)
+        else:
+            assert c_hi >= first_max.bit_count()
+
+
 class TestBoundedSummary:
     """The pure summary skips subtrees that cannot improve i or alpha; it must
     still equal the extremes of the full enumeration, witnesses included."""
@@ -231,6 +273,36 @@ class TestBoundedSummary:
     @pytest.mark.parametrize("g", split_oracle_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
     def test_components_match_full_enumeration(self, g):
         assert_summary_matches_enumeration(g)
+
+    def test_table_everywhere_matches_full_enumeration(self, table_everywhere):
+        rng = random.Random(2027)
+        for _ in range(300):
+            assert_summary_matches_enumeration(random_graph(rng, rng.randint(1, 16), rng.random()))
+
+    def test_table_entries_are_sound(self, table_everywhere):
+        for g in table_soundness_graphs():
+            assert_table_is_sound(g)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_table_cap_leaves_summary_unchanged(self, monkeypatch, cap):
+        """A full table still answers lookups; an empty one answers none."""
+        pairs = [(cycle(5), cycle(7)), (path(8), complete(3)), (h_family(9, 1), complete(2)), (path(14), complete(3))]
+        graphs = [direct_product(g, h).graph for g, h in pairs]
+        expect = [_mis_fallback.independence_summary(g.adj) for g in graphs]
+        monkeypatch.setattr(_mis_fallback, "TABLE_CAP", cap)
+        assert [_mis_fallback.independence_summary(g.adj) for g in graphs] == expect
+
+    def test_walk_leaves_no_garbage(self):
+        """The walk makes no reference cycles, so its table goes as soon as
+        the call returns instead of waiting for the cyclic collector."""
+        adj = direct_product(cycle(6), cycle(7)).graph.adj
+        gc.collect()
+        gc.disable()
+        try:
+            _mis_fallback.independence_summary(adj)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFavaronEquivalence:

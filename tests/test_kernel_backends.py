@@ -33,15 +33,16 @@ SEARCHES = (
 )
 
 
-@pytest.fixture(scope="module")
-def compiled_path(tmp_path_factory):
+def build(tmp_path_factory, *defines):
+    """Compiles the tracked source with the given -D flags into a temporary
+    directory and returns the path of the extension."""
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler")
     name = "_mis_core" + sysconfig.get_config_var("EXT_SUFFIX")
     target = tmp_path_factory.mktemp("mis_core") / name
     include = "-I" + sysconfig.get_paths()["include"]
-    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", *defines]
     done = subprocess.run(
         [compiler, *flags, include, str(SOURCE), "-o", str(target)],
         capture_output=True,
@@ -51,12 +52,21 @@ def compiled_path(tmp_path_factory):
     return target
 
 
-@pytest.fixture(scope="module")
-def compiled(compiled_path):
-    spec = importlib.util.spec_from_file_location("_mis_core", compiled_path)
+def load(path):
+    spec = importlib.util.spec_from_file_location("_mis_core", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def compiled_path(tmp_path_factory):
+    return build(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def compiled(compiled_path):
+    return load(compiled_path)
 
 
 def sample_graphs():
@@ -102,15 +112,42 @@ def test_identical_derived_quantities(compiled):
         (complete(8), cycle(8)),
         (complete(0), cycle(5)),
         (cycle(5), complete(0)),
+        (h_family(6, 2), complete(3)),
+        (cycle(7), cycle(9)),
     ],
-    ids=["C14xK3", "P14xK3", "C4xC16", "H43xK4", "K8xC8", "K0xC5", "C5xK0"],
+    ids=["C14xK3", "P14xK3", "C4xC16", "H43xK4", "K8xC8", "K0xC5", "C5xK0", "H62xK3", "C7xC9"],
 )
 def test_identical_summary_on_large_products(compiled, g, h):
     """The pure summary skips the most subtrees on the first four products;
-    the last three are the 64-vertex and 0-vertex edges of the product."""
+    the next three are the 64-vertex and 0-vertex edges of the product.  The
+    walks over P14 x K3, C14 x K3 and H(6,2) x K3 answer revisits from the
+    table of finished states; C7 x C9 stops looking after its first window."""
     adj = compiled.direct_product_adj(g.adj, h.adj)
     assert adj == pure.direct_product_adj(g.adj, h.adj) == list(direct_product(g, h).graph.adj)
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
+
+
+@pytest.mark.parametrize(
+    "defines",
+    [
+        ["-DTABLE_CAP=0"],
+        ["-DTABLE_CAP=1"],
+        ["-DTABLE_MIN_ORDER=0", "-DTABLE_MIN_FREE=1", "-DTABLE_MIN_HITS=0"],
+    ],
+    ids=["cap0", "cap1", "everywhere"],
+)
+def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
+    """The compiled summary with no table, a one-state table, or a table at
+    every node of every walk equals the pure summary with its own rules."""
+    variant = load(build(tmp_path_factory, *defines))
+    rng = random.Random(43)
+    graphs = [random_graph(rng, rng.randint(8, 16), rng.random()) for _ in range(1500)]
+    graphs += [
+        direct_product(g, h).graph
+        for g, h in [(path(14), complete(3)), (cycle(14), complete(3)), (h_family(6, 2), complete(3))]
+    ]
+    for g in graphs:
+        assert variant.independence_summary(g.adj) == pure.independence_summary(g.adj)
 
 
 def within_graphs():

@@ -23,7 +23,6 @@ from wellcovered.kn_partitions import (
     mis_from_partition,
     necessary_condition_check,
     partition_from_mis,
-    partition_weight,
 )
 from wellcovered.products import ProductGraph, direct_product
 from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS
@@ -65,7 +64,6 @@ class TestConditions:
         p = c5_partition()
         assert p.violations() == []
         assert p.weight() == 4
-        assert partition_weight(p) == 4
 
     def test_adjacent_bracket_rejected(self):
         g = cycle(5)
@@ -104,12 +102,6 @@ class TestConditions:
         assert p.violations() == ["cover"]
         with pytest.raises(InvalidPartition, match="cover"):
             mis_from_partition(p)
-
-    def test_partition_weight_raises_with_reason(self):
-        g = cycle(5)
-        p = WeakPartition(g, 2, to_mask([2, 3]), (to_mask([4]), 0), to_mask([0, 1]))
-        with pytest.raises(InvalidPartition, match="condition 1"):
-            partition_weight(p)
 
 
 class TestCorrespondence:

@@ -49,7 +49,7 @@ class TestConstruction:
         p = direct_product(cycle(4), path(3))
         for g in range(4):
             for h in range(3):
-                assert p.factor_pair(p.index(g, h)) == (g, h)
+                assert divmod(p.index(g, h), p.n_h) == (g, h)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -80,12 +80,6 @@ class TestLayers:
             assert is_independent(p.graph.adj, p.layer_h(gv))
         for hv in range(h.n):
             assert is_independent(p.graph.adj, p.layer_g(hv))
-
-    def test_projections(self):
-        p = direct_product(cycle(4), path(3))
-        s = to_mask([p.index(0, 1), p.index(2, 1), p.index(2, 2)])
-        assert p.project_g(s) == to_mask([0, 2])
-        assert p.project_h(s) == to_mask([1, 2])
 
     def test_pairs_serialization(self):
         p = direct_product(cycle(3), path(2))
