@@ -39,9 +39,11 @@ from .families import (
 )
 from .formats import to_graph6
 from .graphs import (
+    INFINITE,
     Graph,
     bits,
     closed_neighborhood,
+    components,
     disjoint_union,
     girth,
     is_bipartite,
@@ -65,7 +67,7 @@ from .independence import (
     well_covered_report,
 )
 from .kn_partitions import kn_report, layer_cardinality_check, necessary_condition_check
-from .products import ProductGraph, direct_product, product_bounds_check
+from .products import ProductGraph, direct_product, lift_layers, product_bounds_check
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
 SHAPE_GRAPH = "single-graph"
@@ -169,7 +171,7 @@ class GraphNFacts:
 
 
 def _json_girth(value: int | float) -> int | str:
-    return "infinite" if value != value or value == float("inf") else int(value)
+    return "infinite" if value == INFINITE else int(value)
 
 
 def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
@@ -180,9 +182,7 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
     prod = f.product
     full = prod.graph.vertex_mask
     for mis in f.g.mis_list:
-        lifted = 0
-        for gv in bits(mis):
-            lifted |= prod.layer_h(gv)
+        lifted = lift_layers(prod.layer_h, mis)
         reach = neighborhood(prod.graph, lifted)
         if reach & lifted or reach | lifted != full:
             witness = {
@@ -343,7 +343,7 @@ def _check_bipartite_isolation(f: GraphFacts) -> ClaimVerdict:
     """A bipartite well-covered graph with minimum degree >= 2 has isolatable
     vertices; deleting any closed neighborhood N[x] leaves an isolated vertex."""
     b = f.graph
-    if is_bipartite(b) is None or min_degree(b) < 2 or not f.report.well_covered:
+    if not is_bipartite(b) or min_degree(b) < 2 or not f.report.well_covered:
         return ClaimVerdict("bipartite_isolation", f.instance, VACUOUS)
     if f.isolatable_mask == 0:
         return ClaimVerdict(
@@ -474,7 +474,8 @@ def _check_no_bipartite_residual(f: PairFacts) -> ClaimVerdict:
         return ClaimVerdict("no_bipartite_residual", f.instance, VACUOUS)
     g = f.g.graph
     for s in enumerate_independent_sets(g):
-        comp = _bipartite_component(g, residual(g, s))
+        # the first component above K1 without an odd cycle, by least vertex
+        comp = next((c for c, odd in components(g, residual(g, s)) if not odd and c & c - 1), 0)
         if comp:
             witness = {
                 "independent_set": to_vertices(s),
@@ -482,33 +483,6 @@ def _check_no_bipartite_residual(f: PairFacts) -> ClaimVerdict:
             }
             return ClaimVerdict("no_bipartite_residual", f.instance, COUNTEREXAMPLE, witness)
     return ClaimVerdict("no_bipartite_residual", f.instance, HOLDS)
-
-
-def _bipartite_component(g: Graph, mask: int) -> int:
-    """The first component of G[mask], by least vertex, with two or more
-    vertices and no odd cycle, as a mask of G's vertices; 0 if there is none.
-    A breadth-first search by layers finds each component, and the component
-    has an odd cycle exactly when an edge joins two vertices of one layer."""
-    adj = g.adj
-    left = mask
-    while left:
-        comp = frontier = left & -left
-        odd = False
-        while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                low = m & -m
-                reach |= adj[low.bit_length() - 1]
-                m ^= low
-            if reach & frontier:
-                odd = True
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        left &= ~comp
-        if not odd and comp & comp - 1:
-            return comp
-    return 0
 
 
 def _in_triangle(g: Graph, w: int) -> bool:

@@ -111,7 +111,7 @@ def _analyze_payload(g: Graph) -> dict:
     data.update(well_covered_report(g).to_json())
     data["girth"] = _json_girth(girth(g))
     data["regular_degree"] = is_regular(g)
-    data["bipartite"] = is_bipartite(g) is not None
+    data["bipartite"] = is_bipartite(g)
     data["connected"] = is_connected(g)
     data["isolatable"] = to_vertices(isolatable_vertices(g))
     return data

@@ -140,7 +140,7 @@ def multipartite_params(g: Graph) -> tuple[int, int] | None:
     if g.n == 0:
         return None
     comp = complement(g)
-    parts = components(comp)
+    parts = [p for p, _ in components(comp, comp.vertex_mask)]
     r = parts[0].bit_count()
     for p in parts:
         if p.bit_count() != r:
@@ -188,8 +188,8 @@ def corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
             yield g
 
 
-def corpus_representatives(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
-    """One representative per isomorphism class, lowest edge-mask first.
+def corpus_representatives(max_n: int) -> Iterator[Graph]:
+    """Connected graphs, one per isomorphism class, lowest edge-mask first.
 
     Dedupes by expanding each newly seen graph's relabeling orbit into a
     seen-set, so the per-class cost is orbit size, not a canonical form per
@@ -216,9 +216,8 @@ def corpus_representatives(max_n: int, connected_only: bool = True) -> Iterator[
                     m &= m - 1
                 seen.add(relabeled)
             g = _graph_from_mask(n, mask, pairs)
-            if connected_only and not is_connected(g):
-                continue
-            yield g
+            if is_connected(g):
+                yield g
 
 
 @dataclass(frozen=True)

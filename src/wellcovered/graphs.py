@@ -5,10 +5,10 @@ stored as one integer mask per vertex (bit u of ``adj[v]`` set iff uv is an
 edge); a ``Graph`` is exactly ``(n, adj)``.  Vertex subsets travel as plain
 ints under the same convention, which keeps set algebra down to machine
 operations and lets the enumeration kernel work on raw words.  A residual
-G - N[S] stays a mask of G's own vertices (``residual``, ``isolated_in``);
-``induced_subgraph`` renumbers it into a new ``Graph`` only where a caller
-needs one.  Graphs are frozen after construction and safe to share or use
-as dict keys.
+G - N[S] stays a mask of G's own vertices (``residual``, ``isolated_in``,
+``components``); ``induced_subgraph`` renumbers it into a new ``Graph``
+only where a caller needs one.  Graphs are frozen after construction and
+safe to share or use as dict keys.
 """
 
 from __future__ import annotations
@@ -251,36 +251,36 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     return Graph(len(kept), tuple(adj))
 
 
-def _reach(g: Graph, v: int) -> int:
-    """The vertices reachable from v, as a mask."""
+def components(g: Graph, mask: int) -> list[tuple[int, bool]]:
+    """The connected components of G[mask] as (vertex mask, has_odd_cycle)
+    pairs, ordered by least vertex.  A breadth-first search by layers finds
+    each component, and the component has an odd cycle exactly when an edge
+    joins two vertices of one layer."""
     adj = g.adj
-    comp = frontier = 1 << v
-    while frontier:
-        nxt = 0
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            nxt |= adj[u]
-            frontier &= frontier - 1
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
-
-
-def components(g: Graph) -> list[int]:
-    """Connected components as masks, ordered by smallest contained vertex."""
-    seen = 0
     out = []
-    for v in range(g.n):
-        if not seen >> v & 1:
-            comp = _reach(g, v)
-            seen |= comp
-            out.append(comp)
+    left = mask
+    while left:
+        comp = frontier = left & -left
+        odd = False
+        while frontier:
+            reach = 0
+            m = frontier
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length() - 1]
+                m ^= low
+            if reach & frontier:
+                odd = True
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        left &= ~comp
+        out.append((comp, odd))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    """One search from vertex 0; the empty graph counts as connected."""
-    return g.n == 0 or _reach(g, 0) == g.vertex_mask
+    """At most one component; the empty graph counts as connected."""
+    return len(components(g, g.vertex_mask)) <= 1
 
 
 def is_complete(g: Graph) -> bool:
@@ -340,27 +340,9 @@ def _bfs_distance(g: Graph, src: int, dst: int, skip_edge: tuple[int, int]) -> i
     return None
 
 
-def is_bipartite(g: Graph) -> tuple[int, int] | None:
-    """A 2-coloring (side0, side1) as masks, or None if an odd cycle exists."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            row = g.adj[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                row &= row - 1
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    side0 = to_mask(v for v in range(g.n) if color[v] == 0)
-    return side0, g.vertex_mask & ~side0
+def is_bipartite(g: Graph) -> bool:
+    """Whether no component has an odd cycle."""
+    return not any(odd for _, odd in components(g, g.vertex_mask))
 
 
 def complement(g: Graph) -> Graph:

@@ -21,10 +21,6 @@ def enumerate_maximal_independent_sets(g: Graph) -> Iterator[int]:
     return iter(kernel.maximal_independent_sets(g.adj))
 
 
-def count_maximal_independent_sets(g: Graph) -> int:
-    return kernel.count_maximal_independent_sets(g.adj)
-
-
 def alpha(g: Graph) -> int:
     return kernel.independence_summary(g.adj)[1]
 
@@ -139,76 +135,33 @@ def isolatable_vertices(g: Graph) -> int:
     return sum(1 << x for x in range(g.n) if is_isolatable(g, x))
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges, each stored as (low, high)."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = 0
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"matching edge ({u}, {v}) is a loop")
-            e = 1 << u | 1 << v
-            if seen & e:
-                raise ValueError("matching edges are not disjoint")
-            seen |= e
-
-    def covered(self) -> int:
-        out = 0
-        for u, v in self.edges:
-            out |= 1 << u | 1 << v
-        return out
-
-    def partner(self, u: int) -> int | None:
-        for a, b in self.edges:
-            if a == u:
-                return b
-            if b == u:
-                return a
-        return None
-
-    def is_perfect(self, g: Graph) -> bool:
-        return self.covered() == g.vertex_mask
-
-    def to_json(self) -> list[list[int]]:
-        return [[u, v] for u, v in self.edges]
-
-
-def perfect_matchings(g: Graph) -> Iterator[Matching]:
-    """All perfect matchings, generated by pairing the lowest uncovered vertex."""
+def perfect_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
+    """All perfect matchings as partner tuples, ``mate[v]`` the vertex that v
+    is matched to, generated by pairing the lowest unmatched vertex with each
+    of its unmatched neighbors in turn."""
     if g.n % 2:
         return
+    mate = [0] * g.n
 
-    def rec(covered: int, acc: list[tuple[int, int]]) -> Iterator[Matching]:
-        if covered == g.vertex_mask:
-            yield Matching(tuple(acc))
+    def rec(free: int) -> Iterator[tuple[int, ...]]:
+        if not free:
+            yield tuple(mate)
             return
-        free = g.vertex_mask & ~covered
         v = (free & -free).bit_length() - 1
-        for u in bits(g.adj[v] & ~covered):
-            acc.append((v, u))
-            yield from rec(covered | 1 << v | 1 << u, acc)
-            acc.pop()
+        for u in bits(g.adj[v] & free):
+            mate[v], mate[u] = u, v
+            yield from rec(free & ~(1 << v | 1 << u))
 
-    yield from rec(0, [])
+    yield from rec(g.vertex_mask)
 
 
-def has_pairing_property(g: Graph, m: Matching) -> bool:
-    """Whether a perfect matching M satisfies: for every vertex x and every
-    neighbor y of x other than M(x), y is not adjacent to M(x) and y is
-    adjacent to every neighbor of M(x)."""
-    if not m.is_perfect(g):
-        raise ValueError("matching is not perfect")
-    for u, v in m.edges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"matching pair ({u}, {v}) is not an edge")
-    for x in range(g.n):
-        mate = m.partner(x)
-        assert mate is not None
-        mate_nbrs = g.adj[mate]
-        ys = g.adj[x] & ~(1 << mate)
+def has_pairing_property(g: Graph, mate: tuple[int, ...]) -> bool:
+    """Whether a perfect matching, as partner tuple, satisfies: for every
+    vertex x and every neighbor y of x other than mate[x], y is not adjacent
+    to mate[x] and y is adjacent to every neighbor of mate[x]."""
+    for x, m in enumerate(mate):
+        mate_nbrs = g.adj[m]
+        ys = g.adj[x] & ~(1 << m)
         while ys:
             y = (ys & -ys).bit_length() - 1
             ys &= ys - 1
@@ -219,9 +172,7 @@ def has_pairing_property(g: Graph, m: Matching) -> bool:
     return True
 
 
-def favaron_equivalence_verdict(
-    g: Graph, very_well_covered: bool, instance: dict | None = None
-) -> ClaimVerdict:
+def favaron_equivalence_verdict(g: Graph, very_well_covered: bool, instance: dict) -> ClaimVerdict:
     """Check that these three agree: very well-covered (passed in, as
     ``well_covered_report`` gives it); some perfect matching has the pairing
     property; a perfect matching exists and all of them have the pairing
@@ -231,14 +182,15 @@ def favaron_equivalence_verdict(
     stmt_i = very_well_covered
     stmt_ii = bool(good)
     stmt_iii = bool(matchings) and len(good) == len(matchings)
-    inst = instance if instance is not None else {"n": g.n, "edges": sorted(g.edges())}
     if stmt_i == stmt_ii == stmt_iii:
-        return ClaimVerdict("favaron", inst, HOLDS)
+        return ClaimVerdict("favaron", instance, HOLDS)
     witness = {
         "very_well_covered": stmt_i,
         "some_matching_has_property": stmt_ii,
         "all_matchings_have_property": stmt_iii,
         "perfect_matching_count": len(matchings),
-        "matching_with_property": good[0].to_json() if good else None,
+        "matching_with_property": (
+            [[v, u] for v, u in enumerate(good[0]) if v < u] if good else None
+        ),
     }
-    return ClaimVerdict("favaron", inst, COUNTEREXAMPLE, witness)
+    return ClaimVerdict("favaron", instance, COUNTEREXAMPLE, witness)

@@ -35,7 +35,7 @@ from typing import ClassVar
 from . import kernel
 from .families import complete
 from .graphs import Graph, bits, isolated_in, neighborhood, residual, to_vertices
-from .products import ProductGraph, direct_product
+from .products import ProductGraph, direct_product, lift_layers
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
 ENGINE_PRODUCT = "product-enumeration"
@@ -139,9 +139,7 @@ def mis_from_partition(p: WeakPartition) -> int:
     if bad:
         raise InvalidPartition(f"invalid weak partition: {bad[0]}")
     prod = _kn_product(p.graph, p.n)
-    out = 0
-    for g in bits(p.vbracket):
-        out |= prod.layer_h(g)
+    out = lift_layers(prod.layer_h, p.vbracket)
     for k, vk in enumerate(p.classes, start=1):
         for g in bits(vk):
             out |= 1 << prod.index(g, k - 1)
@@ -273,16 +271,13 @@ def enumerate_valid_partitions(g: Graph, n: int) -> list[WeakPartition]:
     return out
 
 
-def layer_cardinality_check(
-    prod: ProductGraph, sets: list[int], instance: dict | None = None
-) -> ClaimVerdict:
+def layer_cardinality_check(prod: ProductGraph, sets: list[int], instance: dict) -> ClaimVerdict:
     """Every maximal independent set of G x K_n meets each layer in 0, 1, or n.
 
     ``prod`` is G x K_n and ``sets`` its maximal independent sets."""
     n = prod.n_h
     if n < 2:
         raise ValueError("clique order must be at least 2")
-    inst = instance if instance is not None else {"nG": prod.n_g, "n": n}
     for s in sets:
         for gv in range(prod.n_g):
             size = (s & prod.layer_h(gv)).bit_count()
@@ -292,21 +287,20 @@ def layer_cardinality_check(
                     "vertex": gv,
                     "layer_intersection_size": size,
                 }
-                return ClaimVerdict("layer_sizes", inst, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("layer_sizes", inst, HOLDS)
+                return ClaimVerdict("layer_sizes", instance, COUNTEREXAMPLE, witness)
+    return ClaimVerdict("layer_sizes", instance, HOLDS)
 
 
 def necessary_condition_check(
-    g: Graph, n: int, product_well_covered: bool, instance: dict | None = None
+    g: Graph, n: int, product_well_covered: bool, instance: dict
 ) -> ClaimVerdict:
     """If G x K_n is well-covered, every vertex of degree >= n leaves an
     isolated vertex behind when its closed neighborhood is deleted.
     ``product_well_covered`` says whether G x K_n is well-covered."""
     if n < 2:
         raise ValueError("clique order must be at least 2")
-    inst = instance if instance is not None else {"nG": g.n, "n": n}
     if not product_well_covered:
-        return ClaimVerdict("kn_necessary", inst, VACUOUS)
+        return ClaimVerdict("kn_necessary", instance, VACUOUS)
     for x in range(g.n):
         if g.degree(x) < n:
             continue
@@ -320,5 +314,5 @@ def necessary_condition_check(
                     ((g.adj[v] & rest).bit_count() for v in bits(rest)), default=None
                 ),
             }
-            return ClaimVerdict("kn_necessary", inst, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("kn_necessary", inst, HOLDS)
+            return ClaimVerdict("kn_necessary", instance, COUNTEREXAMPLE, witness)
+    return ClaimVerdict("kn_necessary", instance, HOLDS)

@@ -66,8 +66,9 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     return ProductGraph(Graph(n, tuple(adj)), g.n, h.n, g, h)
 
 
-def _lift(layer, mask: int) -> int:
-    """The union of ``layer(v)`` over the members v of a factor mask."""
+def lift_layers(layer, mask: int) -> int:
+    """The union of ``layer(v)`` over the members v of a factor mask, for a
+    layer map such as ``ProductGraph.layer_h``."""
     out = 0
     for v in bits(mask):
         out |= layer(v)
@@ -81,14 +82,14 @@ def lift_independent(p: ProductGraph, i_mask: int) -> int:
         for b in members:
             if b > a and p.factor_g.has_edge(a, b):
                 raise ValueError(f"set is not independent: factor edge ({a}, {b})")
-    return _lift(p.layer_h, i_mask)
+    return lift_layers(p.layer_h, i_mask)
 
 
 def product_bounds_check(
     p: ProductGraph,
     rep_g: WellCoveredReport,
     rep_h: WellCoveredReport,
-    instance: dict | None = None,
+    instance: dict,
 ) -> ClaimVerdict:
     """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
     i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.  ``p`` is
@@ -104,21 +105,20 @@ def product_bounds_check(
     certificates always pass; only when one fails does the exact summary of
     G x H run, and the verdict and witness then follow its alpha and i."""
     g, h = p.factor_g, p.factor_h
-    inst = instance if instance is not None else {"nG": g.n, "nH": h.n}
     if any(g.adj[v] == 0 for v in range(g.n)) or any(h.adj[v] == 0 for v in range(h.n)):
-        return ClaimVerdict("trivial_bounds", inst, VACUOUS)
+        return ClaimVerdict("trivial_bounds", instance, VACUOUS)
     lower_g, lower_h = rep_g.alpha * h.n, rep_h.alpha * g.n
     upper_g, upper_h = rep_g.i_number * h.n, rep_h.i_number * g.n
     lower = max(lower_g, lower_h)
     upper = min(upper_g, upper_h)
     if lower_g >= lower_h:
-        big = _lift(p.layer_h, rep_g.witness_max)
+        big = lift_layers(p.layer_h, rep_g.witness_max)
     else:
-        big = _lift(p.layer_g, rep_h.witness_max)
+        big = lift_layers(p.layer_g, rep_h.witness_max)
     if upper_g <= upper_h:
-        small = _lift(p.layer_h, rep_g.witness_min)
+        small = lift_layers(p.layer_h, rep_g.witness_min)
     else:
-        small = _lift(p.layer_g, rep_h.witness_min)
+        small = lift_layers(p.layer_g, rep_h.witness_min)
     prod = p.graph
     around_small = neighborhood(prod, small)
     if (
@@ -128,14 +128,14 @@ def product_bounds_check(
         and not around_small & small
         and around_small | small == prod.vertex_mask
     ):
-        return ClaimVerdict("trivial_bounds", inst, HOLDS)
+        return ClaimVerdict("trivial_bounds", instance, HOLDS)
     rep_p = well_covered_report(prod)
     if rep_p.alpha >= lower and rep_p.i_number <= upper:
-        return ClaimVerdict("trivial_bounds", inst, HOLDS)
+        return ClaimVerdict("trivial_bounds", instance, HOLDS)
     witness = {
         "alpha_product": rep_p.alpha,
         "alpha_lower_bound": lower,
         "i_product": rep_p.i_number,
         "i_upper_bound": upper,
     }
-    return ClaimVerdict("trivial_bounds", inst, COUNTEREXAMPLE, witness)
+    return ClaimVerdict("trivial_bounds", instance, COUNTEREXAMPLE, witness)

@@ -299,6 +299,12 @@ class TestScan:
         assert lines[1].startswith("g=@ h=@ order=1 ")
         assert "well_covered=" in lines[1]
 
+    def test_worker_pool_prints_the_same(self, capsys):
+        _, serial, _ = run_cli(capsys, "scan", "--max-n", "3", "--jobs", "1", "--format", "json")
+        code, pooled, _ = run_cli(capsys, "scan", "--max-n", "3", "--jobs", "2", "--format", "json")
+        assert code == 0
+        assert pooled == serial and len(json.loads(serial)["pairs"]) == 36
+
     @pytest.mark.parametrize("command", ["scan", "verify"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_exits_1(self, capsys, command, jobs):

@@ -152,7 +152,18 @@ class TestMasks:
 class TestStructure:
     def test_components_order(self):
         g = from_edge_list(5, [(3, 4), (0, 1)])
-        assert components(g) == [to_mask([0, 1]), to_mask([2]), to_mask([3, 4])]
+        assert components(g, g.vertex_mask) == [
+            (to_mask([0, 1]), False),
+            (to_mask([2]), False),
+            (to_mask([3, 4]), False),
+        ]
+        # on C5, {0, 1, 3, 4} induces the path 1-0-4-3; without 4, 0-1 and 3 are apart
+        assert components(cycle(5), to_mask([0, 1, 3, 4])) == [(to_mask([0, 1, 3, 4]), False)]
+        assert components(cycle(5), to_mask([0, 1, 3])) == [
+            (to_mask([0, 1]), False),
+            (to_mask([3]), False),
+        ]
+        assert components(cycle(5), 0) == []
 
     def test_split_isolated(self):
         g = from_edge_list(4, [(1, 3)])
@@ -180,10 +191,11 @@ class TestStructure:
         assert girth(complete(4)) == 3
 
     def test_bipartite_sides(self):
-        sides = is_bipartite(cycle(6))
-        assert sides is not None
-        assert sides[0] | sides[1] == cycle(6).vertex_mask
-        assert is_bipartite(cycle(5)) is None
+        assert is_bipartite(cycle(6)) is True
+        assert is_bipartite(cycle(5)) is False
+        # the odd cycle is found in the second component too
+        assert is_bipartite(disjoint_union(path(3), cycle(5))) is False
+        assert is_bipartite(Graph(0, ())) is True
 
     def test_induced_subgraph_maps_back(self):
         g = cycle(5)
@@ -221,7 +233,22 @@ class TestAgainstNetworkx:
 
     @given(graphs())
     def test_bipartite(self, g):
-        assert (is_bipartite(g) is not None) == nx.is_bipartite(to_networkx(g))
+        assert is_bipartite(g) == nx.is_bipartite(to_networkx(g))
+
+    def test_components_of_masks(self):
+        """Each component of G[mask] is a networkx component of the induced
+        subgraph, in order of least vertex, and has an odd cycle exactly when
+        networkx finds it not bipartite."""
+        rng = random.Random(12)
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            mask = rng.getrandbits(g.n)
+            sub = to_networkx(g).subgraph(to_vertices(mask))
+            expect = sorted((sorted(c) for c in nx.connected_components(sub)), key=min)
+            got = components(g, mask)
+            assert [to_vertices(c) for c, _ in got] == expect
+            for c, odd in got:
+                assert odd == (not nx.is_bipartite(sub.subgraph(to_vertices(c))))
 
     @given(graphs())
     def test_girth(self, g):

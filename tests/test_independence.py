@@ -3,6 +3,7 @@ independent brute force, matching and pairing-property behavior, and
 property tests against the subset-filter oracle."""
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from wellcovered import _mis_fallback
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
 from wellcovered.graphs import Graph, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
 from wellcovered.independence import (
-    Matching,
     alpha,
     berge_violation,
     enumerate_independent_sets,
@@ -128,15 +128,21 @@ class TestIndependentSetEnumeration:
         assert ours == expect
 
 
-class TestMatchings:
-    def test_matching_validation(self):
-        with pytest.raises(ValueError):
-            Matching(((0, 1), (1, 2)))
+def brute_perfect_matching_count(g: Graph) -> int:
+    """Perfect matchings counted over all n/2-edge subsets of the edges."""
+    if g.n % 2:
+        return 0
+    return sum(
+        1
+        for chosen in itertools.combinations(list(g.edges()), g.n // 2)
+        if len({v for e in chosen for v in e}) == g.n
+    )
 
+
+class TestMatchings:
     def test_perfect_matchings_of_c6(self):
-        found = list(perfect_matchings(cycle(6)))
-        assert len(found) == 2
-        assert all(m.is_perfect(cycle(6)) for m in found)
+        # the lowest unmatched vertex is paired with its neighbors in order
+        assert list(perfect_matchings(cycle(6))) == [(1, 0, 3, 2, 5, 4), (5, 2, 1, 4, 3, 0)]
 
     def test_perfect_matchings_of_k4(self):
         assert len(list(perfect_matchings(complete(4)))) == 3
@@ -156,8 +162,25 @@ class TestMatchings:
     def test_pairing_property_on_p4(self):
         g = path(4)
         matchings = list(perfect_matchings(g))
-        assert len(matchings) == 1
+        assert matchings == [(1, 0, 3, 2)]
         assert has_pairing_property(g, matchings[0])
+
+    def test_empty_graph_has_the_empty_matching(self):
+        assert list(perfect_matchings(Graph(0, ()))) == [()]
+
+    def test_against_edge_subsets(self):
+        """Every generated matching is an involution along edges with no
+        fixed point, none repeats, and the count is the number of n/2-edge
+        subsets that cover every vertex."""
+        rng = random.Random(3)
+        for _ in range(250):
+            g = random_graph(rng, rng.randint(0, 8), rng.random())
+            found = list(perfect_matchings(g))
+            assert len(set(found)) == len(found) == brute_perfect_matching_count(g)
+            for mate in found:
+                assert len(mate) == g.n
+                for v, u in enumerate(mate):
+                    assert u != v and mate[u] == v and g.has_edge(v, u)
 
 
 class TestKernelLimits:
@@ -311,12 +334,12 @@ class TestFavaronEquivalence:
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 7), rng.random())
             vwc = well_covered_report(g).very_well_covered
-            assert favaron_equivalence_verdict(g, vwc).status == HOLDS
+            assert favaron_equivalence_verdict(g, vwc, {}).status == HOLDS
 
     def test_statements_agree_on_named_graphs(self):
         for g in [cycle(4), cycle(5), cycle(6), path(4), complete(6), h_family(2, 2)]:
             vwc = well_covered_report(g).very_well_covered
-            assert favaron_equivalence_verdict(g, vwc).status == HOLDS
+            assert favaron_equivalence_verdict(g, vwc, {}).status == HOLDS
 
 
 class TestAgainstOracle:

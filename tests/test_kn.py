@@ -301,7 +301,7 @@ class TestClaimChecks:
         for g in corpus(4):
             prod = direct_product(g, complete(2))
             sets = kernel.maximal_independent_sets(prod.graph.adj)
-            assert layer_cardinality_check(prod, sets).status == HOLDS
+            assert layer_cardinality_check(prod, sets, {}).status == HOLDS
 
     def test_necessary_condition_vacuous_when_not_wc(self):
         assert necessary_condition(cycle(5), 2).status == VACUOUS
@@ -317,7 +317,7 @@ class TestClaimChecks:
     def test_necessary_condition_witness(self):
         # told that C5 x K2 is well-covered (it is not): deleting N[0] leaves
         # the edge 23, which has no isolated vertex
-        verdict = necessary_condition_check(cycle(5), 2, True)
+        verdict = necessary_condition_check(cycle(5), 2, True, {})
         assert verdict.status == COUNTEREXAMPLE
         assert verdict.witness == {
             "vertex": 0,
@@ -329,4 +329,4 @@ class TestClaimChecks:
 
 def necessary_condition(g, n):
     product_wc = is_well_covered(direct_product(g, complete(n)).graph)
-    return necessary_condition_check(g, n, product_wc)
+    return necessary_condition_check(g, n, product_wc, {})

@@ -101,7 +101,8 @@ class TestLifting:
 
 
 def bounds_check(g, h):
-    return product_bounds_check(direct_product(g, h), well_covered_report(g), well_covered_report(h))
+    reports = well_covered_report(g), well_covered_report(h)
+    return product_bounds_check(direct_product(g, h), *reports, {})
 
 
 def doctored(g, h, pair_u, pair_v):
@@ -125,7 +126,7 @@ def counted_bounds_check(monkeypatch, p, rep_g=None):
         return original(adj)
 
     monkeypatch.setattr(kernel, "independence_summary", counted)
-    return product_bounds_check(p, *reports), calls
+    return product_bounds_check(p, *reports, {}), calls
 
 
 class TestBoundsCheck:
