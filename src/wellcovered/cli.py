@@ -8,11 +8,16 @@ the version field.
 
 Exit codes: 0 success, 1 usage or parse error, 2 a claim counterexample
 was found, 3 a resource cap was exceeded.
+
+``main(argv)`` can be called repeatedly in one process: the parser is built
+on the first call and reused, and each call looks up ``_cmd_<command>`` in
+this module when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -76,8 +81,11 @@ def _nonnegative_int(text: str) -> int:
 
 
 def parse_graph_arg(text: str) -> Graph:
-    """Accept a family spec (cycle:7), an @file path, or a graph6 string."""
-    if text.startswith("@"):
+    """Accept a family spec (cycle:7), an @file path, or a graph6 string.
+
+    A bare ``@`` is the graph6 string of the 1-vertex graph, the only
+    graph6 string that starts with ``@``."""
+    if text.startswith("@") and len(text) > 1:
         return load_graph_text(Path(text[1:]).read_text())
     head = text.partition(":")[0]
     if head in FamilySpec._KINDS:
@@ -260,14 +268,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="independence and structure report for one graph")
     p.add_argument("graph", help="family spec, @file, or graph6 string")
     common(p)
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("product", help="build a direct product and report it")
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--check", action="store_true", help="also verify the factor conditions")
     common(p)
-    p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("generate", help="emit family graphs or a small-graph corpus as graph6")
     p.add_argument("specs", nargs="*", help="family specs such as h:4,2 or cycle:7")
@@ -277,7 +283,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", action="store_true", help="one graph per isomorphism class")
     p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
     common(p)
-    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="run the claim suite over corpora and targeted instances")
     p.add_argument("claims", nargs="*", help="claim ids (default: all)")
@@ -285,13 +290,12 @@ def build_parser() -> _Parser:
     p.add_argument("--max-n", type=_nonnegative_int, default=4)
     p.add_argument("--cap", type=int, default=36, help="max product order for pair instances")
     p.add_argument(
-        "--orders", type=lambda s: [_positive_int(x) for x in s.split(",")], default=[2, 3]
+        "--orders", type=lambda s: [_positive_int(x) for x in s.split(",")], default=(2, 3)
     )
     p.add_argument("--reps", action="store_true", help="pair scan over isomorphism classes only")
     p.add_argument("--no-targeted", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan", help="flag well-covered products over all factor pairs in range")
     p.add_argument("--max-n", type=_nonnegative_int, default=4)
@@ -300,16 +304,22 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
-    p.set_defaults(func=_cmd_scan)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on first use rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced _cmd_* function is the one that runs
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CapacityError as exc:
         print(f"wellcovered: resource cap: {exc}", file=sys.stderr)
         return 3

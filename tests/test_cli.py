@@ -2,16 +2,20 @@
 agreement with the library functions it fronts."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wellcovered import __version__, kernel
+import wellcovered
+from wellcovered import __version__, cli, kernel
 from wellcovered.claims import corpus_pair_instances
 from wellcovered.cli import main
 from wellcovered.families import complete, corpus, cycle
-from wellcovered.formats import to_graph6
+from wellcovered.formats import from_graph6, to_graph6
 from wellcovered.graphs import disjoint_union
 from wellcovered.independence import well_covered_report
 from wellcovered.kn_partitions import kn_alpha_i
@@ -67,6 +71,23 @@ class TestAnalyze:
         _, direct, _ = run_cli(capsys, "analyze", "Bw", "--format", "json")
         _, via_file, _ = run_cli(capsys, "analyze", f"@{path}", "--format", "json")
         assert direct == via_file
+
+    def test_bare_at_is_the_one_vertex_graph6(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "@")
+        assert code == 0
+        assert "n: 1" in out.splitlines()
+        code, out, _ = run_cli(capsys, "product", "@", "@", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 1
+
+    def test_generated_graph6_reads_back(self, capsys):
+        _, out, _ = run_cli(capsys, "generate", "--max-n", "4")
+        lines = out.strip().splitlines()[1:]
+        assert "@" in lines
+        for line in lines:
+            code, out, _ = run_cli(capsys, "analyze", line, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["n"] == from_graph6(line).n
 
     def test_parse_failure_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "zz;;")
@@ -331,6 +352,102 @@ class TestMaxN:
         assert code == 0
         # the targeted instances still run
         assert json.loads(out)["claims"]["berge"]["holds"] >= 1
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's cached parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestRepeatedCalls:
+    """``main`` reuses one parser; no call may leak into the next."""
+
+    def test_usage_error_and_version_leave_no_trace(self, capsys):
+        argv = ("analyze", "cycle:5")
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as info:
+            main(["analyze"])
+        assert info.value.code == 1
+        usage = capsys.readouterr().err
+        assert run_cli(capsys, *argv) == first
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"wellcovered {__version__}\n"
+        assert run_cli(capsys, *argv) == first
+        with pytest.raises(SystemExit):
+            main(["analyze"])
+        assert capsys.readouterr().err == usage
+
+    def test_json_call_does_not_change_the_next_text_call(self, capsys):
+        argv = ("product", "cycle:5", "complete:3", "--check")
+        fresh = run_cli(capsys, *argv)
+        cli._parser.cache_clear()
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and out.startswith("{")
+        assert run_cli(capsys, *argv) == fresh
+
+    def test_replaced_command_runs_on_the_next_call(self, capsys, monkeypatch):
+        run_cli(capsys, "analyze", "cycle:5")
+        seen = []
+
+        def replacement(args):
+            seen.append(args.graph)
+            return 7
+
+        monkeypatch.setattr(cli, "_cmd_analyze", replacement)
+        assert main(["analyze", "cycle:4"]) == 7
+        assert seen == ["cycle:4"]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        run_cli(capsys, "analyze", "cycle:5")
+        run_cli(capsys, "generate", "cycle:5")
+        assert len(built) == 1
+
+    def test_orders_default_is_immutable(self):
+        assert cli._parser().parse_args(["verify"]).orders == (2, 3)
+
+
+class TestModuleEntryPoint:
+    """``python -m wellcovered.cli`` in its own process, one call each."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(wellcovered.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "wellcovered.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_version(self):
+        done = self.run_module("--version")
+        assert done.returncode == 0
+        assert done.stdout == f"wellcovered {__version__}\n"
+
+    def test_analyze_json(self):
+        done = self.run_module("analyze", "cycle:5", "--format", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["alpha"] == 2
+
+    def test_missing_graph_exits_1(self):
+        done = self.run_module("analyze")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "required: graph" in done.stderr
 
 
 class TestConsoleScript:
