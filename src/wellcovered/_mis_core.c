@@ -18,6 +18,19 @@
  * completions by the extreme minus |S|.  A later node applies an exact side
  * like an emitted set and adds a bound side to its skip test, so the
  * summary is that of the walk without a table.
+ *
+ * In a walk over a component of at least TABLE_MIN_ORDER vertices, the
+ * pivot loop of a node it expands also bounds the node's completions T from
+ * the counts c_v = |N[v] & P| of the vertices of P.  T is independent, so
+ * P - T covers the |E(P)| = sum (c_v - 1) / 2 edges of G[P], at most
+ * max c_v - 1 each: |T| <= b_hi = |P| - ceil(|E(P)| / (max c_v - 1)).  T
+ * dominates P | X, at most max over v in P of |N[v] & (P | X)| vertices
+ * each: |T| >= b_lo = ceil(|P | X| / that maximum), which is max c_v when
+ * X is empty and is counted only while |S| + 1 < lo.  The node is skipped
+ * when |S| + b_hi <= hi and |S| + b_lo >= lo: no set below it is a strict
+ * new extreme.  The bounds only read the counts, so the pivot and the visit
+ * order do not change.  A new state's entry starts from (b_lo, b_hi), and
+ * a new state that its bounds skip is stored at once with those bounds.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -56,10 +69,11 @@ enum { COLLECT, COUNT, SUMMARY, WELL_COVERED };
 #define TABLE_SLOTS 64
 
 /* S built so far, P free to join it, X excluded, candidates still to try;
- * an exit marker has no candidates and keeps lo and hi from its entry */
+ * an exit marker has no candidates and keeps lo and hi from its entry and,
+ * for a state new to the table, its degree bounds */
 typedef struct {
     uint64_t s, p, x, branch;
-    int lo, hi;
+    short lo, hi, c_lo, c_hi;
 } Frame;
 
 /* A finished state (P, {}): the least and the greatest size of a
@@ -77,6 +91,7 @@ typedef struct {
     long long count;           /* COUNT */
     int lo, hi;                /* SUMMARY, WELL_COVERED: extreme sizes seen */
     uint64_t min_wit, max_wit; /* first set of each extreme size */
+    int bounded;               /* SUMMARY: apply the degree bounds */
     int min_free;              /* SUMMARY: least |P| of a remembered state */
     int room;                  /* states the table may still take */
     int window, hits;          /* lookups left in this window, hits in it */
@@ -120,11 +135,11 @@ static Entry *slot(const Search *st, uint64_t p)
     }
 }
 
-/* Stores a finished state.  Without memory for a larger table it drops
- * the state, which only costs a later walk of its subtree. */
-static void remember(Search *st, const Frame *f)
+/* The entry of state (p, {}), made with bounds c_lo and c_hi if it is
+ * new.  Without memory for a larger table it returns NULL and the state is
+ * dropped, which only costs a later walk of its subtree. */
+static Entry *store(Search *st, uint64_t p, int c_lo, int c_hi)
 {
-    int k = POPCNT(f->s);
     size_t n = st->mask + 1, i;
     Entry *e, *old = st->slots;
     /* the states taken, this one included, fill at most half the slots */
@@ -132,7 +147,7 @@ static void remember(Search *st, const Frame *f)
         n = old == NULL ? TABLE_SLOTS : 2 * n;
         if ((st->slots = PyMem_Calloc(n, sizeof(Entry))) == NULL) {
             st->slots = old;
-            return;
+            return NULL;
         }
         st->mask = n - 1;
         st->shift = 64 - CTZ(n);
@@ -141,9 +156,19 @@ static void remember(Search *st, const Frame *f)
                 *slot(st, old[i].p) = old[i];
         PyMem_Free(old);
     }
-    e = slot(st, f->p);
+    e = slot(st, p);
     if (!e->p)
-        *e = (Entry){f->p, 0, 0, 1, POPCNT(f->p)};
+        *e = (Entry){.p = p, .c_lo = c_lo, .c_hi = c_hi};
+    return e;
+}
+
+/* Stores a finished state from its exit marker. */
+static void remember(Search *st, const Frame *f)
+{
+    int k = POPCNT(f->s);
+    Entry *e = store(st, f->p, f->c_lo, f->c_hi);
+    if (e == NULL)
+        return;
     /* a side is exact if the subtree moved its extreme, else a bound that
      * only tightens: an exact side stays exact */
     if (st->lo < f->lo) {
@@ -162,28 +187,31 @@ static void remember(Search *st, const Frame *f)
     }
 }
 
-/* Whether to expand a node with P nonempty: 0 to skip it, 1 to expand it, 2
- * to expand it and push an exit marker that remembers it.  The summary
- * skips it when |S| + |P| <= hi and |S| + 1 >= lo: each set below it
- * strictly contains S and lies inside S | P, so none is a strict new
- * extreme.  A remembered state first applies its exact sides like emitted
- * sets and then tightens both bounds.  Other modes expand every node. */
+enum { SKIP, EXPAND, NEW_STATE, KNOWN_STATE };
+
+/* Whether to expand a node with P nonempty: SKIP, EXPAND, or expand it and
+ * push an exit marker that remembers it, for a NEW_STATE or a KNOWN_STATE.
+ * The summary skips it when |S| + |P| <= hi and |S| + 1 >= lo: each set
+ * below it strictly contains S and lies inside S | P, so none is a strict
+ * new extreme.  A remembered state first applies its exact sides like
+ * emitted sets and then tightens both bounds.  Other modes expand every
+ * node. */
 static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 {
     int k, nfree, go;
     const Entry *e;
     if (st->mode != SUMMARY)
-        return 1;
+        return EXPAND;
     k = POPCNT(s);
     nfree = POPCNT(p);
     if (k + nfree <= st->hi && k + 1 >= st->lo)
-        return 0;
+        return SKIP;
     if (nfree < st->min_free || x)
-        return 1;
+        return EXPAND;
     e = st->slots == NULL ? NULL : slot(st, p);
     if (e == NULL || !e->p) {
-        go = st->room ? 2 : 1;
-        st->room -= go == 2;
+        go = st->room ? NEW_STATE : EXPAND;
+        st->room -= go == NEW_STATE;
     } else {
         st->hits++;
         if (e->w_lo && k + e->c_lo < st->lo) {
@@ -194,7 +222,7 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
             st->hi = k + e->c_hi;
             st->max_wit = s | e->w_hi;
         }
-        go = k + e->c_hi > st->hi || k + e->c_lo < st->lo ? 2 : 0;
+        go = k + e->c_hi > st->hi || k + e->c_lo < st->lo ? KNOWN_STATE : SKIP;
     }
     if (!--st->window) {
         if (st->hits < TABLE_MIN_HITS)
@@ -208,17 +236,24 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 /* The search from P = start, X = {}.  Branch on the candidates of the first
  * vertex of P | X with the fewest of them, lowest first.  Each level of S
  * holds at most one stacked frame and one exit marker, so at most 128 are
- * live, and the walk visits sets in the order of the recursive search. */
+ * live, and the walk visits sets in the order of the recursive search.
+ *
+ * In a bounded summary the pivot loop also gathers the counts of the degree
+ * bounds described at the top of this file: the sum total and the maximum
+ * most of c_v over P and, while the i side is open with X nonempty, the
+ * maximum wide of |N[v] & (P | X)| over P. */
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
-    Frame stack[128], f = {0, start, 0, 0, 0, 0};
-    int top = 0, best, pivot, c, v, go;
-    uint64_t bu, m;
+    Frame stack[128], f = {.p = start};
+    int top = 0, best, pivot, c, v, go, k, most, total, wide, b_lo, b_hi, gather;
+    uint64_t bu, m, cover;
     for (;;) {
         f.branch = 0;
-        if (f.p && (go = expand(st, f.s, f.p, f.x)) != 0) {
-            if (go == 2)
-                stack[top++] = (Frame){f.s, f.p, f.x, 0, st->lo, st->hi};
+        if (f.p && (go = expand(st, f.s, f.p, f.x)) != SKIP) {
+            k = POPCNT(f.s);
+            gather = st->bounded && go != KNOWN_STATE;
+            cover = gather && f.x && k + 1 < st->lo ? f.p | f.x : 0;
+            most = total = wide = 0;
             best = 65;
             pivot = 0;
             for (m = f.p | f.x; m && best; m &= m - 1) {
@@ -228,10 +263,37 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
                     best = c;
                     pivot = v;
                 }
+                if (gather && f.p >> v & 1) {
+                    total += c;
+                    if (c > most)
+                        most = c;
+                    if (cover && (c = POPCNT(closed[v] & cover)) > wide)
+                        wide = c;
+                }
             }
             /* best == 0: some excluded vertex can still join any completion */
-            if (best)
+            b_lo = 1;
+            b_hi = POPCNT(f.p);
+            if (gather && best) {
+                total = (total - b_hi) / 2; /* the edges of G[P] */
+                if (total)
+                    b_hi -= (total + most - 2) / (most - 1);
+                if (cover)
+                    b_lo = (POPCNT(cover) + wide - 1) / wide;
+                else if (!f.x)
+                    b_lo = (POPCNT(f.p) + most - 1) / most;
+                if (k + b_hi <= st->hi && k + b_lo >= st->lo) {
+                    if (go == NEW_STATE)
+                        store(st, f.p, b_lo, b_hi);
+                    best = 0;
+                }
+            }
+            if (best) {
+                if (go >= NEW_STATE)
+                    stack[top++] = (Frame){.s = f.s, .p = f.p, .x = f.x, .lo = st->lo,
+                                           .hi = st->hi, .c_lo = b_lo, .c_hi = b_hi};
                 f.branch = closed[pivot] & f.p;
+            }
         } else if (!f.p && !f.x && (c = emit(st, f.s)) != 0) {
             return c;
         }
@@ -246,7 +308,7 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
         bu = (uint64_t)1 << v;
         f.branch ^= bu;
         if (f.branch)
-            stack[top++] = (Frame){f.s, f.p & ~bu, f.x | bu, f.branch, 0, 0};
+            stack[top++] = (Frame){.s = f.s, .p = f.p & ~bu, .x = f.x | bu, .branch = f.branch};
         f.s |= bu;
         f.p &= ~closed[v];
         f.x &= ~closed[v];
@@ -297,7 +359,7 @@ static int run(PyObject *adj, Search *st, int mode)
     Py_ssize_t n = load_closed(adj, closed);
     if (n < 0)
         return -1;
-    *st = (Search){mode, NULL, 0, 65, -1, 0, 0, 65, 0, 0, 0, NULL, 0, 0};
+    *st = (Search){.mode = mode, .lo = 65, .hi = -1, .min_free = 65};
     if (mode == COLLECT && (st->out = PyList_New(0)) == NULL)
         return -1;
     if (walk(closed, all_vertices(n), st) >= 0)
@@ -325,7 +387,7 @@ static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const
     uint64_t closed[64], within, comp, frontier, reach, m, min_wit = 0, max_wit = 0;
     int lo = 0, hi = 0, overflow;
     Py_ssize_t n;
-    Search st = {SUMMARY, NULL, 0, 0, 0, 0, 0, 65, 0, 0, 0, NULL, 0, 0};
+    Search st = {.mode = SUMMARY};
     if (nargs < 1 || nargs > 2)
         return PyErr_Format(PyExc_TypeError,
                             "independence_summary() takes 1 or 2 positional arguments (%zd given)",
@@ -357,7 +419,8 @@ static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const
         if (comp & (comp - 1)) {
             st.lo = 65;
             st.hi = -1;
-            st.min_free = POPCNT(comp) >= TABLE_MIN_ORDER ? TABLE_MIN_FREE : 65;
+            st.bounded = POPCNT(comp) >= TABLE_MIN_ORDER;
+            st.min_free = st.bounded ? TABLE_MIN_FREE : 65;
             st.room = TABLE_CAP;
             st.window = TABLE_WINDOW;
             st.hits = 0;

@@ -28,6 +28,32 @@ witnesses are the first strict improvements in visit order, and skipped
 subtrees hold none, so (i, alpha, min witness, max witness) equal those of
 the full enumeration.
 
+A node that this test does not skip gets two tighter bounds from its pivot
+loop, which counts c_v = |N[v] & P| for each v in P anyway.  A completion
+of the node (S, P, X), a set T with S | T emitted below it, is a maximal
+independent set of G[P] that also dominates X: an excluded vertex is
+neither in S | T nor adjacent to S, since it would have left X then.
+
+* alpha side: the vertices of P - T cover every edge of G[P], and each
+  covers at most max c_v - 1 of them.  So |T| <= b_hi = |P| -
+  ceil(|E(P)| / (max c_v - 1)), with |E(P)| = sum (c_v - 1) / 2.
+* i side: T dominates P | X, and a vertex of T dominates at most the
+  maximum over v in P of |N[v] & (P | X)| of those vertices.  So |T| >=
+  b_lo = ceil(|P | X| / that maximum).  With X empty the maximum is
+  max c_v.  With X nonempty it costs one more popcount per vertex of P, so
+  the loop takes it only while |S| + 1 < i-so-far; otherwise b_lo = 1,
+  which already closes that side.
+
+The node is skipped when |S| + b_hi <= alpha-so-far and |S| + b_lo >=
+i-so-far.  Every set below it then has a size between those two, so as
+above the skipped subtree holds no strict improvement.  The bounds only
+read the counts: the pivot, the candidates and the visit order stay those
+of the walk without them, and so does the output.  Only walks over
+components of at least ``TABLE_MIN_ORDER`` vertices, the rule the table
+below follows, compute the bounds.  The summaries of the claim suite and
+the CLI are almost all of fewer than 8 vertices, and there the counts cost
+more than the nodes they save.
+
 The summary covers G[within], in G's own labels, and walks each connected
 component of G[within] on its own, from P = that component and X = {}; a
 one-vertex component is its own only maximal set.  i and alpha add up over
@@ -63,8 +89,12 @@ and the side holds that bound.  The max side is symmetric.  A later node
 first set below it that could move lo, and only when it does.  A bound side
 joins the skip test: the node is skipped when |S'| + max bound <= hi and
 |S'| + min bound >= lo.  A node that is still expanded walks its subtree
-again, and its marker tightens the entry; an exact side stays exact.  So
-(i, alpha, witnesses) stay those of the walk without a table.
+again, and its marker tightens the entry; an exact side stays exact.  A
+new state's entry starts from its degree bounds (b_lo, b_hi), which hold
+for every completion, in place of (1, |P|).  A new state whose degree bounds
+skip it is stored at once as that bound-only entry, so a revisit is
+settled by the table without a pivot loop.  So (i, alpha, witnesses) stay
+those of the walk without a table.
 
 The table only changes how fast the walk ends, and these rules keep it
 where it pays:
@@ -195,12 +225,15 @@ def _summary_walk(
     ``hi``.  ``table`` starts empty and ends holding the finished states:
     P -> (c_lo, w_lo, c_hi, w_hi), the least and the greatest size of a
     completion, each exact with its first witness when w is nonzero, else a
-    bound."""
+    bound.  A state first met at a node its degree bounds skip is stored at
+    once as a bound-only entry, (b_lo, 0, b_hi, 0), so a revisit skips it
+    without a pivot loop."""
     lo, hi = 65, -1
     min_wit = max_wit = 0
     # no state has 65 free vertices, so a small component never reads the rest
     min_free = 65
-    if start.bit_count() >= TABLE_MIN_ORDER:
+    bounded = start.bit_count() >= TABLE_MIN_ORDER
+    if bounded:
         min_free = TABLE_MIN_FREE
         get = table.get
         room = TABLE_CAP
@@ -215,41 +248,101 @@ def _summary_walk(
             k = s.bit_count()
             free = p.bit_count()
             if k + free > hi or k + 1 < lo:
+                entry = None
+                tabled = False
                 if free >= min_free and not x:
                     entry = get(p)
-                    if entry is None:
-                        c_lo, w_lo, c_hi, w_hi = 1, 0, free, 0
-                    else:
+                    if entry is not None:
                         hits += 1
                         c_lo, w_lo, c_hi, w_hi = entry
                         if w_lo and k + c_lo < lo:
                             lo, min_wit = k + c_lo, s | w_lo
                         if w_hi and k + c_hi > hi:
                             hi, max_wit = k + c_hi, s | w_hi
+                        if k + c_hi <= hi and k + c_lo >= lo:
+                            free = 0  # settled by the table: skip the node
+                        tabled = True
+                    elif room:
+                        room -= 1
+                        tabled = True
                     window -= 1
                     if not window:
                         if hits < TABLE_MIN_HITS:
                             min_free = 65
                         window, hits = TABLE_WINDOW, 0
-                    if k + c_hi <= hi and k + c_lo >= lo:
-                        free = 0  # settled by the table: skip the node
-                    elif entry is not None or room:
-                        room -= entry is None
-                        # the exit marker, under the children
-                        push((s, p, (lo, hi, c_lo, w_lo, c_hi, w_hi), 0))
                 if free:
                     best = 65
                     pivot = -1
-                    m = p | x
-                    while m:
-                        v = (m & -m).bit_length() - 1
-                        c = (closed[v] & p).bit_count()
-                        if c < best:
-                            best = c
-                            pivot = v
-                            if c == 0:
-                                break
-                        m &= m - 1
+                    if bounded and entry is None:
+                        # the pivot loop over P also gathers c_v = |N[v] & P|:
+                        # their sum, their maximum and, while the i side is
+                        # open with X nonempty, the maximum of |N[v] & (P | X)|
+                        cover = p | x if x and k + 1 < lo else 0
+                        total = top = wide = 0
+                        m = p
+                        while m:
+                            v = (m & -m).bit_length() - 1
+                            c = (closed[v] & p).bit_count()
+                            total += c
+                            if c > top:
+                                top = c
+                            if c < best:
+                                best = c
+                                pivot = v
+                            if cover:
+                                c = (closed[v] & cover).bit_count()
+                                if c > wide:
+                                    wide = c
+                            m &= m - 1
+                        # an excluded vertex is the pivot only if it has fewer
+                        # candidates, or as many and a lower label
+                        m = x
+                        while m:
+                            v = (m & -m).bit_length() - 1
+                            c = (closed[v] & p).bit_count()
+                            if c < best or c == best and v < pivot:
+                                best = c
+                                pivot = v
+                                if c == 0:
+                                    break
+                            m &= m - 1
+                        if best:
+                            # alpha side: the |P| - |T| vertices outside a
+                            # completion T cover every edge of G[P], each at
+                            # most top - 1 of them
+                            edges = (total - free) >> 1
+                            b_hi = free
+                            if edges:
+                                b_hi -= (edges + top - 2) // (top - 1)
+                            # i side: a completion dominates P | X
+                            if cover:
+                                b_lo = (cover.bit_count() + wide - 1) // wide
+                            elif x:
+                                b_lo = 1
+                            else:
+                                b_lo = (free + top - 1) // top
+                            if k + b_hi <= hi and k + b_lo >= lo:
+                                best = 0  # settled by the bounds: skip the node
+                                if tabled:
+                                    table[p] = b_lo, 0, b_hi, 0
+                            elif tabled:
+                                # the exit marker, under the children
+                                push((s, p, (lo, hi, b_lo, 0, b_hi, 0), 0))
+                    else:
+                        m = p | x
+                        while m:
+                            v = (m & -m).bit_length() - 1
+                            c = (closed[v] & p).bit_count()
+                            if c < best:
+                                best = c
+                                pivot = v
+                                if c == 0:
+                                    break
+                            m &= m - 1
+                        if tabled:
+                            push((s, p, (lo, hi, c_lo, w_lo, c_hi, w_hi), 0))
+                    # best == 0: some excluded vertex can still join any
+                    # completion, or the bounds settled the node
                     if best:
                         branch = closed[pivot] & p
         elif not x:
@@ -264,7 +357,7 @@ def _summary_walk(
             s, p, x, branch = pop()
             if not branch:
                 # an exit marker: the subtree of (P, {}) is done, and x holds
-                # lo and hi on entry and the state's entry or trivial bounds
+                # lo and hi on entry and the state's entry or degree bounds
                 k = s.bit_count()
                 lo0, hi0, c_lo, w_lo, c_hi, w_hi = x
                 if lo < lo0:

@@ -216,7 +216,7 @@ def summary_oracle_graphs():
         (path(12), complete(3)), (path(14), complete(3)), (cycle(6), cycle(7)),
         (cycle(5), cycle(8)), (cycle(4), cycle(16)), (h_family(4, 2), complete(3)),
         (h_family(6, 2), complete(3)), (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
-        (cycle(5), cycle(7)), (path(8), complete(3)),
+        (cycle(5), cycle(7)), (path(8), complete(3)), (cycle(5), cycle(9)), (cycle(7), cycle(7)),
     ]
     graphs += [direct_product(g, h).graph for g, h in families]
     return graphs + [Graph(0, ()), complete(64)]
@@ -256,7 +256,7 @@ def table_everywhere(monkeypatch):
 def table_soundness_graphs():
     rng = random.Random(2026)
     graphs = [random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(200)]
-    families = [(cycle(12), complete(3)), (path(8), complete(3)), (cycle(5), cycle(5))]
+    families = [(cycle(12), complete(3)), (path(8), complete(3)), (cycle(5), cycle(5)), (cycle(5), cycle(7))]
     return graphs + [direct_product(g, h).graph for g, h in families]
 
 
@@ -299,6 +299,15 @@ class TestBoundedSummary:
 
     def test_table_everywhere_matches_full_enumeration(self, table_everywhere):
         rng = random.Random(2027)
+        for _ in range(300):
+            assert_summary_matches_enumeration(random_graph(rng, rng.randint(1, 16), rng.random()))
+
+    def test_bounds_everywhere_match_full_enumeration(self, monkeypatch):
+        """The degree bounds of the pivot loop in every walk, small graphs
+        included, and no table to settle nodes before them."""
+        monkeypatch.setattr(_mis_fallback, "TABLE_MIN_ORDER", 0)
+        monkeypatch.setattr(_mis_fallback, "TABLE_CAP", 0)
+        rng = random.Random(2028)
         for _ in range(300):
             assert_summary_matches_enumeration(random_graph(rng, rng.randint(1, 16), rng.random()))
 

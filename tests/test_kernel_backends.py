@@ -114,14 +114,19 @@ def test_identical_derived_quantities(compiled):
         (cycle(5), complete(0)),
         (h_family(6, 2), complete(3)),
         (cycle(7), cycle(9)),
+        (cycle(5), cycle(11)),
+        (cycle(7), cycle(7)),
     ],
-    ids=["C14xK3", "P14xK3", "C4xC16", "H43xK4", "K8xC8", "K0xC5", "C5xK0", "H62xK3", "C7xC9"],
+    ids=["C14xK3", "P14xK3", "C4xC16", "H43xK4", "K8xC8", "K0xC5", "C5xK0", "H62xK3", "C7xC9", "C5xC11", "C7xC7"],
 )
 def test_identical_summary_on_large_products(compiled, g, h):
     """The pure summary skips the most subtrees on the first four products;
     the next three are the 64-vertex and 0-vertex edges of the product.  The
     walks over P14 x K3, C14 x K3 and H(6,2) x K3 answer revisits from the
-    table of finished states; C7 x C9 stops looking after its first window."""
+    table of finished states.  The connected products of two odd cycles,
+    C7 x C9, C5 x C11 and C7 x C7, repeat few states, so their walks soon
+    stop looking states up; the degree bounds of the pivot loop skip nearly
+    half of the nodes they expand, with X empty and nonempty."""
     adj = compiled.direct_product_adj(g.adj, h.adj)
     assert adj == pure.direct_product_adj(g.adj, h.adj) == list(direct_product(g, h).graph.adj)
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
@@ -133,12 +138,14 @@ def test_identical_summary_on_large_products(compiled, g, h):
         ["-DTABLE_CAP=0"],
         ["-DTABLE_CAP=1"],
         ["-DTABLE_MIN_ORDER=0", "-DTABLE_MIN_FREE=1", "-DTABLE_MIN_HITS=0"],
+        ["-DTABLE_MIN_ORDER=0", "-DTABLE_CAP=0"],
     ],
-    ids=["cap0", "cap1", "everywhere"],
+    ids=["cap0", "cap1", "everywhere", "bounds"],
 )
 def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
-    """The compiled summary with no table, a one-state table, or a table at
-    every node of every walk equals the pure summary with its own rules."""
+    """The compiled summary with no table, a one-state table, a table at
+    every node of every walk, or the degree bounds in every walk and no table
+    equals the pure summary with its own rules."""
     variant = load(build(tmp_path_factory, *defines))
     rng = random.Random(43)
     graphs = [random_graph(rng, rng.randint(8, 16), rng.random()) for _ in range(1500)]
