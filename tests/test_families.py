@@ -1,5 +1,7 @@
 """Named constructions, parameter recognition, and the exhaustive corpus."""
 
+import hashlib
+
 import pytest
 
 from wellcovered.families import (
@@ -25,6 +27,30 @@ from wellcovered.independence import alpha, i_number, is_well_covered
 CONNECTED_COUNTS = [1, 1, 4, 38, 728]
 ALL_COUNTS = [1, 2, 8, 64, 1024]
 REP_COUNTS = [1, 1, 2, 6, 21]
+
+# sha256 of the newline-terminated graph6 lines of each stream; they pin the
+# order and labels that criterion 5 and the CLI's corpus passes rely on
+STREAM_DIGESTS = {
+    "corpus_representatives(6)": (
+        lambda: corpus_representatives(6),
+        "b5077de621fa44499bd503f5e103c0e5793ad6ed99e846f63daeb9963c1c9870",
+    ),
+    "corpus(6)": (
+        lambda: corpus(6),
+        "bae49d5680ff50f2dc02224d5259c35b662b159b6a614f24b734927d1db0d1bf",
+    ),
+    "corpus(6, connected_only=False)": (
+        lambda: corpus(6, connected_only=False),
+        "e0adb93bcfb30301a29421fcc09ada4eb09ef1242e09ac9148c0656e9e162900",
+    ),
+}
+
+
+def stream_digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(to_graph6(g).encode() + b"\n")
+    return h.hexdigest()
 
 
 class TestNamed:
@@ -131,6 +157,11 @@ class TestCorpus:
         assert first == second
         orders = [g.n for g in corpus(4)]
         assert orders == sorted(orders)
+
+    @pytest.mark.parametrize("name", list(STREAM_DIGESTS))
+    def test_stream_digest(self, name):
+        stream, want = STREAM_DIGESTS[name]
+        assert stream_digest(stream()) == want
 
     def test_capped(self):
         assert MAX_EXHAUSTIVE_N == 7
