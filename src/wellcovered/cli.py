@@ -7,7 +7,9 @@ rendering of the same data, and is byte-stable for fixed inputs apart from
 the version field.
 
 Exit codes: 0 success, 1 usage or parse error, 2 a claim counterexample
-was found, 3 a resource cap was exceeded.
+was found, 3 a resource cap was exceeded, 141 the reader closed stdout
+early (128 + SIGPIPE, what a shell reports for a writer that a closed pipe
+kills); the run then stops without a message.
 
 ``main(argv)`` can be called repeatedly in one process: the parser is built
 on the first call and reused, and each call looks up ``_cmd_<command>`` in
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -319,7 +322,14 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so a replaced _cmd_* function is the one that runs
     command = globals()[f"_cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the idiom of Python's signal docs: point stdout at devnull so the
+        # flush at exit does not fail again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapacityError as exc:
         print(f"wellcovered: resource cap: {exc}", file=sys.stderr)
         return 3

@@ -2,15 +2,36 @@
 
 Family generators are deterministic, including vertex order.  The corpus
 streams every labeled simple graph up to a vertex bound in (n, edge-mask)
-order; a companion generator yields one representative per isomorphism
-class, which keeps pair scans tractable while deciding exactly the same
-isomorphism-invariant questions.
+order; pair (i, j), i < j, is bit p of the mask when it is the p-th pair in
+lexicographic order, so (n - 2, n - 1) is the most significant bit.
+
+A companion generator yields one connected graph per isomorphism class,
+which keeps pair scans tractable while deciding exactly the same
+isomorphism-invariant questions.  A class is represented by its canonical
+form, the lowest edge mask over all relabelings.  The classes on n vertices
+grow from those on n - 1: every connected graph has a vertex that is not a
+cut vertex (a leaf of a spanning tree), and deleting it leaves a connected
+graph on n - 1 vertices, so joining a new vertex to each nonempty vertex
+set of each class on n - 1 vertices reaches every class on n, and
+deduplicating by canonical form keeps one graph per class.
+
+The canonical search places labels from n - 1 downward.  Read from the most
+significant bit, a mask gives for label n - 2, n - 3, ..., 0 in turn its
+adjacency to the labels above it, from n - 1 down, so each placed label
+appends one row and the lowest mask takes the lowest next row at every
+step.  A partial labeling is cut as soon as its next row exceeds the lowest
+next row of any partial labeling on the same level.  Ties are narrowed by
+twins (two vertices with the same neighbours apart from each other): when
+both are candidates for the next label, swapping them is an automorphism
+that fixes every placed label, so trying one keeps the minimum.  Degree
+refinement gives no such guarantee here, because the lowest mask does not
+order vertices by degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from operator import or_
 from typing import Iterator
 
 from .graphs import (
@@ -151,26 +172,25 @@ def multipartite_params(g: Graph) -> tuple[int, int] | None:
     return len(parts), r
 
 
-def _pair_positions(n: int) -> dict[tuple[int, int], int]:
-    pos = {}
-    p = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos[(i, j)] = p
-            p += 1
-    return pos
+def _row_tables(n: int) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The adjacency rows of every edge mask on n vertices, as two tables.
 
-
-def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
-    adj = [0] * n
-    m = mask
-    while m:
-        p = (m & -m).bit_length() - 1
-        i, j = pairs[p]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        m &= m - 1
-    return Graph(n, tuple(adj))
+    The pairs (i, j), i < j, are numbered in lexicographic order and pair p
+    is bit p of a mask.  ``low[mask & (1 << half) - 1]`` holds the rows of
+    the low ``half`` pair bits, ``high[mask >> half]`` those of the others,
+    and the mask's rows are the two entries ORed together.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    half = len(pairs) // 2
+    tables = []
+    for part in (pairs[:half], pairs[half:]):
+        table = [(0,) * n]
+        for i, j in part:
+            edge = [0] * n
+            edge[i], edge[j] = 1 << j, 1 << i
+            table += [tuple(map(or_, rows, edge)) for rows in table]
+        tables.append(table)
+    return half, tables[0], tables[1]
 
 
 def corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
@@ -180,44 +200,90 @@ def corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
     if max_n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
     for n in range(1, max_n + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for mask in range(1 << len(pairs)):
-            g = _graph_from_mask(n, mask, pairs)
-            if connected_only and not is_connected(g):
+        _, low, high = _row_tables(n)
+        for upper in high:
+            for lower in low:
+                g = Graph(n, tuple(map(or_, lower, upper)))
+                if connected_only and not is_connected(g):
+                    continue
+                yield g
+
+
+def _canonical_mask(adj: list[int]) -> int:
+    """The lowest edge mask over all relabelings of the graph with rows adj,
+    by the search the module docstring describes.
+
+    A partial labeling keeps its unplaced vertices as (row, cell) pairs,
+    cells ordered by their row to the labels placed so far, so its
+    candidates for the next label are its first cell.  Placing vertex v
+    splits each cell into non-neighbours and neighbours of v, in that order.
+    """
+    n = len(adj)
+    lower_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                lower_twins[v] |= 1 << u
+    states = [[(0, (1 << n) - 1)]]
+    mask = 0
+    for label in range(n - 1, -1, -1):
+        row = min(cells[0][0] for cells in states)
+        mask |= row << label * (2 * n - label - 1) // 2
+        grown = []
+        for cells in states:
+            first_row, first = cells[0]
+            if first_row != row:
                 continue
-            yield g
+            todo = first
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                v = bit.bit_length() - 1
+                if lower_twins[v] & first:
+                    continue
+                nbrs = adj[v]
+                split = []
+                for r, cell in [(row, first ^ bit), *cells[1:]]:
+                    if cell & ~nbrs:
+                        split.append((r << 1, cell & ~nbrs))
+                    if cell & nbrs:
+                        split.append((r << 1 | 1, cell & nbrs))
+                grown.append(split)
+        states = grown
+    return mask
 
 
 def corpus_representatives(max_n: int) -> Iterator[Graph]:
-    """Connected graphs, one per isomorphism class, lowest edge-mask first.
+    """Connected graphs on 1..max_n vertices, one per isomorphism class, in
+    (n, mask) order; each class is its canonical form, the lowest edge mask
+    over all relabelings.
 
-    Dedupes by expanding each newly seen graph's relabeling orbit into a
-    seen-set, so the per-class cost is orbit size, not a canonical form per
-    candidate.
+    The classes on n vertices grow from those on n - 1: every connected
+    graph has a vertex that is not a cut vertex (a leaf of a spanning tree),
+    so joining a new vertex to each nonempty vertex set of each class on
+    n - 1 vertices reaches every class on n.  Each candidate is reduced to
+    its canonical form, and equal forms are kept once.  The canonical search
+    places labels from n - 1 downward, cuts a partial labeling as soon as
+    its rows exceed the lowest ones on its level, and tries only one of two
+    twin candidates for a label.
     """
     if max_n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
+    classes: list[tuple[int, ...]] = []
     for n in range(1, max_n + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        pos = _pair_positions(n)
-        perms = list(permutations(range(n)))
-        seen: set[int] = set()
-        for mask in range(1 << len(pairs)):
-            if mask in seen:
-                continue
-            for perm in perms:
-                relabeled = 0
-                m = mask
-                while m:
-                    p = (m & -m).bit_length() - 1
-                    i, j = pairs[p]
-                    a, b = perm[i], perm[j]
-                    relabeled |= 1 << pos[(a, b) if a < b else (b, a)]
-                    m &= m - 1
-                seen.add(relabeled)
-            g = _graph_from_mask(n, mask, pairs)
-            if is_connected(g):
-                yield g
+        masks = {0} if n == 1 else set()
+        new = 1 << n - 1
+        for rows in classes:
+            for nbrs in range(1, new):
+                grown = [row | new if nbrs >> v & 1 else row for v, row in enumerate(rows)]
+                grown.append(nbrs)
+                masks.add(_canonical_mask(grown))
+        half, low, high = _row_tables(n)
+        classes = [
+            tuple(map(or_, low[m & (1 << half) - 1], high[m >> half])) for m in sorted(masks)
+        ]
+        for rows in classes:
+            yield Graph(n, rows)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Everything here answers independence questions by filtering all 2^n vertex
 subsets, so it shares no code path with the branch-and-bound kernels it is
 used to cross-check.  Only usable for small n.  ``brute_violations`` checks
 the weak-partition conditions vertex by vertex, apart from the mask algebra
-of ``WeakPartition.violations``.
+of ``WeakPartition.violations``, and ``brute_min_mask`` tries all n!
+relabelings where ``families`` searches for the lowest edge mask.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 from wellcovered.graphs import Graph
 
@@ -40,6 +42,18 @@ def brute_maximal_independent_sets(adj: tuple[int, ...], n: int) -> list[int]:
 def brute_summary(adj: tuple[int, ...], n: int) -> tuple[int, int]:
     sizes = [m.bit_count() for m in brute_maximal_independent_sets(adj, n)]
     return min(sizes), max(sizes)
+
+
+def brute_min_mask(g: Graph) -> int:
+    """The lowest edge mask of G over all n! relabelings, with pair (i, j),
+    i < j, numbered in lexicographic order as bit i*n - i*(i+1)/2 + j - i - 1."""
+    n = g.n
+    bit = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit[i, j] = bit[j, i] = 1 << i * n - i * (i + 1) // 2 + j - i - 1
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1]
+    return min(sum(bit[p[u], p[v]] for u, v in edges) for p in permutations(range(n)))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -424,14 +424,18 @@ class TestModuleEntryPoint:
     """``python -m wellcovered.cli`` in its own process, one call each."""
 
     @staticmethod
-    def run_module(*argv):
+    def popen_module(*argv, **kwargs):
         src = str(Path(wellcovered.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
+        return subprocess.Popen(
             [sys.executable, "-m", "wellcovered.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
+            text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs,
         )
+
+    def run_module(self, *argv):
+        proc = self.popen_module(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
     def test_version(self):
         done = self.run_module("--version")
@@ -448,6 +452,32 @@ class TestModuleEntryPoint:
         assert done.returncode == 1
         assert done.stdout == ""
         assert "required: graph" in done.stderr
+
+    def test_reader_closes_pipe_early(self):
+        """``generate --max-n 6 | head -2``: the run stops at the closed pipe
+        with exit code 141 and writes nothing to stderr."""
+        proc = self.popen_module(
+            "generate", "--max-n", "6", stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert head == [f"version: {__version__}\n", "@\n"]
+        assert err == ""
+
+    def test_pipe_closed_before_output(self):
+        """Output that fits the stdout buffer meets the closed pipe at the
+        final flush, not at interpreter exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self.popen_module(
+            "generate", "--max-n", "3", "--reps", stdout=write_end, stderr=subprocess.PIPE
+        )
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == ""
 
 
 class TestConsoleScript:

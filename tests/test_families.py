@@ -1,9 +1,15 @@
 """Named constructions, parameter recognition, and the exhaustive corpus."""
 
 import hashlib
+from collections import Counter, defaultdict
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
+from brute import brute_min_mask
+from wellcovered import __version__, claims
+from wellcovered.cli import main
 from wellcovered.families import (
     MAX_EXHAUSTIVE_N,
     FamilySpec,
@@ -22,11 +28,11 @@ from wellcovered.formats import to_graph6
 from wellcovered.graphs import CapacityError, from_edge_list
 from wellcovered.independence import alpha, i_number, is_well_covered
 
-# labeled connected graphs on n vertices, then all labeled graphs, then
-# connected isomorphism classes (n = 1..5)
+# labeled connected graphs and all labeled graphs on n = 1..5 vertices, then
+# connected isomorphism classes on n = 1..7
 CONNECTED_COUNTS = [1, 1, 4, 38, 728]
 ALL_COUNTS = [1, 2, 8, 64, 1024]
-REP_COUNTS = [1, 1, 2, 6, 21]
+REP_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 
 # sha256 of the newline-terminated graph6 lines of each stream; they pin the
 # order and labels that criterion 5 and the CLI's corpus passes rely on
@@ -44,6 +50,24 @@ STREAM_DIGESTS = {
         "e0adb93bcfb30301a29421fcc09ada4eb09ef1242e09ac9148c0656e9e162900",
     ),
 }
+
+
+@pytest.fixture(scope="module")
+def reps7():
+    """corpus_representatives(7), generated once for every test that reads it."""
+    return list(corpus_representatives(7))
+
+
+def edge_mask(g) -> int:
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    return sum(1 << p for p, (i, j) in enumerate(pairs) if g.has_edge(i, j))
+
+
+def as_networkx(g) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 def stream_digest(graphs) -> str:
@@ -141,10 +165,54 @@ class TestCorpus:
             got = sum(1 for g in corpus(n, connected_only=False) if g.n == n)
             assert got == want
 
-    def test_representative_counts(self):
-        for n, want in enumerate(REP_COUNTS, start=1):
-            got = sum(1 for g in corpus_representatives(n) if g.n == n)
-            assert got == want
+    def test_representative_counts(self, reps7):
+        counts = Counter(g.n for g in reps7)
+        assert [counts[n] for n in range(1, 8)] == REP_COUNTS
+        seven = [to_graph6(g) for g in reps7]
+        for max_n in range(7):
+            reps = [to_graph6(g) for g in corpus_representatives(max_n)]
+            assert reps == seven[: sum(REP_COUNTS[:max_n])]
+
+    def test_representatives_have_lowest_mask(self, reps7):
+        """Each class is represented by its lowest edge mask, found here by
+        trying all n! relabelings rather than by the canonical search."""
+        for g in reps7:
+            if g.n <= 6:
+                assert edge_mask(g) == brute_min_mask(g)
+
+    # networkx 3.5+ warns that its unattributed hashes changed; they only group
+    @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+    def test_representatives_match_atlas(self, reps7):
+        """Every connected 7-vertex graph of the networkx atlas is
+        isomorphic to exactly one representative, and no two are isomorphic;
+        graphs are compared within groups of equal Weisfeiler-Lehman hash."""
+        groups = defaultdict(list)
+        for g in reps7:
+            if g.n == 7:
+                h = as_networkx(g)
+                groups[nx.weisfeiler_lehman_graph_hash(h)].append(h)
+        for group in groups.values():
+            assert not any(nx.is_isomorphic(a, b) for a, b in combinations(group, 2))
+        atlas = [h for h in nx.graph_atlas_g() if len(h) == 7 and nx.is_connected(h)]
+        assert len(atlas) == 853
+        for h in atlas:
+            group = groups[nx.weisfeiler_lehman_graph_hash(h)]
+            assert sum(nx.is_isomorphic(h, r) for r in group) == 1
+
+    def test_generate_reps_seven(self, reps7, monkeypatch, capsys):
+        """``generate --max-n 7 --reps`` prints the version line and one
+        graph6 line per class.  The CLI reads the fixture's stream, so the
+        suite generates the 7-vertex classes once."""
+
+        def replay(max_n):
+            assert max_n == 7
+            return iter(reps7)
+
+        monkeypatch.setattr(claims, "corpus_representatives", replay)
+        assert main(["generate", "--max-n", "7", "--reps"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 996
+        assert lines == [f"version: {__version__}", *map(to_graph6, reps7)]
 
     def test_representatives_embed_in_corpus(self):
         reps = {to_graph6(g) for g in corpus_representatives(4)}
