@@ -6,11 +6,17 @@
  * of one walk over all of G[within].  Graphs arrive as sequences of
  * per-vertex adjacency masks and must fit in 64 bits.  One search loop over
  * an explicit stack serves every entry point; the mode says what happens to
- * each emitted set, and the summary starts it once per component.
+ * each emitted set.  The summary and the well-covered decision share one
+ * bounded walk, started once per component of G[within]; the decision only
+ * stops it at the first emitted set that leaves two sizes, and stops at the
+ * first component that has them.  A skipped subtree holds no set of a size
+ * outside [lo, hi], so G[within] is well-covered exactly when every
+ * component's walk ends with lo == hi, and the size is then the sum.
  *
- * The summary also remembers finished states (P, {}) in a hash table, under
- * the rules of _mis_fallback.  The completions of a node depend only on
- * (P, X), so an entry can stand for the subtree of any node in that state.
+ * The bounded walk also remembers finished states (P, {}) in a hash table,
+ * under the rules of _mis_fallback.  The completions of a node depend only
+ * on (P, X), so an entry can stand for the subtree of any node in that
+ * state.
  * An expanded state pushes an exit marker under its children with lo and hi
  * as they were; when it pops, a side whose extreme moved is exact, the
  * extreme minus |S| with its first witness minus S, since skipped subtrees
@@ -19,18 +25,20 @@
  * like an emitted set and adds a bound side to its skip test, so the
  * summary is that of the walk without a table.
  *
- * In a walk over a component of at least TABLE_MIN_ORDER vertices, the
- * pivot loop of a node it expands also bounds the node's completions T from
- * the counts c_v = |N[v] & P| of the vertices of P.  T is independent, so
- * P - T covers the |E(P)| = sum (c_v - 1) / 2 edges of G[P], at most
- * max c_v - 1 each: |T| <= b_hi = |P| - ceil(|E(P)| / (max c_v - 1)).  T
+ * In a walk over a component of at least TABLE_MIN_ORDER vertices that has
+ * seen two sizes, lo < hi, the pivot loop of a node it expands also bounds
+ * the node's completions T from the counts c_v = |N[v] & P| of the
+ * vertices of P.  T is independent, so P - T covers the |E(P)| =
+ * sum (c_v - 1) / 2 edges of G[P], at most max c_v - 1 each:
+ * |T| <= b_hi = |P| - ceil(|E(P)| / (max c_v - 1)).  T
  * dominates P | X, at most max over v in P of |N[v] & (P | X)| vertices
  * each: |T| >= b_lo = ceil(|P | X| / that maximum), which is max c_v when
  * X is empty and is counted only while |S| + 1 < lo.  The node is skipped
  * when |S| + b_hi <= hi and |S| + b_lo >= lo: no set below it is a strict
  * new extreme.  The bounds only read the counts, so the pivot and the visit
- * order do not change.  A new state's entry starts from (b_lo, b_hi), and
- * a new state that its bounds skip is stored at once with those bounds.
+ * order do not change.  A new state's entry starts from (b_lo, b_hi) where
+ * they are counted, else from (1, |P|), and a new state that its bounds skip
+ * is stored at once with those bounds.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -44,7 +52,7 @@ static int POPCNT(uint64_t x) { int c = 0; for (; x; x &= x - 1) ++c; return c; 
 static int CTZ(uint64_t x) { int c = 0; for (; !(x & 1); x >>= 1) ++c; return c; }
 #endif
 
-enum { COLLECT, COUNT, SUMMARY, WELL_COVERED };
+enum { COLLECT, COUNT, SUMMARY, DECIDE };
 
 /* The summary's table of finished states (P, {}), with the rules of
  * _mis_fallback: only in a walk over a component of at least
@@ -89,10 +97,10 @@ typedef struct {
     int mode;
     PyObject *out;             /* COLLECT: the emitted masks */
     long long count;           /* COUNT */
-    int lo, hi;                /* SUMMARY, WELL_COVERED: extreme sizes seen */
+    int lo, hi;                /* SUMMARY, DECIDE: extreme sizes seen */
     uint64_t min_wit, max_wit; /* first set of each extreme size */
-    int bounded;               /* SUMMARY: apply the degree bounds */
-    int min_free;              /* SUMMARY: least |P| of a remembered state */
+    int bounded;               /* apply the degree bounds */
+    int min_free;              /* least |P| of a remembered state */
     int room;                  /* states the table may still take */
     int window, hits;          /* lookups left in this window, hits in it */
     Entry *slots;              /* the table, NULL until its first state */
@@ -119,8 +127,8 @@ static int emit(Search *st, uint64_t s)
         st->hi = size;
         st->max_wit = s;
     }
-    /* the well-covered search stops at the second size */
-    return st->mode == WELL_COVERED && st->lo != st->hi;
+    /* the decision stops at the second size */
+    return st->mode == DECIDE && st->lo != st->hi;
 }
 
 /* The slot of state (p, {}), or the free slot where it would go. */
@@ -194,13 +202,13 @@ enum { SKIP, EXPAND, NEW_STATE, KNOWN_STATE };
  * The summary skips it when |S| + |P| <= hi and |S| + 1 >= lo: each set
  * below it strictly contains S and lies inside S | P, so none is a strict
  * new extreme.  A remembered state first applies its exact sides like
- * emitted sets and then tightens both bounds.  Other modes expand every
- * node. */
+ * emitted sets and then tightens both bounds.  The summary and the decision
+ * share this; enumeration expands every node. */
 static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 {
     int k, nfree, go;
     const Entry *e;
-    if (st->mode != SUMMARY)
+    if (st->mode == COLLECT || st->mode == COUNT)
         return EXPAND;
     k = POPCNT(s);
     nfree = POPCNT(p);
@@ -238,10 +246,11 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
  * holds at most one stacked frame and one exit marker, so at most 128 are
  * live, and the walk visits sets in the order of the recursive search.
  *
- * In a bounded summary the pivot loop also gathers the counts of the degree
+ * In a bounded walk the pivot loop also gathers the counts of the degree
  * bounds described at the top of this file: the sum total and the maximum
  * most of c_v over P and, while the i side is open with X nonempty, the
- * maximum wide of |N[v] & (P | X)| over P. */
+ * maximum wide of |N[v] & (P | X)| over P, once the walk has seen two
+ * sizes. */
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
     Frame stack[128], f = {.p = start};
@@ -251,7 +260,7 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
         f.branch = 0;
         if (f.p && (go = expand(st, f.s, f.p, f.x)) != SKIP) {
             k = POPCNT(f.s);
-            gather = st->bounded && go != KNOWN_STATE;
+            gather = st->bounded && go != KNOWN_STATE && st->lo < st->hi;
             cover = gather && f.x && k + 1 < st->lo ? f.p | f.x : 0;
             most = total = wide = 0;
             best = 65;
@@ -351,15 +360,15 @@ static uint64_t all_vertices(Py_ssize_t n)
     return n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
 }
 
-/* Runs the search over every vertex in the given mode; -1 with an exception
- * set on failure. */
+/* Enumerates every maximal set in mode COLLECT or COUNT; -1 with an
+ * exception set on failure. */
 static int run(PyObject *adj, Search *st, int mode)
 {
     uint64_t closed[64];
     Py_ssize_t n = load_closed(adj, closed);
     if (n < 0)
         return -1;
-    *st = (Search){.mode = mode, .lo = 65, .hi = -1, .min_free = 65};
+    *st = (Search){.mode = mode};
     if (mode == COLLECT && (st->out = PyList_New(0)) == NULL)
         return -1;
     if (walk(closed, all_vertices(n), st) >= 0)
@@ -380,18 +389,19 @@ static PyObject *count_maximal_independent_sets(PyObject *Py_UNUSED(self), PyObj
     return run(adj, &st, COUNT) < 0 ? NULL : PyLong_FromLongLong(st.count);
 }
 
-/* Sums the bounded walk of each connected component of G[within]. */
-static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                      Py_ssize_t nargs)
+/* Parses (adj, within=None, /) and sums the bounded walk of each connected
+ * component of G[within]: the summary tuple, or for DECIDE the common size
+ * or -1, which the sums give by stopping at the first component with two
+ * sizes. */
+static PyObject *summarize(const char *name, PyObject *const *args, Py_ssize_t nargs, int mode)
 {
     uint64_t closed[64], within, comp, frontier, reach, m, min_wit = 0, max_wit = 0;
     int lo = 0, hi = 0, overflow;
     Py_ssize_t n;
-    Search st = {.mode = SUMMARY};
+    Search st = {.mode = mode};
     if (nargs < 1 || nargs > 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "independence_summary() takes 1 or 2 positional arguments (%zd given)",
-                            nargs);
+        return PyErr_Format(PyExc_TypeError, "%s() takes 1 or 2 positional arguments (%zd given)",
+                            name, nargs);
     if ((n = load_closed(args[0], closed)) < 0)
         return NULL;
     within = all_vertices(n);
@@ -436,15 +446,25 @@ static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const
         hi += st.hi;
         min_wit |= st.min_wit;
         max_wit |= st.max_wit;
+        if (mode == DECIDE && st.lo < st.hi)
+            break;
     }
+    if (mode == DECIDE)
+        return PyLong_FromLong(lo == hi ? lo : -1);
     return Py_BuildValue("(iiKK)", lo, hi, (unsigned long long)min_wit,
                          (unsigned long long)max_wit);
 }
 
-static PyObject *well_covered_size(PyObject *Py_UNUSED(self), PyObject *adj)
+static PyObject *independence_summary(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                      Py_ssize_t nargs)
 {
-    Search st;
-    return run(adj, &st, WELL_COVERED) < 0 ? NULL : PyLong_FromLong(st.lo == st.hi ? st.lo : -1);
+    return summarize("independence_summary", args, nargs, SUMMARY);
+}
+
+static PyObject *well_covered_size(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    return summarize("well_covered_size", args, nargs, DECIDE);
 }
 
 static PyObject *direct_product_adj(PyObject *Py_UNUSED(self), PyObject *args)
@@ -493,8 +513,10 @@ static PyMethodDef methods[] = {
      "(i, alpha, min witness, max witness) of G[within], in G's own labels:\n"
      "the smallest and largest sizes of a maximal independent set and the\n"
      "first set of each size in visit order.  within defaults to every vertex."},
-    {"well_covered_size", well_covered_size, METH_O,
-     "Common maximal-set size if well-covered, else -1; stops at the second size."},
+    {"well_covered_size", (PyCFunction)(void (*)(void))well_covered_size, METH_FASTCALL,
+     "well_covered_size(adj, within=None, /)\n--\n\n"
+     "Common maximal-set size of G[within] if well-covered, else -1; stops at\n"
+     "the first component with two sizes."},
     {"direct_product_adj", direct_product_adj, METH_VARARGS,
      "Adjacency of the direct product under index (g, h) -> g*nH + h."},
     {NULL, NULL, 0, NULL},

@@ -52,7 +52,11 @@ of the walk without them, and so does the output.  Only walks over
 components of at least ``TABLE_MIN_ORDER`` vertices, the rule the table
 below follows, compute the bounds.  The summaries of the claim suite and
 the CLI are almost all of fewer than 8 vertices, and there the counts cost
-more than the nodes they save.
+more than the nodes they save.  A walk also computes them only once it has
+seen two sizes, i-so-far < alpha-so-far.  Before its first set nothing can
+be skipped, and while every set seen has one size k a skip needs b_lo =
+b_hi = k - |S|, which the counts seldom give: on a well-covered graph, and
+in a decision, the walk never counts them.
 
 The summary covers G[within], in G's own labels, and walks each connected
 component of G[within] on its own, from P = that component and X = {}; a
@@ -69,8 +73,14 @@ component.  So the first smallest and first largest unions in visit order
 are the unions of each component's first ones.  One walk over a product of
 two connected bipartite graphs, which has two components, visits about the
 product of their two trees; one walk per component visits their sum.  The
-enumerating entry points and ``well_covered_size`` keep the single walk over
-all of G, so their output order does not change.
+enumerating entry points keep the single walk over all of G, so their output
+order does not change.
+
+``well_covered_size`` is the same walk, stopped early.  A skipped subtree
+holds no set of a size outside [i-so-far, alpha-so-far], so G[within] is
+well-covered exactly when every component's walk ends with one size, and
+the common size is then the sum of theirs.  Each walk stops at the first
+emitted set of a second size, and the sums stop at that component.
 
 The summary walk also remembers finished states in a table, because the
 paper's products revisit them: without a table, the walk over P14 x K3
@@ -90,11 +100,11 @@ first set below it that could move lo, and only when it does.  A bound side
 joins the skip test: the node is skipped when |S'| + max bound <= hi and
 |S'| + min bound >= lo.  A node that is still expanded walks its subtree
 again, and its marker tightens the entry; an exact side stays exact.  A
-new state's entry starts from its degree bounds (b_lo, b_hi), which hold
-for every completion, in place of (1, |P|).  A new state whose degree bounds
-skip it is stored at once as that bound-only entry, so a revisit is
-settled by the table without a pivot loop.  So (i, alpha, witnesses) stay
-those of the walk without a table.
+new state's entry starts from its degree bounds (b_lo, b_hi) where the walk
+counts them, and from (1, |P|) otherwise; both hold for every completion.
+A new state whose degree bounds skip it is stored at once as that
+bound-only entry, so a revisit is settled by the table without a pivot
+loop.  So (i, alpha, witnesses) stay those of the walk without a table.
 
 The table only changes how fast the walk ends, and these rules keep it
 where it pays:
@@ -185,9 +195,21 @@ def count_maximal_independent_sets(adj: Sequence[int]) -> int:
 def independence_summary(adj: Sequence[int], within: int | None = None, /) -> tuple[int, int, int, int]:
     """(i, alpha, min witness, max witness) of G[within], in G's own labels:
     the smallest and largest sizes of a maximal independent set and the first
-    set of each size in visit order.  ``within`` defaults to every vertex.
+    set of each size in visit order.  ``within`` defaults to every vertex."""
+    return _summarize(adj, within, False)
 
-    Sums the bounded walk of each connected component of G[within]."""
+
+def well_covered_size(adj: Sequence[int], within: int | None = None, /) -> int:
+    """Common maximal-set size of G[within] if well-covered, else -1; stops
+    at the first component with two sizes."""
+    lo, hi, _, _ = _summarize(adj, within, True)
+    return lo if lo == hi else -1
+
+
+def _summarize(adj: Sequence[int], within: int | None, decide: bool) -> tuple[int, int, int, int]:
+    """Sums the bounded walk of each connected component of G[within].  With
+    ``decide`` a walk stops at its second size, and the sums stop at that
+    component, so they then have i < alpha."""
     closed = _closed_rows(adj)
     if within is None:
         within = (1 << len(adj)) - 1
@@ -206,7 +228,7 @@ def independence_summary(adj: Sequence[int], within: int | None = None, /) -> tu
             comp |= frontier
         within ^= comp
         if comp & comp - 1:
-            c_lo, c_hi, c_min, c_max = _summary_walk(closed, comp, {})
+            c_lo, c_hi, c_min, c_max = _summary_walk(closed, comp, {}, decide)
         else:
             c_lo = c_hi = 1
             c_min = c_max = comp
@@ -214,11 +236,13 @@ def independence_summary(adj: Sequence[int], within: int | None = None, /) -> tu
         hi += c_hi
         min_wit |= c_min
         max_wit |= c_max
+        if decide and c_lo < c_hi:
+            break
     return lo, hi, min_wit, max_wit
 
 
 def _summary_walk(
-    closed: list[int], start: int, table: dict[int, tuple[int, int, int, int]]
+    closed: list[int], start: int, table: dict[int, tuple[int, int, int, int]], decide: bool = False
 ) -> tuple[int, int, int, int]:
     """The summary of the search from P = ``start``, X = {}, skipping every
     subtree whose sets can be neither smaller than ``lo`` nor larger than
@@ -227,7 +251,8 @@ def _summary_walk(
     completion, each exact with its first witness when w is nonzero, else a
     bound.  A state first met at a node its degree bounds skip is stored at
     once as a bound-only entry, (b_lo, 0, b_hi, 0), so a revisit skips it
-    without a pivot loop."""
+    without a pivot loop.  With ``decide`` the walk stops at the first
+    emitted set that leaves lo < hi."""
     lo, hi = 65, -1
     min_wit = max_wit = 0
     # no state has 65 free vertices, so a small component never reads the rest
@@ -265,6 +290,8 @@ def _summary_walk(
                     elif room:
                         room -= 1
                         tabled = True
+                        # 1 <= |T| <= |P|, unless the degree bounds are counted
+                        c_lo, w_lo, c_hi, w_hi = 1, 0, free, 0
                     window -= 1
                     if not window:
                         if hits < TABLE_MIN_HITS:
@@ -273,7 +300,7 @@ def _summary_walk(
                 if free:
                     best = 65
                     pivot = -1
-                    if bounded and entry is None:
+                    if bounded and entry is None and lo < hi:
                         # the pivot loop over P also gathers c_v = |N[v] & P|:
                         # their sum, their maximum and, while the i side is
                         # open with X nonempty, the maximum of |N[v] & (P | X)|
@@ -351,6 +378,8 @@ def _summary_walk(
                 lo, min_wit = size, s
             if size > hi:
                 hi, max_wit = size, s
+            if decide and lo < hi:
+                return lo, hi, min_wit, max_wit
         while not branch:
             if not stack:
                 return lo, hi, min_wit, max_wit
@@ -375,19 +404,6 @@ def _summary_walk(
         if branch:
             push((s, p & ~bu, x | bu, branch))
         s, p, x = s | bu, p & ~cu, x & ~cu
-
-
-def well_covered_size(adj: Sequence[int]) -> int:
-    """Common maximal-set size if well-covered, else -1; stops at the second size."""
-    full = (1 << len(adj)) - 1
-    first = -1
-    for s in _maximal_sets(_closed_rows(adj), full):
-        size = s.bit_count()
-        if first < 0:
-            first = size
-        elif size != first:
-            return -1
-    return first
 
 
 def direct_product_adj(adj_g: Sequence[int], adj_h: Sequence[int]) -> list[int]:

@@ -12,10 +12,11 @@ perfect matchings) are enumerated exhaustively; nothing is sampled.
 Each instance's graphs and products are built once, in the facts objects
 (``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every claim of the
 instance's shape reads them from there.  A graph is summarized once.  A
-pair's product is only asked whether it is well-covered, by a search that
-stops at the second distinct maximal-set size; ``trivial_bounds`` proves
-its bounds with lifted factor witnesses and needs the product's exact
-alpha and i only if a certificate fails.  The suite runner tallies
+pair's product, and each residual of ``residual_wc``, is only asked whether
+it is well-covered: the kernel's decision runs the summary walk per
+component and stops at the first component with two maximal-set sizes.
+``trivial_bounds`` proves its bounds with lifted factor witnesses and needs
+the product's exact alpha and i only if a certificate fails.  The suite runner tallies
 verdicts per claim and merges partial reports associatively, so instance
 streams can be partitioned across processes.
 """
@@ -205,8 +206,9 @@ def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
     g = f.graph
     for s in enumerate_independent_sets(g):
         rest = residual(g, s)
-        low, high, _, _ = kernel.independence_summary(g.adj, rest)
-        if low != high:
+        if kernel.well_covered_size(g.adj, rest) < 0:
+            # only the witness needs the residual's i and alpha
+            low, high, _, _ = kernel.independence_summary(g.adj, rest)
             witness = {
                 "independent_set": to_vertices(s),
                 "residual_vertices": to_vertices(rest),

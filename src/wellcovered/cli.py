@@ -168,26 +168,38 @@ def _passes_filter(name: str | None, well_covered: bool, very_well_covered: bool
     return well_covered and not very_well_covered
 
 
+def _print_lines(lines: Iterable[str]) -> None:
+    """The text output of a stream: the version line, then each line as it
+    is produced, so a long run can be piped and cut short.  The version line
+    waits for the first line, so a source that fails at once, such as a
+    corpus past its cap, writes nothing to stdout."""
+    lines = iter(lines)
+    first = next(lines, None)
+    print(f"version: {__version__}")
+    if first is not None:
+        print(first)
+    for line in lines:
+        print(line)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.specs:
-        graphs: Iterable[Graph] = (FamilySpec.parse(s).build() for s in args.specs)
+        graphs: Iterable[Graph] = [FamilySpec.parse(s).build() for s in args.specs]
     elif args.max_n is not None:
         graphs = corpus_single_instances(args.max_n, args.reps)
     else:
         raise ValueError("nothing to generate: pass family specs or --max-n")
-    emitted = []
-    for g in graphs:
-        if args.filter is not None:
-            report = well_covered_report(g)
-            if not _passes_filter(args.filter, report.well_covered, report.very_well_covered):
-                continue
-        emitted.append(to_graph6(g))
+
+    def kept(g: Graph) -> bool:
+        report = well_covered_report(g)
+        return _passes_filter(args.filter, report.well_covered, report.very_well_covered)
+
+    emitted = (to_graph6(g) for g in graphs if args.filter is None or kept(g))
     if args.format == "json":
-        print(json.dumps({"version": __version__, "count": len(emitted), "graphs": emitted}, indent=2))
+        lines = list(emitted)
+        print(json.dumps({"version": __version__, "count": len(lines), "graphs": lines}, indent=2))
     else:
-        print(f"version: {__version__}")
-        for line in emitted:
-            print(line)
+        _print_lines(emitted)
     return 0
 
 
@@ -234,29 +246,37 @@ def _scan_row(pair: tuple[Graph, Graph]) -> dict:
     }
 
 
+def _scan_rows(pairs: list[tuple[Graph, Graph]], jobs: int) -> Iterator[dict]:
+    """The row of each pair, in pair order, as it is decided."""
+    if jobs > 1:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(jobs) as pool:
+            yield from pool.imap(_scan_row, pairs, chunksize=64)
+    else:
+        yield from map(_scan_row, pairs)
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     if not 1 <= args.cap <= 64:
         raise ValueError("--cap must be between 1 and 64")
     pairs = list(corpus_pair_instances(args.max_n, args.cap, args.reps))
-    if args.jobs > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(args.jobs) as pool:
-            rows = list(pool.imap(_scan_row, pairs, chunksize=64))
-    else:
-        rows = [_scan_row(p) for p in pairs]
-    rows = [r for r in rows if _passes_filter(args.filter, r["well_covered"], r["very_well_covered"])]
+    rows = (
+        r
+        for r in _scan_rows(pairs, args.jobs)
+        if _passes_filter(args.filter, r["well_covered"], r["very_well_covered"])
+    )
     if args.format == "json":
-        print(json.dumps({"version": __version__, "pairs": rows}, indent=2))
+        print(json.dumps({"version": __version__, "pairs": list(rows)}, indent=2))
     else:
-        print(f"version: {__version__}")
-        for r in rows:
-            flags = " ".join(
+        _print_lines(
+            " ".join(
                 f"{k}={'true' if v else 'false'}" if isinstance(v, bool) else f"{k}={v}"
                 for k, v in r.items()
             )
-            print(flags)
+            for r in rows
+        )
     return 0
 
 

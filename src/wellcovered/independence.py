@@ -30,7 +30,9 @@ def i_number(g: Graph) -> int:
 
 
 def is_well_covered(g: Graph) -> bool:
-    """True iff all maximal independent sets share one size; stops early when not."""
+    """True iff all maximal independent sets share one size.  The kernel walks
+    each component as the summary does and stops at the first one with two
+    sizes."""
     return kernel.well_covered_size(g.adj) >= 0
 
 

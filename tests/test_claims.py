@@ -260,6 +260,9 @@ class TestSuite:
         [
             # the single well_covered_size call is k3_dichotomy's G x K3
             (path(3), {"independence_summary": 1, "well_covered_size": 1}),
+            # residual_wc decides each of the 7 residuals of C4 = K(2,2), and
+            # multipartite_square summarizes C4 x C4
+            (cycle(4), {"independence_summary": 2, "well_covered_size": 8}),
             # the product is only asked whether it is well-covered
             (
                 (path(3), cycle(4)),
@@ -275,7 +278,7 @@ class TestSuite:
                 {"direct_product_adj": 1, "maximal_independent_sets": 1, "independence_summary": 0},
             ),
         ],
-        ids=["graph", "pair", "graph-n", "h-family"],
+        ids=["graph", "wc-graph", "pair", "graph-n", "h-family"],
     )
     def test_facts_built_once(self, monkeypatch, instance, expected):
         """All claims of an instance read one summary per graph, build each

@@ -184,7 +184,24 @@ class TestProduct:
         assert "resource cap" in err
 
 
+class Interrupted(Exception):
+    """Raised by a stub source partway through a stream."""
+
+
 class TestGenerate:
+    def test_text_streams(self, capsys, monkeypatch):
+        """Each line is printed as its graph comes, before the corpus ends."""
+
+        def two_then_fail(max_n, representatives=False):
+            yield complete(1)
+            yield complete(2)
+            raise Interrupted
+
+        monkeypatch.setattr(cli, "corpus_single_instances", two_then_fail)
+        with pytest.raises(Interrupted):
+            main(["generate", "--max-n", "7"])
+        assert capsys.readouterr().out == f"version: {__version__}\n@\nA_\n"
+
     def test_specs_text(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "complete:3", "cycle:5")
         lines = out.strip().splitlines()
@@ -319,6 +336,24 @@ class TestScan:
         assert lines[0] == f"version: {__version__}"
         assert lines[1].startswith("g=@ h=@ order=1 ")
         assert "well_covered=" in lines[1]
+
+    def test_text_streams(self, capsys, monkeypatch):
+        """Each row is printed as its pair is decided, before the scan ends."""
+        decide = kernel.well_covered_size
+        calls = []
+
+        def two_then_fail(*args):
+            calls.append(args)
+            if len(calls) > 2:
+                raise Interrupted
+            return decide(*args)
+
+        monkeypatch.setattr(kernel, "well_covered_size", two_then_fail)
+        with pytest.raises(Interrupted):
+            main(["scan", "--max-n", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"version: {__version__}"
+        assert [line.split()[:2] for line in lines[1:]] == [["g=@", "h=@"], ["g=@", "h=A_"]]
 
     def test_worker_pool_prints_the_same(self, capsys):
         _, serial, _ = run_cli(capsys, "scan", "--max-n", "3", "--jobs", "1", "--format", "json")

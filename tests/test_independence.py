@@ -241,6 +241,9 @@ def assert_summary_matches_enumeration(g):
     wit_max = max(sets, key=int.bit_count)
     expect = (wit_min.bit_count(), wit_max.bit_count(), wit_min, wit_max)
     assert _mis_fallback.independence_summary(g.adj) == expect
+    # the decision walks the same way and stops at a second size
+    sizes = {s.bit_count() for s in sets}
+    assert _mis_fallback.well_covered_size(g.adj) == (sizes.pop() if len(sizes) == 1 else -1)
     if g.n <= 12:
         assert expect[:2] == brute_summary(g.adj, g.n)
 
@@ -287,7 +290,8 @@ def assert_table_is_sound(g):
 
 class TestBoundedSummary:
     """The pure summary skips subtrees that cannot improve i or alpha; it must
-    still equal the extremes of the full enumeration, witnesses included."""
+    still equal the extremes of the full enumeration, witnesses included, and
+    the decision that shares its walk must give their one size or -1."""
 
     @pytest.mark.parametrize("g", summary_oracle_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
     def test_matches_full_enumeration(self, g):

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -143,9 +144,9 @@ def test_identical_summary_on_large_products(compiled, g, h):
     ids=["cap0", "cap1", "everywhere", "bounds"],
 )
 def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
-    """The compiled summary with no table, a one-state table, a table at
-    every node of every walk, or the degree bounds in every walk and no table
-    equals the pure summary with its own rules."""
+    """The compiled summary and decision with no table, a one-state table, a
+    table at every node of every walk, or the degree bounds in every walk and
+    no table equal the pure ones with their own rules."""
     variant = load(build(tmp_path_factory, *defines))
     rng = random.Random(43)
     graphs = [random_graph(rng, rng.randint(8, 16), rng.random()) for _ in range(1500)]
@@ -155,6 +156,7 @@ def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
     ]
     for g in graphs:
         assert variant.independence_summary(g.adj) == pure.independence_summary(g.adj)
+        assert variant.well_covered_size(g.adj) == pure.well_covered_size(g.adj)
 
 
 def within_graphs():
@@ -177,6 +179,7 @@ def test_identical_summary_within(compiled, g):
     masks = [None, g.vertex_mask, 0] + [rng.getrandbits(g.n) for _ in range(20)]
     for m in masks:
         assert compiled.independence_summary(g.adj, m) == pure.independence_summary(g.adj, m)
+        assert compiled.well_covered_size(g.adj, m) == pure.well_covered_size(g.adj, m)
 
 
 @pytest.mark.parametrize("impl", ["compiled", "pure"])
@@ -195,19 +198,22 @@ def test_summary_within_is_induced_summary(compiled, impl):
 
 
 def test_identical_within_errors(compiled):
-    for adj, within in [([0] * 3, 0b1000), ([0] * 3, -1), ([0] * 64, 1 << 64), ([0] * 64, -1), ([], 1)]:
-        messages = []
+    for fn in ("independence_summary", "well_covered_size"):
+        for adj, within in [([0] * 3, 0b1000), ([0] * 3, -1), ([0] * 64, 1 << 64), ([0] * 64, -1), ([], 1)]:
+            messages = []
+            for impl in (compiled, pure):
+                with pytest.raises(ValueError) as info:
+                    getattr(impl, fn)(adj, within)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1] == f"within mask mentions vertices >= {len(adj)}"
         for impl in (compiled, pure):
-            with pytest.raises(ValueError) as info:
-                impl.independence_summary(adj, within)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1] == f"within mask mentions vertices >= {len(adj)}"
-    for impl in (compiled, pure):
-        # positional only, as the benchmark's replay records calls
-        with pytest.raises(TypeError):
-            impl.independence_summary([0], within=1)
-        with pytest.raises(TypeError):
-            impl.independence_summary([0], 1, 1)
+            # positional only, as the benchmark's replay records calls
+            with pytest.raises(TypeError):
+                getattr(impl, fn)([0], within=1)
+            with pytest.raises(TypeError):
+                getattr(impl, fn)([0], 1, 1)
+            with pytest.raises(TypeError):
+                getattr(impl, fn)()
 
 
 def test_identical_limits(compiled):
@@ -220,6 +226,42 @@ def test_identical_limits(compiled):
                 getattr(impl, fn)(*args)
             messages.append(str(info.value))
         assert messages[0] == messages[1], fn
+
+
+@pytest.mark.parametrize("impl", ["compiled", "pure"])
+def test_decision_agrees_with_subset_filter(compiled, impl):
+    """``well_covered_size(adj, m)`` is the one size of the maximal
+    independent sets of G[m] that the 2**n subset filter finds, or -1."""
+    decide = (compiled if impl == "compiled" else pure).well_covered_size
+    rng = random.Random(17)
+    graphs = [random_graph(rng, rng.randint(0, 10), rng.random()) for _ in range(400)]
+    graphs += [
+        disjoint_union(cycle(5), cycle(7)),
+        disjoint_union(cycle(4), path(3)),
+        direct_product(cycle(3), path(3)).graph,
+    ]
+    for g in graphs:
+        for m in (g.vertex_mask, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            sub = induced_subgraph(g, m)
+            sizes = {s.bit_count() for s in brute_maximal_independent_sets(sub.adj, sub.n)}
+            assert decide(g.adj, m) == (sizes.pop() if len(sizes) == 1 else -1)
+
+
+def comb(k):
+    """The path P_k with one leaf on each vertex."""
+    return from_edge_list(2 * k, [(v, v + 1) for v in range(k - 1)] + [(v, k + v) for v in range(k)])
+
+
+def test_decision_walks_components(compiled):
+    """comb(4) x comb(4) has 64 vertices in two components, and every maximal
+    independent set has 32.  A decision that walks the maximal sets of the
+    whole product takes seconds on the pure kernel; one bounded walk per
+    component takes milliseconds."""
+    adj = direct_product(comb(4), comb(4)).graph.adj
+    start = time.perf_counter()
+    assert pure.well_covered_size(adj) == 32
+    assert time.perf_counter() - start < 1.0
+    assert compiled.well_covered_size(adj) == 32
 
 
 def test_agrees_with_subset_filter(compiled):
