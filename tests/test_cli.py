@@ -1,6 +1,7 @@
 """Command-line interface: output fields, exit codes, determinism, and
 agreement with the library functions it fronts."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -25,6 +26,14 @@ FILTERS = {
     "wc": lambda rep: rep.well_covered,
     "vwc": lambda rep: rep.very_well_covered,
     "wc-not-vwc": lambda rep: rep.well_covered and not rep.very_well_covered,
+}
+
+
+# sha256 of the stdout of ``verify <argv> --format json``; verdict tallies and
+# witnesses must stay byte-identical whichever path decides a product
+VERIFY_DIGESTS = {
+    "--max-n 4": "eee90025ef3b3499c88122bbb638ce56f6728a490a437c8bdf00a9d9184ec87e",
+    "--max-n 5 --reps": "128d0e9b9655c5c5aed6d86c807356f32c97c08efbb3e61dc086578bb0b1a9ff",
 }
 
 
@@ -289,6 +298,12 @@ class TestVerify:
         _, first, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
         _, second, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS))
+    def test_output_digest(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
 class TestScan:
