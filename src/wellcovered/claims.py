@@ -12,13 +12,18 @@ perfect matchings) are enumerated exhaustively; nothing is sampled.
 Each instance's graphs and products are built once, in the facts objects
 (``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every claim of the
 instance's shape reads them from there.  A graph is summarized once.  A
-pair's product, and each residual of ``residual_wc``, is only asked whether
-it is well-covered: the kernel's decision runs the summary walk per
+pair's product, G x K3 in ``k3_dichotomy`` and each residual of
+``residual_wc`` are only asked whether they are well-covered.  For a
+product, ``products.lifted_witnesses`` first lifts the factors' maximum and
+minimum witnesses and checks them in the product; ``trivial_bounds`` reads
+the same certificate for its bounds.  When the certified independent set is
+larger than the certified maximal one, the product is not well-covered and
+no search runs.  Otherwise the kernel's decision runs the summary walk per
 component and stops at the first component with two maximal-set sizes.
-``trivial_bounds`` proves its bounds with lifted factor witnesses and needs
-the product's exact alpha and i only if a certificate fails.  The suite runner tallies
-verdicts per claim and merges partial reports associatively, so instance
-streams can be partitioned across processes.
+``trivial_bounds`` needs the product's exact alpha and i only if the
+certificate fails.  The suite runner tallies verdicts per claim and merges
+partial reports associatively, so instance streams can be partitioned
+across processes.
 """
 
 from __future__ import annotations
@@ -68,12 +73,36 @@ from .independence import (
     well_covered_report,
 )
 from .kn_partitions import kn_report, layer_cardinality_check, necessary_condition_check
-from .products import ProductGraph, direct_product, lift_layers, product_bounds_check
+from .products import (
+    ProductGraph,
+    direct_product,
+    lift_layers,
+    lifted_witnesses,
+    product_bounds_check,
+)
 from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
 SHAPE_GRAPH = "single-graph"
 SHAPE_PAIR = "graph-pair"
 SHAPE_GRAPH_N = "graph-plus-n"
+
+# the second factor of k3_dichotomy's G x K3, with the summary its
+# certificate lifts
+K3 = complete(3)
+K3_REPORT = well_covered_report(K3)
+
+
+def _decide(p: ProductGraph, lifted: tuple[int, int] | None) -> int:
+    """The common size of the maximal independent sets of ``p``, or -1.
+
+    ``lifted`` is ``lifted_witnesses`` of ``p``.  When its independent set
+    ``big`` is larger than its maximal independent set ``small``, some
+    maximal set contains ``big`` and so is larger than ``small``: both were
+    checked in ``p.graph``, so the answer is -1 without a search.  In every
+    other case the kernel decides."""
+    if lifted is not None and lifted[0].bit_count() > lifted[1].bit_count():
+        return -1
+    return kernel.well_covered_size(p.graph.adj)
 
 
 class GraphFacts:
@@ -129,13 +158,20 @@ class PairFacts:
         return well_covered_report(self.product.graph)
 
     @cached_property
+    def lifted(self) -> tuple[int, int] | None:
+        """``lifted_witnesses`` of the product: the certificate that
+        ``trivial_bounds`` and ``product_wc_size`` share."""
+        return lifted_witnesses(self.product, self.g.report, self.h.report)
+
+    @cached_property
     def product_wc_size(self) -> int:
         """The common size of the product's maximal independent sets, or -1.
-        Read off ``product_report`` when that is already computed."""
+        Read off ``product_report`` when that is already computed; otherwise
+        the ``lifted`` certificate can answer -1 before the kernel decides."""
         report = self.__dict__.get("product_report")
         if report is not None:
             return report.alpha if report.well_covered else -1
-        return kernel.well_covered_size(self.product.graph.adj)
+        return _decide(self.product, self.lifted)
 
     @property
     def product_wc(self) -> bool:
@@ -195,7 +231,7 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
 
 
 def _check_trivial_bounds(f: PairFacts) -> ClaimVerdict:
-    return product_bounds_check(f.product, f.g.report, f.h.report, f.instance)
+    return product_bounds_check(f.product, f.g.report, f.h.report, f.instance, f.lifted)
 
 
 def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
@@ -413,8 +449,8 @@ def _check_k3_dichotomy(f: GraphFacts) -> ClaimVerdict:
     an isolatable vertex."""
     if not f.nontrivial_connected:
         return ClaimVerdict("k3_dichotomy", f.instance, VACUOUS)
-    prod = direct_product(f.graph, complete(3))
-    if kernel.well_covered_size(prod.graph.adj) < 0:
+    prod = direct_product(f.graph, K3)
+    if _decide(prod, lifted_witnesses(prod, f.report, K3_REPORT)) < 0:
         return ClaimVerdict("k3_dichotomy", f.instance, VACUOUS)
     if (f.graph.n == 3 and is_complete(f.graph)) or f.isolatable_mask:
         return ClaimVerdict("k3_dichotomy", f.instance, HOLDS)
@@ -578,10 +614,11 @@ def _check_multipartite_square(f: GraphFacts) -> ClaimVerdict:
     direct product squares."""
     if multipartite_params(f.graph) is None:
         return ClaimVerdict("multipartite_square", f.instance, VACUOUS)
-    prod = direct_product(f.graph, f.graph)
-    low, high, _, _ = kernel.independence_summary(prod.graph.adj)
-    if low == high:
+    adj = direct_product(f.graph, f.graph).graph.adj
+    if kernel.well_covered_size(adj) >= 0:
         return ClaimVerdict("multipartite_square", f.instance, HOLDS)
+    # only the witness needs the square's i and alpha
+    low, high, _, _ = kernel.independence_summary(adj)
     witness = {"square_i": low, "square_alpha": high}
     return ClaimVerdict("multipartite_square", f.instance, COUNTEREXAMPLE, witness)
 

@@ -85,32 +85,28 @@ def lift_independent(p: ProductGraph, i_mask: int) -> int:
     return lift_layers(p.layer_h, i_mask)
 
 
-def product_bounds_check(
-    p: ProductGraph,
-    rep_g: WellCoveredReport,
-    rep_h: WellCoveredReport,
-    instance: dict,
-) -> ClaimVerdict:
-    """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
-    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.  ``p`` is
-    G x H carrying its factors; the reports are ``well_covered_report`` of G
-    and H.
+def lifted_witnesses(
+    p: ProductGraph, rep_g: WellCoveredReport, rep_h: WellCoveredReport
+) -> tuple[int, int] | None:
+    """The factors' witnesses lifted to G x H and checked there, or None.
 
-    Both bounds are certified in the materialized product.  The maximum-set
-    witness of the factor that gives the lower bound, lifted to I x V(H) or
-    V(G) x I, must be independent of that size, so alpha(GxH) >= lower.  The
-    minimum-maximal witness of the factor that gives the upper bound, lifted
-    the same way, must be independent and dominating, so it is a maximal
-    independent set and i(GxH) <= upper.  For isolate-free factors both
-    certificates always pass; only when one fails does the exact summary of
-    G x H run, and the verdict and witness then follow its alpha and i."""
+    ``p`` is G x H carrying its factors; the reports are
+    ``well_covered_report`` of G and H.  For isolate-free factors, ``big`` is
+    the maximum-set witness of the factor that gives
+    max(alpha(G)n(H), alpha(H)n(G)), lifted to I x V(H) or V(G) x I, and
+    ``small`` is the minimum-maximal witness of the factor that gives
+    min(i(G)n(H), i(H)n(G)), lifted the same way.  The pair is returned only
+    if, in ``p.graph``, ``big`` is independent and reaches the first bound
+    and ``small`` is independent, dominating (so a maximal independent set)
+    and within the second bound.  A factor with an isolated vertex, or any
+    check that fails, gives None.  When ``big`` has more vertices than
+    ``small``, G x H is not well-covered: some maximal independent set
+    contains ``big``."""
     g, h = p.factor_g, p.factor_h
-    if any(g.adj[v] == 0 for v in range(g.n)) or any(h.adj[v] == 0 for v in range(h.n)):
-        return ClaimVerdict("trivial_bounds", instance, VACUOUS)
+    if 0 in g.adj or 0 in h.adj:
+        return None
     lower_g, lower_h = rep_g.alpha * h.n, rep_h.alpha * g.n
     upper_g, upper_h = rep_g.i_number * h.n, rep_h.i_number * g.n
-    lower = max(lower_g, lower_h)
-    upper = min(upper_g, upper_h)
     if lower_g >= lower_h:
         big = lift_layers(p.layer_h, rep_g.witness_max)
     else:
@@ -122,14 +118,48 @@ def product_bounds_check(
     prod = p.graph
     around_small = neighborhood(prod, small)
     if (
-        big.bit_count() >= lower
+        big.bit_count() >= max(lower_g, lower_h)
         and not neighborhood(prod, big) & big
-        and small.bit_count() <= upper
+        and small.bit_count() <= min(upper_g, upper_h)
         and not around_small & small
         and around_small | small == prod.vertex_mask
     ):
+        return big, small
+    return None
+
+
+_UNSET = object()
+
+
+def product_bounds_check(
+    p: ProductGraph,
+    rep_g: WellCoveredReport,
+    rep_h: WellCoveredReport,
+    instance: dict,
+    witnesses=_UNSET,
+) -> ClaimVerdict:
+    """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
+    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.  ``p`` is
+    G x H carrying its factors; the reports are ``well_covered_report`` of G
+    and H.
+
+    Both bounds are certified in the materialized product by
+    ``lifted_witnesses``: an independent set of the lower bound's size, so
+    alpha(GxH) >= lower, and a maximal independent set within the upper
+    bound, so i(GxH) <= upper.  ``witnesses`` is that function's result when
+    the caller already holds it.  For isolate-free factors the certificate
+    always passes; only when it fails does the exact summary of G x H run,
+    and the verdict and witness then follow its alpha and i."""
+    g, h = p.factor_g, p.factor_h
+    if 0 in g.adj or 0 in h.adj:
+        return ClaimVerdict("trivial_bounds", instance, VACUOUS)
+    if witnesses is _UNSET:
+        witnesses = lifted_witnesses(p, rep_g, rep_h)
+    if witnesses is not None:
         return ClaimVerdict("trivial_bounds", instance, HOLDS)
-    rep_p = well_covered_report(prod)
+    lower = max(rep_g.alpha * h.n, rep_h.alpha * g.n)
+    upper = min(rep_g.i_number * h.n, rep_h.i_number * g.n)
+    rep_p = well_covered_report(p.graph)
     if rep_p.alpha >= lower and rep_p.i_number <= upper:
         return ClaimVerdict("trivial_bounds", instance, HOLDS)
     witness = {

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from wellcovered import kernel
+from wellcovered import claims, cli, kernel
 from wellcovered.claims import (
     CLAIM_IDS,
     REGISTRY,
@@ -258,14 +258,23 @@ class TestSuite:
     @pytest.mark.parametrize(
         "instance, expected",
         [
-            # the single well_covered_size call is k3_dichotomy's G x K3
-            (path(3), {"independence_summary": 1, "well_covered_size": 1}),
-            # residual_wc decides each of the 7 residuals of C4 = K(2,2), and
-            # multipartite_square summarizes C4 x C4
-            (cycle(4), {"independence_summary": 2, "well_covered_size": 8}),
-            # the product is only asked whether it is well-covered
+            # k3_dichotomy's P3 x K3 is certified not well-covered: the
+            # lifted maximum set has 2 * 3 = 6 vertices and the lifted
+            # maximal set 1 * 3 = 3, so it makes no decision
+            (path(3), {"independence_summary": 1, "well_covered_size": 0}),
+            # residual_wc decides each of the 7 residuals of C4 = K(2,2),
+            # multipartite_square decides C4 x C4, and C4 x K3 is certified
+            # (6 > 4)
+            (cycle(4), {"independence_summary": 1, "well_covered_size": 8}),
+            # the lifted witnesses of P3 x C4 have 2 * 4 = 8 > 1 * 4 = 4
+            # vertices, so the product is never searched
             (
                 (path(3), cycle(4)),
+                {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 0},
+            ),
+            # K3 x K3: both bounds are 3, so only the kernel can decide
+            (
+                (complete(3), complete(3)),
                 {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 1},
             ),
             (
@@ -278,7 +287,7 @@ class TestSuite:
                 {"direct_product_adj": 1, "maximal_independent_sets": 1, "independence_summary": 0},
             ),
         ],
-        ids=["graph", "wc-graph", "pair", "graph-n", "h-family"],
+        ids=["graph", "wc-graph", "certified-pair", "ratio-equal", "graph-n", "h-family"],
     )
     def test_facts_built_once(self, monkeypatch, instance, expected):
         """All claims of an instance read one summary per graph, build each
@@ -294,6 +303,15 @@ class TestSuite:
             monkeypatch.setattr(kernel, name, counted)
         assert run_suite(CLAIM_IDS, [instance]).passed
         assert {name: calls[name] for name in expected} == expected
+
+    def test_kernel_only_path_gives_the_same_report(self, monkeypatch):
+        """The lifted certificate changes no verdict or witness: without it
+        every product is decided, and trivial_bounds summarized, by the
+        kernel alone."""
+        args = cli._parser().parse_args(["verify", "--max-n", "4"])
+        certified = run_suite(CLAIM_IDS, cli._instances(args)).to_json()
+        monkeypatch.setattr(claims, "lifted_witnesses", lambda p, rep_g, rep_h: None)
+        assert run_suite(CLAIM_IDS, cli._instances(args)).to_json() == certified
 
 
 class TestTallyMachinery:

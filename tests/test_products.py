@@ -9,10 +9,16 @@ from hypothesis import given, strategies as st
 
 from brute import brute_summary, is_independent, random_graph
 from wellcovered import kernel
-from wellcovered.families import complete, cycle, path
+from wellcovered.claims import PairFacts
+from wellcovered.families import complete, corpus_representatives, cycle, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import well_covered_report
-from wellcovered.products import direct_product, lift_independent, product_bounds_check
+from wellcovered.products import (
+    direct_product,
+    lift_independent,
+    lifted_witnesses,
+    product_bounds_check,
+)
 from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS
 
 
@@ -211,3 +217,92 @@ class TestBoundsCheck:
             if not has_iso:
                 assert a_p >= max(a_g * h.n, a_h * g.n)
                 assert i_p <= min(i_g * h.n, i_h * g.n)
+
+
+def counted_decisions(monkeypatch) -> list[int]:
+    """The orders of the graphs ``kernel.well_covered_size`` is asked about
+    from now on."""
+    calls = []
+    original = kernel.well_covered_size
+
+    def counted(adj):
+        calls.append(len(adj))
+        return original(adj)
+
+    monkeypatch.setattr(kernel, "well_covered_size", counted)
+    return calls
+
+
+def brute_wc_size(graph: Graph) -> int:
+    i, a = brute_summary(graph.adj, graph.n)
+    return a if i == a else -1
+
+
+# triangle 0-1-2 with the leaf 3 on vertex 0
+PAW = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+
+class TestCertifiedDecision:
+    """``PairFacts.product_wc_size`` answers -1 without a search only from
+    the lifted witnesses checked in the product; anything else is decided
+    by the kernel."""
+
+    def test_witnesses(self):
+        # P3 x C4: {0, 2} x V(C4) and {1} x V(C4)
+        p = direct_product(path(3), cycle(4))
+        big, small = lifted_witnesses(p, well_covered_report(path(3)), well_covered_report(cycle(4)))
+        assert (big.bit_count(), small.bit_count()) == (8, 4)
+        assert big == p.layer_h(0) | p.layer_h(2)
+        assert small == p.layer_h(1)
+
+    def test_none_with_isolated_vertex(self):
+        g, h = from_edge_list(3, [(0, 1)]), complete(2)
+        p = direct_product(g, h)
+        assert lifted_witnesses(p, well_covered_report(g), well_covered_report(h)) is None
+
+    def test_failed_certificate_falls_through_to_the_kernel(self, monkeypatch):
+        # K2 x paw is the paw's 8-vertex double cover, certified not
+        # well-covered by 4 > 2.  Joining the two copies of the paw's centre
+        # puts an edge inside the lifted maximal set V(K2) x {0}, so the
+        # certificate fails, and the doctored graph is well-covered.
+        f = PairFacts(complete(2), PAW)
+        f.__dict__["product"] = doctored(complete(2), PAW, (0, 0), (1, 0))
+        assert f.lifted is None
+        calls = counted_decisions(monkeypatch)
+        assert f.product_wc_size == 4 == brute_wc_size(f.product.graph)
+        assert calls == [8]
+
+    @pytest.mark.parametrize(
+        "g, h, report, size",
+        [
+            (path(3), complete(2), {"witness_max": 0b001}, -1),
+            (complete(3), complete(3), {"alpha": 2, "witness_max": 0b011}, 3),
+            (complete(3), complete(3), {"i_number": 0, "witness_min": 0}, 3),
+        ],
+        ids=["short-maximum-set", "dependent-maximum-set", "undominating-minimum-set"],
+    )
+    def test_false_report_falls_through_to_the_kernel(self, monkeypatch, g, h, report, size):
+        # a first-factor report whose witness is too small, not independent
+        # or not dominating: the checks in the product reject its lift, so
+        # the kernel decides.  Unchecked, the last two would set 6 or 3
+        # vertices against 3 or 0 and call K3 x K3 not well-covered.
+        f = PairFacts(g, h)
+        f.g.__dict__["report"] = dataclasses.replace(f.g.report, **report)
+        assert f.lifted is None
+        calls = counted_decisions(monkeypatch)
+        assert f.product_wc_size == size
+        assert calls == [g.n * h.n]
+
+    def test_agrees_with_kernel_and_subset_filter(self):
+        reps = [g for g in corpus_representatives(5) if g.n >= 2]
+        checked = 0
+        for g in reps:
+            for h in reps:
+                f = PairFacts(g, h)
+                product = f.product.graph
+                size = f.product_wc_size
+                assert size == kernel.well_covered_size(product.adj), (g, h)
+                if product.n <= 16:
+                    assert size == brute_wc_size(product), (g, h)
+                checked += 1
+        assert checked == 900
