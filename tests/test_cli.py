@@ -36,6 +36,13 @@ VERIFY_DIGESTS = {
     "--max-n 5 --reps": "128d0e9b9655c5c5aed6d86c807356f32c97c08efbb3e61dc086578bb0b1a9ff",
 }
 
+# the same for ``scan <argv> --format json``: every row stays byte-identical
+# whichever path decides its product
+SCAN_DIGESTS = {
+    "--max-n 4": "4fa0d2ad1b2e08631da985ae5dcb5d02b7f7cfbafa29c4c4da4dac98abdc1a96",
+    "--max-n 5 --reps": "740beb5585f646f942b88fb397b42e08bc90da8620d2a26d35d414d835829601",
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -375,6 +382,12 @@ class TestScan:
         code, pooled, _ = run_cli(capsys, "scan", "--max-n", "3", "--jobs", "2", "--format", "json")
         assert code == 0
         assert pooled == serial and len(json.loads(serial)["pairs"]) == 36
+
+    @pytest.mark.parametrize("argv", sorted(SCAN_DIGESTS))
+    def test_output_digest(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "scan", *argv.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGESTS[argv]
 
     @pytest.mark.parametrize("command", ["scan", "verify"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
