@@ -1,6 +1,8 @@
-"""The public surface: every name in ``wellcovered.__all__`` resolves, and
-the README's library example runs as printed."""
+"""The public surface: every name in ``wellcovered.__all__`` resolves, the
+README's library example runs as printed, and no module imports a name it
+does not use."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 import wellcovered
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(Path(wellcovered.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", wellcovered.__all__)
@@ -24,3 +27,37 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(block.group(1), f"{README}:Library example", "exec"), namespace)
     assert namespace["report"].well_covered
+
+
+class _ModuleImports(ast.NodeVisitor):
+    """The names bound by imports outside every function and class body."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        pass
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Import(self, node) -> None:
+        self.names += [(a.asname or a.name).partition(".")[0] for a in node.names]
+
+    def visit_ImportFrom(self, node) -> None:
+        if node.module != "__future__":
+            self.names += [a.asname or a.name for a in node.names]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imports = _ModuleImports()
+    imports.visit(tree)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a package re-exports what it lists in __all__
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    assert [name for name in imports.names if name not in used] == []
