@@ -11,19 +11,21 @@ perfect matchings) are enumerated exhaustively; nothing is sampled.
 
 Each instance's graphs and products are built once, in the facts objects
 (``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every claim of the
-instance's shape reads them from there.  A graph is summarized once.  A
-pair's product, G x K3 in ``k3_dichotomy`` and each residual of
-``residual_wc`` are only asked whether they are well-covered.  For a
-product, ``products.lifted_witnesses`` first lifts the factors' maximum and
-minimum witnesses and checks them in the product; ``trivial_bounds`` reads
-the same certificate for its bounds.  When the certified independent set is
-larger than the certified maximal one, the product is not well-covered and
-no search runs.  Otherwise the kernel's decision runs the summary walk per
-component and stops at the first component with two maximal-set sizes.
-``trivial_bounds`` needs the product's exact alpha and i only if the
-certificate fails.  The suite runner tallies verdicts per claim and merges
-partial reports associatively, so instance streams can be partitioned
-across processes.
+instance's shape reads them from there.  A graph is summarized once.
+``PairFacts`` is the one object that decides whether a product G x H is
+well-covered: the pair claims, ``cli product`` and ``cli scan`` ask it, and
+so do ``k3_dichotomy`` and ``multipartite_square`` through the G x K3 and
+G x G that ``GraphFacts`` keeps.  It shares its factors' ``GraphFacts`` and
+so their summaries.  ``products.lifted_witnesses`` first lifts the factors'
+maximum and minimum witnesses and checks them in the product;
+``trivial_bounds`` reads the same certificate for its bounds.  When the
+certified independent set is larger than the certified maximal one, the
+product is not well-covered and no search runs.  Otherwise the kernel's
+decision runs the summary walk per component and stops at the first
+component with two maximal-set sizes.  ``trivial_bounds`` needs the
+product's exact alpha and i only if the certificate fails.  The suite
+runner tallies verdicts per claim and merges partial reports associatively,
+so instance streams can be partitioned across processes.
 """
 
 from __future__ import annotations
@@ -86,24 +88,6 @@ SHAPE_GRAPH = "single-graph"
 SHAPE_PAIR = "graph-pair"
 SHAPE_GRAPH_N = "graph-plus-n"
 
-# the second factor of k3_dichotomy's G x K3, with the summary its
-# certificate lifts
-K3 = complete(3)
-K3_REPORT = well_covered_report(K3)
-
-
-def _decide(p: ProductGraph, lifted: tuple[int, int] | None) -> int:
-    """The common size of the maximal independent sets of ``p``, or -1.
-
-    ``lifted`` is ``lifted_witnesses`` of ``p``.  When its independent set
-    ``big`` is larger than its maximal independent set ``small``, some
-    maximal set contains ``big`` and so is larger than ``small``: both were
-    checked in ``p.graph``, so the answer is -1 without a search.  In every
-    other case the kernel decides."""
-    if lifted is not None and lifted[0].bit_count() > lifted[1].bit_count():
-        return -1
-    return kernel.well_covered_size(p.graph.adj)
-
 
 class GraphFacts:
     """Lazily computed facts about a single graph, shared across claims."""
@@ -135,17 +119,34 @@ class GraphFacts:
     def mis_list(self) -> list[int]:
         return kernel.maximal_independent_sets(self.graph.adj)
 
+    @cached_property
+    def k3(self) -> PairFacts:
+        """G x K3, the product ``k3_dichotomy`` asks about."""
+        return PairFacts(self, K3)
+
+    @cached_property
+    def square(self) -> PairFacts:
+        """G x G, the product ``multipartite_square`` asks about."""
+        return PairFacts(self, self)
+
+
+# the second factor of every G x K3; summarized here, once per process
+K3 = GraphFacts(complete(3))
+K3.report
+
 
 class PairFacts:
-    """Facts about an ordered pair of graphs and their direct product."""
+    """Facts about an ordered pair of graphs and their direct product.  The
+    factors' facts are passed in, so pairs with a common factor share its
+    summary."""
 
-    def __init__(self, g: Graph, h: Graph) -> None:
-        self.g = GraphFacts(g)
-        self.h = GraphFacts(h)
+    def __init__(self, g: GraphFacts, h: GraphFacts) -> None:
+        self.g = g
+        self.h = h
 
     @cached_property
     def instance(self) -> dict:
-        return {"g": to_graph6(self.g.graph), "h": to_graph6(self.h.graph)}
+        return {"g": self.g.instance["graph6"], "h": self.h.instance["graph6"]}
 
     @cached_property
     def product(self) -> ProductGraph:
@@ -166,12 +167,20 @@ class PairFacts:
     @cached_property
     def product_wc_size(self) -> int:
         """The common size of the product's maximal independent sets, or -1.
-        Read off ``product_report`` when that is already computed; otherwise
-        the ``lifted`` certificate can answer -1 before the kernel decides."""
+
+        Read off ``product_report`` when that is already computed.
+        Otherwise, when the ``lifted`` independent set ``big`` is larger than
+        the ``lifted`` maximal independent set ``small``, some maximal set
+        contains ``big`` and so is larger than ``small``: both were checked
+        in the product, so the answer is -1 without a search.  In every
+        other case the kernel decides."""
         report = self.__dict__.get("product_report")
         if report is not None:
             return report.alpha if report.well_covered else -1
-        return _decide(self.product, self.lifted)
+        lifted = self.lifted
+        if lifted is not None and lifted[0].bit_count() > lifted[1].bit_count():
+            return -1
+        return kernel.well_covered_size(self.product.graph.adj)
 
     @property
     def product_wc(self) -> bool:
@@ -447,10 +456,7 @@ def _check_regularity(f: PairFacts) -> ClaimVerdict:
 def _check_k3_dichotomy(f: GraphFacts) -> ClaimVerdict:
     """A nontrivial connected G with well-covered G x K3 is K3 itself or has
     an isolatable vertex."""
-    if not f.nontrivial_connected:
-        return ClaimVerdict("k3_dichotomy", f.instance, VACUOUS)
-    prod = direct_product(f.graph, K3)
-    if _decide(prod, lifted_witnesses(prod, f.report, K3_REPORT)) < 0:
+    if not f.nontrivial_connected or not f.k3.product_wc:
         return ClaimVerdict("k3_dichotomy", f.instance, VACUOUS)
     if (f.graph.n == 3 and is_complete(f.graph)) or f.isolatable_mask:
         return ClaimVerdict("k3_dichotomy", f.instance, HOLDS)
@@ -614,12 +620,11 @@ def _check_multipartite_square(f: GraphFacts) -> ClaimVerdict:
     direct product squares."""
     if multipartite_params(f.graph) is None:
         return ClaimVerdict("multipartite_square", f.instance, VACUOUS)
-    adj = direct_product(f.graph, f.graph).graph.adj
-    if kernel.well_covered_size(adj) >= 0:
+    if f.square.product_wc:
         return ClaimVerdict("multipartite_square", f.instance, HOLDS)
     # only the witness needs the square's i and alpha
-    low, high, _, _ = kernel.independence_summary(adj)
-    witness = {"square_i": low, "square_alpha": high}
+    report = f.square.product_report
+    witness = {"square_i": report.i_number, "square_alpha": report.alpha}
     return ClaimVerdict("multipartite_square", f.instance, COUNTEREXAMPLE, witness)
 
 
@@ -811,7 +816,7 @@ def _facts_for(shape: str, instance: Instance):
     if shape == SHAPE_GRAPH:
         return GraphFacts(instance)
     if shape == SHAPE_PAIR:
-        return PairFacts(instance[0], instance[1])
+        return PairFacts(GraphFacts(instance[0]), GraphFacts(instance[1]))
     return GraphNFacts(instance[0], instance[1])
 
 
@@ -908,11 +913,11 @@ def _suite_chunk(args: tuple[tuple[str, ...], list[Instance]]) -> SuiteReport:
     return run_suite(claim_ids, chunk)
 
 
+CHUNK_SIZE = 512  # instances per worker task in run_suite_parallel
+
+
 def run_suite_parallel(
-    claim_ids: Iterable[str],
-    instances: Iterable[Instance],
-    jobs: int = 1,
-    chunk_size: int = 512,
+    claim_ids: Iterable[str], instances: Iterable[Instance], jobs: int = 1
 ) -> SuiteReport:
     """Partition the instance stream across worker processes and merge the
     partial reports in stream order, so output is independent of timing."""
@@ -925,7 +930,7 @@ def run_suite_parallel(
         batch: list[Instance] = []
         for inst in instances:
             batch.append(inst)
-            if len(batch) >= chunk_size:
+            if len(batch) >= CHUNK_SIZE:
                 yield ids, batch
                 batch = []
         if batch:

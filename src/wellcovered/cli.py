@@ -26,10 +26,11 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import __version__, kernel
+from . import __version__
 from .claims import (
     CLAIM_IDS,
     REGISTRY,
+    GraphFacts,
     PairFacts,
     _json_girth,
     corpus_graph_n_instances,
@@ -50,9 +51,8 @@ from .graphs import (
     is_regular,
     to_vertices,
 )
-from .independence import is_very_well_covered, isolatable_vertices, well_covered_report
+from .independence import isolatable_vertices, well_covered_report
 from .kn_partitions import kn_alpha_i, kn_report
-from .products import direct_product
 from .verdicts import COUNTEREXAMPLE
 
 
@@ -137,7 +137,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
-    facts = PairFacts(g, h)
+    facts = PairFacts(GraphFacts(g), GraphFacts(h))
     data = {"version": __version__}
     data.update(facts.product.to_json_sidecar())
     rep = facts.product_report
@@ -233,20 +233,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _scan_row(pair: tuple[Graph, Graph]) -> dict:
-    g, h = pair
-    prod = direct_product(g, h)
-    size = kernel.well_covered_size(prod.graph.adj)
+def _scan_row(f: PairFacts) -> dict:
     return {
-        "g": to_graph6(g),
-        "h": to_graph6(h),
-        "order": prod.graph.n,
-        "well_covered": size >= 0,
-        "very_well_covered": is_very_well_covered(prod.graph, size),
+        **f.instance,
+        "order": f.product.graph.n,
+        "well_covered": f.product_wc,
+        "very_well_covered": f.product_vwc,
     }
 
 
-def _scan_rows(pairs: list[tuple[Graph, Graph]], jobs: int) -> Iterator[dict]:
+def _scan_rows(pairs: Iterable[PairFacts], jobs: int) -> Iterator[dict]:
     """The row of each pair, in pair order, as it is decided."""
     if jobs > 1:
         import multiprocessing
@@ -262,9 +258,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not 1 <= args.cap <= 64:
         raise ValueError("--cap must be between 1 and 64")
     pairs = list(corpus_pair_instances(args.max_n, args.cap, args.reps))
+    # one GraphFacts per distinct factor, so each is summarized once per run
+    factors: dict[Graph, GraphFacts] = {}
+    facts = (PairFacts(*(factors.setdefault(x, GraphFacts(x)) for x in pair)) for pair in pairs)
     rows = (
         r
-        for r in _scan_rows(pairs, args.jobs)
+        for r in _scan_rows(facts, args.jobs)
         if _passes_filter(args.filter, r["well_covered"], r["very_well_covered"])
     )
     if args.format == "json":

@@ -128,15 +128,12 @@ def lifted_witnesses(
     return None
 
 
-_UNSET = object()
-
-
 def product_bounds_check(
     p: ProductGraph,
     rep_g: WellCoveredReport,
     rep_h: WellCoveredReport,
     instance: dict,
-    witnesses=_UNSET,
+    witnesses: tuple[int, int] | None,
 ) -> ClaimVerdict:
     """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
     i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.  ``p`` is
@@ -146,15 +143,13 @@ def product_bounds_check(
     Both bounds are certified in the materialized product by
     ``lifted_witnesses``: an independent set of the lower bound's size, so
     alpha(GxH) >= lower, and a maximal independent set within the upper
-    bound, so i(GxH) <= upper.  ``witnesses`` is that function's result when
-    the caller already holds it.  For isolate-free factors the certificate
+    bound, so i(GxH) <= upper.  ``witnesses`` is that function's result for
+    ``p`` and the two reports.  For isolate-free factors the certificate
     always passes; only when it fails does the exact summary of G x H run,
     and the verdict and witness then follow its alpha and i."""
     g, h = p.factor_g, p.factor_h
     if 0 in g.adj or 0 in h.adj:
         return ClaimVerdict("trivial_bounds", instance, VACUOUS)
-    if witnesses is _UNSET:
-        witnesses = lifted_witnesses(p, rep_g, rep_h)
     if witnesses is not None:
         return ClaimVerdict("trivial_bounds", instance, HOLDS)
     lower = max(rep_g.alpha * h.n, rep_h.alpha * g.n)

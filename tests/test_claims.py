@@ -212,11 +212,20 @@ class TestForcedWitnesses:
 
     def test_no_bipartite_residual(self):
         # C7 itself is an odd cycle; N[0] leaves the path 2-3-4-5
-        f = forced(PairFacts(cycle(7), complete(2)), product_wc_size=1)
+        f = forced(PairFacts(GraphFacts(cycle(7)), GraphFacts(complete(2))), product_wc_size=1)
         assert f.wc_not_vwc
         verdict = REGISTRY["no_bipartite_residual"].check(f)
         assert verdict.status == COUNTEREXAMPLE
         assert verdict.witness == {"independent_set": [0], "component_vertices": [2, 3, 4, 5]}
+
+    def test_multipartite_square(self):
+        # C4 = K(2, 2), whose square is in fact well-covered with
+        # i = alpha = 8; the witness is read off the square's summary
+        f = GraphFacts(cycle(4))
+        forced(f.square, product_wc_size=-1)
+        verdict = REGISTRY["multipartite_square"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.witness == {"square_i": 8, "square_alpha": 8}
 
 
 class TestSuite:
@@ -232,14 +241,15 @@ class TestSuite:
         second = run_suite(CLAIM_IDS, targeted_instances()).to_json()
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         instances = (
             list(corpus_single_instances(3))
             + list(corpus_pair_instances(3, cap=9))
             + list(corpus_graph_n_instances(3))
         )
         serial = run_suite(CLAIM_IDS, instances)
-        parallel = run_suite_parallel(CLAIM_IDS, instances, jobs=2, chunk_size=8)
+        monkeypatch.setattr(claims, "CHUNK_SIZE", 8)
+        parallel = run_suite_parallel(CLAIM_IDS, instances, jobs=2)
         assert serial.to_json() == parallel.to_json()
 
     def test_subset_of_claims(self):

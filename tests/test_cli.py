@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -377,11 +378,33 @@ class TestScan:
         assert lines[0] == f"version: {__version__}"
         assert [line.split()[:2] for line in lines[1:]] == [["g=@", "h=@"], ["g=@", "h=A_"]]
 
-    def test_worker_pool_prints_the_same(self, capsys):
-        _, serial, _ = run_cli(capsys, "scan", "--max-n", "3", "--jobs", "1", "--format", "json")
-        code, pooled, _ = run_cli(capsys, "scan", "--max-n", "3", "--jobs", "2", "--format", "json")
+    def test_each_factor_summarized_once(self, capsys, monkeypatch):
+        """All pairs with a common factor share its summary, and the lifted
+        certificate settles some pairs without a decision."""
+        calls = Counter()
+        for name in ("independence_summary", "well_covered_size"):
+            original = getattr(kernel, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+        code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--format", "json")
         assert code == 0
-        assert pooled == serial and len(json.loads(serial)["pairs"]) == 36
+        assert calls["independence_summary"] == len(list(corpus(3)))
+        assert calls["well_covered_size"] < len(json.loads(out)["pairs"])
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [("--max-n 3", 36), ("--max-n 4 --reps", 100)],
+        ids=["max-n-3", "max-n-4-reps"],
+    )
+    def test_worker_pool_prints_the_same(self, capsys, argv, count):
+        _, serial, _ = run_cli(capsys, "scan", *argv.split(), "--jobs", "1", "--format", "json")
+        code, pooled, _ = run_cli(capsys, "scan", *argv.split(), "--jobs", "2", "--format", "json")
+        assert code == 0
+        assert pooled == serial and len(json.loads(serial)["pairs"]) == count
 
     @pytest.mark.parametrize("argv", sorted(SCAN_DIGESTS))
     def test_output_digest(self, capsys, argv):

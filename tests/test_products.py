@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from brute import brute_summary, is_independent, random_graph
 from wellcovered import kernel
-from wellcovered.claims import PairFacts
+from wellcovered.claims import GraphFacts, PairFacts
 from wellcovered.families import complete, corpus_representatives, cycle, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import well_covered_report
@@ -107,8 +107,9 @@ class TestLifting:
 
 
 def bounds_check(g, h):
+    p = direct_product(g, h)
     reports = well_covered_report(g), well_covered_report(h)
-    return product_bounds_check(direct_product(g, h), *reports, {})
+    return product_bounds_check(p, *reports, {}, lifted_witnesses(p, *reports))
 
 
 def doctored(g, h, pair_u, pair_v):
@@ -132,7 +133,7 @@ def counted_bounds_check(monkeypatch, p, rep_g=None):
         return original(adj)
 
     monkeypatch.setattr(kernel, "independence_summary", counted)
-    return product_bounds_check(p, *reports, {}), calls
+    return product_bounds_check(p, *reports, {}, lifted_witnesses(p, *reports)), calls
 
 
 class TestBoundsCheck:
@@ -265,7 +266,7 @@ class TestCertifiedDecision:
         # well-covered by 4 > 2.  Joining the two copies of the paw's centre
         # puts an edge inside the lifted maximal set V(K2) x {0}, so the
         # certificate fails, and the doctored graph is well-covered.
-        f = PairFacts(complete(2), PAW)
+        f = PairFacts(GraphFacts(complete(2)), GraphFacts(PAW))
         f.__dict__["product"] = doctored(complete(2), PAW, (0, 0), (1, 0))
         assert f.lifted is None
         calls = counted_decisions(monkeypatch)
@@ -286,7 +287,7 @@ class TestCertifiedDecision:
         # or not dominating: the checks in the product reject its lift, so
         # the kernel decides.  Unchecked, the last two would set 6 or 3
         # vertices against 3 or 0 and call K3 x K3 not well-covered.
-        f = PairFacts(g, h)
+        f = PairFacts(GraphFacts(g), GraphFacts(h))
         f.g.__dict__["report"] = dataclasses.replace(f.g.report, **report)
         assert f.lifted is None
         calls = counted_decisions(monkeypatch)
@@ -294,15 +295,15 @@ class TestCertifiedDecision:
         assert calls == [g.n * h.n]
 
     def test_agrees_with_kernel_and_subset_filter(self):
-        reps = [g for g in corpus_representatives(5) if g.n >= 2]
+        reps = [GraphFacts(g) for g in corpus_representatives(5) if g.n >= 2]
         checked = 0
         for g in reps:
             for h in reps:
                 f = PairFacts(g, h)
                 product = f.product.graph
                 size = f.product_wc_size
-                assert size == kernel.well_covered_size(product.adj), (g, h)
+                assert size == kernel.well_covered_size(product.adj), f.instance
                 if product.n <= 16:
-                    assert size == brute_wc_size(product), (g, h)
+                    assert size == brute_wc_size(product), f.instance
                 checked += 1
         assert checked == 900
