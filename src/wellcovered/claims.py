@@ -154,8 +154,9 @@ class PairFacts:
 
     @cached_property
     def product_report(self) -> WellCoveredReport:
-        """The full summary of the product, for ``cli product``; the claims
-        read ``product_wc_size`` instead."""
+        """The full summary of the product, for ``cli product`` and the
+        witness of ``multipartite_square``; decisions read
+        ``product_wc_size`` instead."""
         return well_covered_report(self.product.graph)
 
     @cached_property

@@ -258,9 +258,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not 1 <= args.cap <= 64:
         raise ValueError("--cap must be between 1 and 64")
     pairs = list(corpus_pair_instances(args.max_n, args.cap, args.reps))
-    # one GraphFacts per distinct factor, so each is summarized once per run
     factors: dict[Graph, GraphFacts] = {}
-    facts = (PairFacts(*(factors.setdefault(x, GraphFacts(x)) for x in pair)) for pair in pairs)
+
+    def shared(g: Graph) -> GraphFacts:
+        """One GraphFacts per distinct factor, summarized once per run and
+        here, so that a worker pool receives the summary with the pair."""
+        f = factors.get(g)
+        if f is None:
+            f = factors[g] = GraphFacts(g)
+            f.report
+        return f
+
+    facts = (PairFacts(shared(g), shared(h)) for g, h in pairs)
     rows = (
         r
         for r in _scan_rows(facts, args.jobs)
