@@ -31,7 +31,8 @@ so instance streams can be partitioned across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
@@ -893,11 +894,11 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
     Facts are computed once per instance and shared by all claims on it.
     Instances whose shape matches no requested claim are skipped.
     """
-    claims = [REGISTRY[c] for c in claim_ids]
+    report = SuiteReport({c: ClaimTally() for c in claim_ids})
     by_shape: dict[str, list[Claim]] = {}
-    for claim in claims:
+    for claim_id in report.tallies:  # each id once, however often it was named
+        claim = REGISTRY[claim_id]
         by_shape.setdefault(claim.shape, []).append(claim)
-    report = SuiteReport({c.claim_id: ClaimTally() for c in claims})
     for inst in instances:
         shape = instance_shape(inst)
         group = by_shape.get(shape)
@@ -907,11 +908,6 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
         for claim in group:
             report.tallies[claim.claim_id].add(claim.check(facts))
     return report
-
-
-def _suite_chunk(args: tuple[tuple[str, ...], list[Instance]]) -> SuiteReport:
-    claim_ids, chunk = args
-    return run_suite(claim_ids, chunk)
 
 
 CHUNK_SIZE = 512  # instances per worker task in run_suite_parallel
@@ -927,21 +923,13 @@ def run_suite_parallel(
         return run_suite(ids, instances)
     import multiprocessing
 
-    def chunked() -> Iterator[tuple[tuple[str, ...], list[Instance]]]:
-        batch: list[Instance] = []
-        for inst in instances:
-            batch.append(inst)
-            if len(batch) >= CHUNK_SIZE:
-                yield ids, batch
-                batch = []
-        if batch:
-            yield ids, batch
-
+    stream = iter(instances)
+    chunks = iter(lambda: list(islice(stream, CHUNK_SIZE)), [])
     report = SuiteReport({c: ClaimTally() for c in ids})
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(jobs) as pool:
-        for partial in pool.imap(_suite_chunk, chunked()):
-            report = report.merge(partial)
+        for part in pool.imap(partial(run_suite, ids), chunks):
+            report = report.merge(part)
     return report
 
 
@@ -965,7 +953,9 @@ def corpus_pair_instances(
 def corpus_graph_n_instances(
     max_n: int, orders: tuple[int, ...] = (2, 3), representatives: bool = False
 ) -> Iterator[tuple[Graph, int]]:
-    """Connected graphs paired with each requested clique order."""
+    """Connected graphs paired with each requested clique order, each order
+    once and in the order first given."""
+    orders = tuple(dict.fromkeys(orders))
     for g in corpus_single_instances(max_n, representatives):
         for n in orders:
             if g.n * n <= 64:

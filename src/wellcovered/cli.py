@@ -242,37 +242,17 @@ def _scan_row(f: PairFacts) -> dict:
     }
 
 
-def _scan_rows(pairs: Iterable[PairFacts], jobs: int) -> Iterator[dict]:
-    """The row of each pair, in pair order, as it is decided."""
-    if jobs > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            yield from pool.imap(_scan_row, pairs, chunksize=64)
-    else:
-        yield from map(_scan_row, pairs)
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     if not 1 <= args.cap <= 64:
         raise ValueError("--cap must be between 1 and 64")
-    pairs = list(corpus_pair_instances(args.max_n, args.cap, args.reps))
-    factors: dict[Graph, GraphFacts] = {}
-
-    def shared(g: Graph) -> GraphFacts:
-        """One GraphFacts per distinct factor, summarized once per run and
-        here, so that a worker pool receives the summary with the pair."""
-        f = factors.get(g)
-        if f is None:
-            f = factors[g] = GraphFacts(g)
-            f.report
-        return f
-
+    pairs = corpus_pair_instances(args.max_n, args.cap, args.reps)
+    # one GraphFacts per distinct factor, so each factor is summarized once
+    # per run however many pairs it is in
+    shared = functools.cache(GraphFacts)
     facts = (PairFacts(shared(g), shared(h)) for g, h in pairs)
     rows = (
         r
-        for r in _scan_rows(facts, args.jobs)
+        for r in map(_scan_row, facts)
         if _passes_filter(args.filter, r["well_covered"], r["very_well_covered"])
     )
     if args.format == "json":
@@ -333,7 +313,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=36)
     p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
     p.add_argument("--reps", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
 
     return parser

@@ -256,6 +256,11 @@ class TestSuite:
         report = run_suite(["berge"], targeted_instances())
         assert set(report.tallies) == {"berge"}
 
+    def test_repeated_claim_id_counts_once(self):
+        once = run_suite(["berge", "twins"], targeted_instances())
+        repeated = run_suite(["berge", "twins", "berge"], targeted_instances())
+        assert repeated.to_json() == once.to_json()
+
     def test_pair_cap_bounds_product_order(self):
         pairs = list(corpus_pair_instances(3, cap=5))
         assert len(pairs) == 12
@@ -264,6 +269,10 @@ class TestSuite:
     def test_graph_n_orders(self):
         insts = list(corpus_graph_n_instances(2, orders=(2, 4)))
         assert [(g.n, n) for g, n in insts] == [(1, 2), (1, 4), (2, 2), (2, 4)]
+
+    def test_graph_n_orders_each_once(self):
+        insts = list(corpus_graph_n_instances(2, orders=(4, 2, 4)))
+        assert [(g.n, n) for g, n in insts] == [(1, 4), (1, 2), (2, 4), (2, 2)]
 
     @pytest.mark.parametrize(
         "instance, expected",

@@ -313,6 +313,26 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
+    def test_worker_pool_prints_the_same(self, capsys):
+        argv = "--max-n 4"
+        code, out, _ = run_cli(capsys, "verify", *argv.split(), "--jobs", "2", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
+    def test_repeated_claim_id_counts_once(self, capsys):
+        argv = ["--max-n", "3", "--no-targeted", "--format", "json"]
+        _, once, _ = run_cli(capsys, "verify", "berge", *argv)
+        _, twice, _ = run_cli(capsys, "verify", "berge", "berge", *argv)
+        assert twice == once
+        assert json.loads(once)["claims"]["berge"]["holds"] == 2
+
+    def test_repeated_order_counts_once(self, capsys):
+        argv = ["layer_sizes", "--max-n", "3", "--no-targeted", "--format", "json"]
+        _, once, _ = run_cli(capsys, "verify", *argv, "--orders", "2")
+        _, twice, _ = run_cli(capsys, "verify", *argv, "--orders", "2,2")
+        assert twice == once
+        assert json.loads(once)["claims"]["layer_sizes"]["holds"] == 6
+
 
 class TestScan:
     def test_rows_match_library(self, capsys):
@@ -395,24 +415,21 @@ class TestScan:
         assert calls["independence_summary"] == len(list(corpus(3)))
         assert calls["well_covered_size"] < len(json.loads(out)["pairs"])
 
-    @pytest.mark.parametrize(
-        "argv, count",
-        [("--max-n 3", 36), ("--max-n 4 --reps", 100)],
-        ids=["max-n-3", "max-n-4-reps"],
-    )
-    def test_worker_pool_prints_the_same(self, capsys, argv, count):
-        _, serial, _ = run_cli(capsys, "scan", *argv.split(), "--jobs", "1", "--format", "json")
-        code, pooled, _ = run_cli(capsys, "scan", *argv.split(), "--jobs", "2", "--format", "json")
-        assert code == 0
-        assert pooled == serial and len(json.loads(serial)["pairs"]) == count
-
     @pytest.mark.parametrize("argv", sorted(SCAN_DIGESTS))
     def test_output_digest(self, capsys, argv):
         code, out, _ = run_cli(capsys, "scan", *argv.split(), "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGESTS[argv]
 
-    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_jobs_is_unrecognized(self, capsys):
+        """scan runs in one process; only verify has a worker pool."""
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--max-n", "2", "--jobs", "2"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    # verify only: scan's error would name --jobs as an unrecognized argument
+    @pytest.mark.parametrize("command", ["verify"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_exits_1(self, capsys, command, jobs):
         with pytest.raises(SystemExit) as info:

@@ -1,14 +1,16 @@
 """The public surface: every name in ``wellcovered.__all__`` resolves, the
-README's library example runs as printed, and no module imports a name it
-does not use."""
+README's library example runs as printed and its CLI examples parse, and no
+module imports a name it does not use."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import wellcovered
+from wellcovered import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(wellcovered.__file__).parent.glob("*.py"))
@@ -27,6 +29,20 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(block.group(1), f"{README}:Library example", "exec"), namespace)
     assert namespace["report"].well_covered
+
+
+def test_readme_cli_examples_parse():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert block is not None, "no sh block under 'CLI'"
+    lines = [line for line in block.group(1).splitlines() if line.startswith("wellcovered ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI example does not parse: {line}")
 
 
 class _ModuleImports(ast.NodeVisitor):
