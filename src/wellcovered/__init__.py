@@ -7,7 +7,15 @@ partitions of the first factor, generates named families and exhaustive
 corpora, and runs a registry of executable structural claims over them.
 """
 
-from .claims import CLAIM_IDS, SuiteReport, run_suite, run_suite_parallel, targeted_instances, verify
+from .claims import (
+    CLAIM_IDS,
+    ClaimVerdict,
+    SuiteReport,
+    run_suite,
+    run_suite_parallel,
+    targeted_instances,
+    verify,
+)
 from .families import (
     FamilySpec,
     complete,
@@ -42,7 +50,6 @@ from .kn_partitions import (
     kn_report,
 )
 from .products import ProductGraph, direct_product, lift_independent
-from .verdicts import ClaimVerdict
 
 __version__ = "0.1.0"
 

@@ -7,14 +7,17 @@ a clique order n.  Verdicts are "holds", "vacuous" (the hypothesis failed,
 so the instance says nothing), or "counterexample" carrying a witness that
 can be re-checked by hand with the basic primitives.  Universally
 quantified inner objects (independent sets, maximal independent sets,
-perfect matchings) are enumerated exhaustively; nothing is sampled.
+perfect matchings) are enumerated exhaustively; nothing is sampled.  Only
+this module builds verdicts: the checks it calls elsewhere return a witness
+dict or None.
 
-Each instance's graphs and products are built once, in the facts objects
-(``GraphFacts``, ``PairFacts``, ``GraphNFacts``), and every claim of the
-instance's shape reads them from there.  A graph is summarized once.
-``PairFacts`` is the one object that decides whether a product G x H is
-well-covered: the pair claims, ``cli product`` and ``cli scan`` ask it, and
-so do ``k3_dichotomy`` and ``multipartite_square`` through the G x K3 and
+Each instance's graphs and products are built once, in the two facts
+classes, and every claim of the instance's shape reads them from there.
+``GraphFacts`` summarizes a graph once.  ``PairFacts`` is the one object
+that decides whether a product is well-covered: the pair claims,
+``cli product`` and ``cli scan`` ask it, and so do the G x K_n claims,
+whose (G, n) instance pairs G with the process's one ``complete_facts(n)``,
+and ``k3_dichotomy`` and ``multipartite_square`` through the G x K3 and
 G x G that ``GraphFacts`` keeps.  It shares its factors' ``GraphFacts`` and
 so their summaries.  ``products.lifted_witnesses`` first lifts the factors'
 maximum and minimum witnesses and checks them in the product;
@@ -31,9 +34,9 @@ so instance streams can be partitioned across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import kernel
 from .families import (
@@ -83,11 +86,48 @@ from .products import (
     lifted_witnesses,
     product_bounds_check,
 )
-from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
 SHAPE_GRAPH = "single-graph"
 SHAPE_PAIR = "graph-pair"
 SHAPE_GRAPH_N = "graph-plus-n"
+
+HOLDS = "holds"
+VACUOUS = "vacuous"
+COUNTEREXAMPLE = "counterexample"
+
+
+@dataclass(frozen=True)
+class ClaimVerdict:
+    """Outcome of checking one claim on one instance.
+
+    ``status`` is "holds" when hypothesis and conclusion both held,
+    "vacuous" when the hypothesis failed, and "counterexample" when the
+    hypothesis held but the conclusion did not.  A counterexample carries a
+    ``witness`` dict with enough concrete data to re-verify the violation
+    without rerunning the search.
+    """
+
+    claim_id: str
+    instance: dict[str, Any]
+    status: str
+    witness: dict[str, Any] | None = None
+
+    def to_json(self) -> dict[str, Any]:
+        out: dict[str, Any] = {
+            "claim": self.claim_id,
+            "instance": self.instance,
+            "status": self.status,
+        }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
+
+
+def _verdict(claim_id: str, instance: dict, witness: dict | None) -> ClaimVerdict:
+    """Holds without a witness; a counterexample with one."""
+    if witness is None:
+        return ClaimVerdict(claim_id, instance, HOLDS)
+    return ClaimVerdict(claim_id, instance, COUNTEREXAMPLE, witness)
 
 
 class GraphFacts:
@@ -123,7 +163,7 @@ class GraphFacts:
     @cached_property
     def k3(self) -> PairFacts:
         """G x K3, the product ``k3_dichotomy`` asks about."""
-        return PairFacts(self, K3)
+        return PairFacts(self, complete_facts(3))
 
     @cached_property
     def square(self) -> PairFacts:
@@ -131,9 +171,11 @@ class GraphFacts:
         return PairFacts(self, self)
 
 
-# the second factor of every G x K3; summarized here, once per process
-K3 = GraphFacts(complete(3))
-K3.report
+@cache
+def complete_facts(n: int) -> GraphFacts:
+    """The facts of K_n, one per order and process, so every G x K_n shares
+    the summary of its second factor."""
+    return GraphFacts(complete(n))
 
 
 class PairFacts:
@@ -155,10 +197,16 @@ class PairFacts:
 
     @cached_property
     def product_report(self) -> WellCoveredReport:
-        """The full summary of the product, for ``cli product`` and the
-        witness of ``multipartite_square``; decisions read
+        """The full summary of the product, for ``cli product``, the
+        witnesses of ``multipartite_square`` and ``h_family_product`` and a
+        failed ``trivial_bounds`` certificate; decisions read
         ``product_wc_size`` instead."""
         return well_covered_report(self.product.graph)
+
+    @cached_property
+    def product_mis_list(self) -> list[int]:
+        """The product's maximal independent sets, for ``layer_sizes``."""
+        return kernel.maximal_independent_sets(self.product.graph.adj)
 
     @cached_property
     def lifted(self) -> tuple[int, int] | None:
@@ -197,25 +245,13 @@ class PairFacts:
         return self.product_wc and not self.product_vwc
 
 
-class GraphNFacts:
-    """A graph G together with the order n of the complete second factor,
-    and G x K_n with its maximal independent sets."""
-
-    def __init__(self, graph: Graph, n: int) -> None:
-        self.graph = graph
-        self.n = n
+class CliqueFacts(PairFacts):
+    """G x K_n for a (G, n) instance, with ``complete_facts(n)`` as second
+    factor; the instance names G and the order n."""
 
     @cached_property
     def instance(self) -> dict:
-        return {"graph6": to_graph6(self.graph), "n": self.n}
-
-    @cached_property
-    def product(self) -> ProductGraph:
-        return direct_product(self.graph, complete(self.n))
-
-    @cached_property
-    def mis_list(self) -> list[int]:
-        return kernel.maximal_independent_sets(self.product.graph.adj)
+        return {"graph6": self.g.instance["graph6"], "n": self.h.graph.n}
 
 
 def _json_girth(value: int | float) -> int | str:
@@ -242,7 +278,20 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
 
 
 def _check_trivial_bounds(f: PairFacts) -> ClaimVerdict:
-    return product_bounds_check(f.product, f.g.report, f.h.report, f.instance, f.lifted)
+    """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
+    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.
+
+    Both bounds are certified in the product by ``lifted``: an independent
+    set of the lower bound's size, and a maximal independent set within the
+    upper bound.  For isolate-free factors the certificate always passes;
+    only when it fails does the exact summary of G x H run, and the verdict
+    and witness then follow its alpha and i."""
+    if f.g.has_isolated or f.h.has_isolated:
+        return ClaimVerdict("trivial_bounds", f.instance, VACUOUS)
+    if f.lifted is not None:
+        return ClaimVerdict("trivial_bounds", f.instance, HOLDS)
+    witness = product_bounds_check(f.product, f.g.report, f.h.report, f.product_report)
+    return _verdict("trivial_bounds", f.instance, witness)
 
 
 def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
@@ -351,7 +400,8 @@ def _check_berge(f: GraphFacts) -> ClaimVerdict:
 
 
 def _check_favaron(f: GraphFacts) -> ClaimVerdict:
-    return favaron_equivalence_verdict(f.graph, f.report.very_well_covered, f.instance)
+    witness = favaron_equivalence_verdict(f.graph, f.report.very_well_covered)
+    return _verdict("favaron", f.instance, witness)
 
 
 def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
@@ -375,17 +425,18 @@ def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
     return ClaimVerdict("vwc_product", f.instance, COUNTEREXAMPLE, witness)
 
 
-def _check_layer_sizes(f: GraphNFacts) -> ClaimVerdict:
-    if f.n < 2:
+def _check_layer_sizes(f: CliqueFacts) -> ClaimVerdict:
+    if f.h.graph.n < 2:
         return ClaimVerdict("layer_sizes", f.instance, VACUOUS)
-    return layer_cardinality_check(f.product, f.mis_list, f.instance)
+    witness = layer_cardinality_check(f.product, f.product_mis_list)
+    return _verdict("layer_sizes", f.instance, witness)
 
 
-def _check_kn_necessary(f: GraphNFacts) -> ClaimVerdict:
-    if f.n < 2:
+def _check_kn_necessary(f: CliqueFacts) -> ClaimVerdict:
+    n = f.h.graph.n
+    if n < 2 or not f.product_wc:
         return ClaimVerdict("kn_necessary", f.instance, VACUOUS)
-    product_wc = len({s.bit_count() for s in f.mis_list}) == 1
-    return necessary_condition_check(f.graph, f.n, product_wc, f.instance)
+    return _verdict("kn_necessary", f.instance, necessary_condition_check(f.g.graph, n))
 
 
 def _check_bipartite_isolation(f: GraphFacts) -> ClaimVerdict:
@@ -592,27 +643,25 @@ def _check_twins(f: GraphFacts) -> ClaimVerdict:
     return ClaimVerdict("twins", f.instance, HOLDS)
 
 
-def _check_h_family_product(f: GraphNFacts) -> ClaimVerdict:
+def _check_h_family_product(f: CliqueFacts) -> ClaimVerdict:
     """Recognized split graphs H(k, n-1) have well-covered product with K_n.
 
     The hypothesis is recognized structurally, so relabeled instances work.
     """
-    params = h_family_params(f.graph)
-    if params is None or f.n != params[1] + 1:
+    params = h_family_params(f.g.graph)
+    n = f.h.graph.n
+    if params is None or n != params[1] + 1:
         return ClaimVerdict("h_family_product", f.instance, VACUOUS)
-    # the first smallest and largest sets in visit order, as the kernel
-    # summary of the product would give them
-    wit_min = min(f.mis_list, key=int.bit_count)
-    wit_max = max(f.mis_list, key=int.bit_count)
-    i, a = wit_min.bit_count(), wit_max.bit_count()
-    if i == a:
+    if f.product_wc:
         return ClaimVerdict("h_family_product", f.instance, HOLDS)
-    report = kn_report(f.graph, f.n, (i, a, wit_min, wit_max))
+    # only the witness needs the product's i, alpha and extreme sets
+    rep = f.product_report
+    kn = kn_report(f.g.graph, n, (rep.i_number, rep.alpha, rep.witness_min, rep.witness_max))
     witness = {
-        "i": i,
-        "alpha": a,
-        "argmin": report.argmin.to_json(),
-        "argmax": report.argmax.to_json(),
+        "i": rep.i_number,
+        "alpha": rep.alpha,
+        "argmin": kn.argmin.to_json(),
+        "argmax": kn.argmax.to_json(),
     }
     return ClaimVerdict("h_family_product", f.instance, COUNTEREXAMPLE, witness)
 
@@ -819,7 +868,7 @@ def _facts_for(shape: str, instance: Instance):
         return GraphFacts(instance)
     if shape == SHAPE_PAIR:
         return PairFacts(GraphFacts(instance[0]), GraphFacts(instance[1]))
-    return GraphNFacts(instance[0], instance[1])
+    return CliqueFacts(GraphFacts(instance[0]), complete_facts(instance[1]))
 
 
 def verify(claim_id: str, instance: Instance) -> ClaimVerdict:

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .claims import (
     CLAIM_IDS,
+    COUNTEREXAMPLE,
     REGISTRY,
     GraphFacts,
     PairFacts,
@@ -53,7 +54,6 @@ from .graphs import (
 )
 from .independence import isolatable_vertices, well_covered_report
 from .kn_partitions import kn_alpha_i, kn_report
-from .verdicts import COUNTEREXAMPLE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +95,8 @@ def parse_graph_arg(text: str) -> Graph:
         return FamilySpec.parse(text).build()
     try:
         return from_graph6(text)
+    except CapacityError:
+        raise
     except ValueError:
         raise ValueError(
             f"cannot parse graph input {text!r}: not a family spec, @file, or graph6 string"

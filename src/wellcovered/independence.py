@@ -13,7 +13,6 @@ from typing import Iterator
 
 from . import kernel
 from .graphs import Graph, bits, neighborhood, to_vertices
-from .verdicts import COUNTEREXAMPLE, HOLDS, ClaimVerdict
 
 
 def enumerate_maximal_independent_sets(g: Graph) -> Iterator[int]:
@@ -174,19 +173,19 @@ def has_pairing_property(g: Graph, mate: tuple[int, ...]) -> bool:
     return True
 
 
-def favaron_equivalence_verdict(g: Graph, very_well_covered: bool, instance: dict) -> ClaimVerdict:
+def favaron_equivalence_verdict(g: Graph, very_well_covered: bool) -> dict | None:
     """Check that these three agree: very well-covered (passed in, as
     ``well_covered_report`` gives it); some perfect matching has the pairing
     property; a perfect matching exists and all of them have the pairing
-    property."""
+    property.  Returns the witness of a disagreement, or None."""
     matchings = list(perfect_matchings(g))
     good = [m for m in matchings if has_pairing_property(g, m)]
     stmt_i = very_well_covered
     stmt_ii = bool(good)
     stmt_iii = bool(matchings) and len(good) == len(matchings)
     if stmt_i == stmt_ii == stmt_iii:
-        return ClaimVerdict("favaron", instance, HOLDS)
-    witness = {
+        return None
+    return {
         "very_well_covered": stmt_i,
         "some_matching_has_property": stmt_ii,
         "all_matchings_have_property": stmt_iii,
@@ -195,4 +194,3 @@ def favaron_equivalence_verdict(g: Graph, very_well_covered: bool, instance: dic
             [[v, u] for v, u in enumerate(good[0]) if v < u] if good else None
         ),
     }
-    return ClaimVerdict("favaron", instance, COUNTEREXAMPLE, witness)

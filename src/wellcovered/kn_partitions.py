@@ -36,7 +36,6 @@ from . import kernel
 from .families import complete
 from .graphs import Graph, bits, isolated_in, neighborhood, residual, to_vertices
 from .products import ProductGraph, direct_product, lift_layers
-from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
 
 ENGINE_PRODUCT = "product-enumeration"
 
@@ -271,10 +270,11 @@ def enumerate_valid_partitions(g: Graph, n: int) -> list[WeakPartition]:
     return out
 
 
-def layer_cardinality_check(prod: ProductGraph, sets: list[int], instance: dict) -> ClaimVerdict:
+def layer_cardinality_check(prod: ProductGraph, sets: list[int]) -> dict | None:
     """Every maximal independent set of G x K_n meets each layer in 0, 1, or n.
 
-    ``prod`` is G x K_n and ``sets`` its maximal independent sets."""
+    ``prod`` is G x K_n and ``sets`` its maximal independent sets.  Returns
+    the witness of a set that does not, or None."""
     n = prod.n_h
     if n < 2:
         raise ValueError("clique order must be at least 2")
@@ -282,31 +282,26 @@ def layer_cardinality_check(prod: ProductGraph, sets: list[int], instance: dict)
         for gv in range(prod.n_g):
             size = (s & prod.layer_h(gv)).bit_count()
             if size not in (0, 1, n):
-                witness = {
+                return {
                     "mis": prod.pairs(s),
                     "vertex": gv,
                     "layer_intersection_size": size,
                 }
-                return ClaimVerdict("layer_sizes", instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("layer_sizes", instance, HOLDS)
+    return None
 
 
-def necessary_condition_check(
-    g: Graph, n: int, product_well_covered: bool, instance: dict
-) -> ClaimVerdict:
-    """If G x K_n is well-covered, every vertex of degree >= n leaves an
-    isolated vertex behind when its closed neighborhood is deleted.
-    ``product_well_covered`` says whether G x K_n is well-covered."""
+def necessary_condition_check(g: Graph, n: int) -> dict | None:
+    """What a well-covered G x K_n forces: every vertex of degree >= n
+    leaves an isolated vertex behind when its closed neighborhood is
+    deleted.  Returns the witness of a vertex that does not, or None."""
     if n < 2:
         raise ValueError("clique order must be at least 2")
-    if not product_well_covered:
-        return ClaimVerdict("kn_necessary", instance, VACUOUS)
     for x in range(g.n):
         if g.degree(x) < n:
             continue
         rest = residual(g, 1 << x)
         if not isolated_in(g, rest):
-            witness = {
+            return {
                 "vertex": x,
                 "degree": g.degree(x),
                 "residual_vertices": to_vertices(rest),
@@ -314,5 +309,4 @@ def necessary_condition_check(
                     ((g.adj[v] & rest).bit_count() for v in bits(rest)), default=None
                 ),
             }
-            return ClaimVerdict("kn_necessary", instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("kn_necessary", instance, HOLDS)
+    return None

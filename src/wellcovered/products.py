@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .graphs import CapacityError, Graph, MAX_VERTICES, bits, neighborhood
-from .independence import WellCoveredReport, well_covered_report
-from .verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
+from .independence import WellCoveredReport
 
 
 @dataclass(frozen=True)
@@ -132,35 +131,20 @@ def product_bounds_check(
     p: ProductGraph,
     rep_g: WellCoveredReport,
     rep_h: WellCoveredReport,
-    instance: dict,
-    witnesses: tuple[int, int] | None,
-) -> ClaimVerdict:
+    rep_p: WellCoveredReport,
+) -> dict | None:
     """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
-    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.  ``p`` is
-    G x H carrying its factors; the reports are ``well_covered_report`` of G
-    and H.
-
-    Both bounds are certified in the materialized product by
-    ``lifted_witnesses``: an independent set of the lower bound's size, so
-    alpha(GxH) >= lower, and a maximal independent set within the upper
-    bound, so i(GxH) <= upper.  ``witnesses`` is that function's result for
-    ``p`` and the two reports.  For isolate-free factors the certificate
-    always passes; only when it fails does the exact summary of G x H run,
-    and the verdict and witness then follow its alpha and i."""
+    i(GxH) <= min(i(G)n(H), i(H)n(G)), on exact values.  ``p`` is G x H
+    carrying its factors; the reports are ``well_covered_report`` of G, H
+    and ``p.graph``.  Returns the witness of a failed bound, or None."""
     g, h = p.factor_g, p.factor_h
-    if 0 in g.adj or 0 in h.adj:
-        return ClaimVerdict("trivial_bounds", instance, VACUOUS)
-    if witnesses is not None:
-        return ClaimVerdict("trivial_bounds", instance, HOLDS)
     lower = max(rep_g.alpha * h.n, rep_h.alpha * g.n)
     upper = min(rep_g.i_number * h.n, rep_h.i_number * g.n)
-    rep_p = well_covered_report(p.graph)
     if rep_p.alpha >= lower and rep_p.i_number <= upper:
-        return ClaimVerdict("trivial_bounds", instance, HOLDS)
-    witness = {
+        return None
+    return {
         "alpha_product": rep_p.alpha,
         "alpha_lower_bound": lower,
         "i_product": rep_p.i_number,
         "i_upper_bound": upper,
     }
-    return ClaimVerdict("trivial_bounds", instance, COUNTEREXAMPLE, witness)

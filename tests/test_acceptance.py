@@ -15,6 +15,8 @@ from brute import brute_maximal_independent_sets, random_graph
 from wellcovered import kernel
 from wellcovered.claims import (
     CLAIM_IDS,
+    COUNTEREXAMPLE,
+    HOLDS,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
@@ -38,7 +40,6 @@ from wellcovered.kn_partitions import (
     partition_from_mis,
 )
 from wellcovered.products import direct_product
-from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS
 
 
 def announce(capsys, text, t0):

@@ -10,11 +10,16 @@ import pytest
 from wellcovered import claims, cli, kernel
 from wellcovered.claims import (
     CLAIM_IDS,
+    COUNTEREXAMPLE,
+    HOLDS,
     REGISTRY,
+    VACUOUS,
     ClaimTally,
+    ClaimVerdict,
     GraphFacts,
     PairFacts,
     SuiteReport,
+    complete_facts,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
@@ -32,8 +37,9 @@ from wellcovered.families import (
     h_family,
     path,
 )
+from wellcovered.formats import to_graph6
 from wellcovered.graphs import disjoint_union
-from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS, ClaimVerdict
+from wellcovered.kn_partitions import kn_alpha_i
 
 EXPECTED_IDS = (
     "inverse_image",
@@ -227,6 +233,22 @@ class TestForcedWitnesses:
         assert verdict.status == COUNTEREXAMPLE
         assert verdict.witness == {"square_i": 8, "square_alpha": 8}
 
+    def test_h_family_product(self):
+        # H(2,2) x K3 is in fact well-covered with i = alpha = 6; the witness
+        # is the product's summary, decoded into weak partitions
+        f = claims._facts_for(claims.SHAPE_GRAPH_N, (h_family(2, 2), 3))
+        forced(f, product_wc_size=-1)
+        verdict = REGISTRY["h_family_product"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.instance == {"graph6": to_graph6(h_family(2, 2)), "n": 3}
+        report = kn_alpha_i(h_family(2, 2), 3)
+        assert verdict.witness == {
+            "i": 6,
+            "alpha": 6,
+            "argmin": report.argmin.to_json(),
+            "argmax": report.argmax.to_json(),
+        }
+
 
 class TestSuite:
     def test_targeted_non_vacuity(self):
@@ -296,21 +318,37 @@ class TestSuite:
                 (complete(3), complete(3)),
                 {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 1},
             ),
+            # layer_sizes lists the maximal sets of C5 x K3; kn_necessary
+            # finds it certified not well-covered (6 > 5) from the summary
+            # of C5 and the shared one of K3
             (
                 (cycle(5), 3),
-                {"direct_product_adj": 1, "maximal_independent_sets": 1, "well_covered_size": 0},
+                {
+                    "direct_product_adj": 1,
+                    "maximal_independent_sets": 1,
+                    "independence_summary": 1,
+                    "well_covered_size": 0,
+                },
             ),
-            # h_family_product reads i and alpha off the maximal independent sets
+            # H(2,2) x K3: both bounds are 6, so the kernel decides once,
+            # for kn_necessary and h_family_product alike
             (
                 (h_family(2, 2), 3),
-                {"direct_product_adj": 1, "maximal_independent_sets": 1, "independence_summary": 0},
+                {
+                    "direct_product_adj": 1,
+                    "maximal_independent_sets": 1,
+                    "independence_summary": 1,
+                    "well_covered_size": 1,
+                },
             ),
         ],
         ids=["graph", "wc-graph", "certified-pair", "ratio-equal", "graph-n", "h-family"],
     )
     def test_facts_built_once(self, monkeypatch, instance, expected):
         """All claims of an instance read one summary per graph, build each
-        product once and ask it only what they need."""
+        product once and ask it only what they need.  K3, the second factor
+        of every G x K3, is summarized once per process, before counting."""
+        complete_facts(3).report
         calls = Counter()
         for name in expected:
             original = getattr(kernel, name)
@@ -322,6 +360,23 @@ class TestSuite:
             monkeypatch.setattr(kernel, name, counted)
         assert run_suite(CLAIM_IDS, [instance]).passed
         assert {name: calls[name] for name in expected} == expected
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_clique_order_below_2_is_vacuous_without_a_product(self, monkeypatch, n):
+        def no_product(*args):
+            raise AssertionError("a product was built")
+
+        monkeypatch.setattr(kernel, "direct_product_adj", no_product)
+        report = run_suite(CLAIM_IDS, [(cycle(4), n)])
+        tallies = {c: (t.holds, t.vacuous) for c, t in report.tallies.items() if t.vacuous}
+        assert tallies == {c: (0, 1) for c in sorted(GRAPH_N_IDS, key=CLAIM_IDS.index)}
+        assert report.passed
+
+    def test_negative_clique_order_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_suite(CLAIM_IDS, [(cycle(4), -1)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify("h_family_product", (cycle(4), -1))
 
     def test_kernel_only_path_gives_the_same_report(self, monkeypatch):
         """The lifted certificate changes no verdict or witness: without it

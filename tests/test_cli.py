@@ -112,9 +112,12 @@ class TestAnalyze:
         assert "cannot parse" in err
 
     def test_family_cap_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", f"complete:{10**12}")
-        assert code == 3
-        assert "resource cap" in err
+        # the second input is the edgeless graph on 65 vertices in graph6:
+        # "~" and three size characters, then 2080 zero bits in 347 characters
+        for graph in (f"complete:{10**12}", "~?@@" + "?" * 347):
+            code, _, err = run_cli(capsys, "analyze", graph)
+            assert code == 3, graph
+            assert "resource cap" in err
 
     @pytest.mark.parametrize(
         "text,code,message",

@@ -33,7 +33,6 @@ from wellcovered.independence import (
     well_covered_report,
 )
 from wellcovered.products import direct_product
-from wellcovered.verdicts import HOLDS
 
 
 @st.composite
@@ -347,12 +346,31 @@ class TestFavaronEquivalence:
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 7), rng.random())
             vwc = well_covered_report(g).very_well_covered
-            assert favaron_equivalence_verdict(g, vwc, {}).status == HOLDS
+            assert favaron_equivalence_verdict(g, vwc) is None
 
     def test_statements_agree_on_named_graphs(self):
         for g in [cycle(4), cycle(5), cycle(6), path(4), complete(6), h_family(2, 2)]:
             vwc = well_covered_report(g).very_well_covered
-            assert favaron_equivalence_verdict(g, vwc, {}).status == HOLDS
+            assert favaron_equivalence_verdict(g, vwc) is None
+
+    def test_witness_of_a_disagreement(self):
+        # C5 told very well-covered: it has no perfect matching at all
+        assert favaron_equivalence_verdict(cycle(5), True) == {
+            "very_well_covered": True,
+            "some_matching_has_property": False,
+            "all_matchings_have_property": False,
+            "perfect_matching_count": 0,
+            "matching_with_property": None,
+        }
+        # C4 told not very well-covered: both of its perfect matchings have
+        # the pairing property, and the first found is {01, 23}
+        assert favaron_equivalence_verdict(cycle(4), False) == {
+            "very_well_covered": False,
+            "some_matching_has_property": True,
+            "all_matchings_have_property": True,
+            "perfect_matching_count": 2,
+            "matching_with_property": [[0, 1], [2, 3]],
+        }
 
 
 class TestAgainstOracle:

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from brute import brute_violations
-from wellcovered import kernel, kn_partitions
+from wellcovered import claims, kernel, kn_partitions
+from wellcovered.claims import COUNTEREXAMPLE, HOLDS, VACUOUS, verify
 from wellcovered.families import complete, corpus, cycle, h_family, path
 from wellcovered.formats import from_graph6, to_graph6
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
-from wellcovered.independence import is_well_covered
 from wellcovered.kn_partitions import (
     ENGINE_PRODUCT,
     InvalidPartition,
@@ -25,7 +25,6 @@ from wellcovered.kn_partitions import (
     partition_from_mis,
 )
 from wellcovered.products import ProductGraph, direct_product
-from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS
 
 
 @pytest.fixture
@@ -301,7 +300,18 @@ class TestClaimChecks:
         for g in corpus(4):
             prod = direct_product(g, complete(2))
             sets = kernel.maximal_independent_sets(prod.graph.adj)
-            assert layer_cardinality_check(prod, sets, {}).status == HOLDS
+            assert layer_cardinality_check(prod, sets) is None
+        assert verify("layer_sizes", (cycle(4), 2)).status == HOLDS
+
+    def test_layer_check_witness(self):
+        # {(0, 0), (0, 1)} meets the layer over vertex 0 of P3 x K3 in 2
+        # vertices; it is not independent, and the check looks only at sizes
+        prod = direct_product(path(3), complete(3))
+        assert layer_cardinality_check(prod, [prod.layer_h(2), 0b011]) == {
+            "mis": [(0, 0), (0, 1)],
+            "vertex": 0,
+            "layer_intersection_size": 2,
+        }
 
     def test_necessary_condition_vacuous_when_not_wc(self):
         assert necessary_condition(cycle(5), 2).status == VACUOUS
@@ -315,18 +325,26 @@ class TestClaimChecks:
         assert necessary_condition(h_family(3, 1), 2).status == HOLDS
 
     def test_necessary_condition_witness(self):
-        # told that C5 x K2 is well-covered (it is not): deleting N[0] leaves
-        # the edge 23, which has no isolated vertex
-        verdict = necessary_condition_check(cycle(5), 2, True, {})
-        assert verdict.status == COUNTEREXAMPLE
-        assert verdict.witness == {
+        # the conclusion asked of C5 and K2 although C5 x K2 is not
+        # well-covered: deleting N[0] leaves the edge 23, which has no
+        # isolated vertex
+        assert necessary_condition_check(cycle(5), 2) == {
             "vertex": 0,
             "degree": 2,
             "residual_vertices": [2, 3],
             "residual_min_degree": 1,
         }
+        assert necessary_condition_check(complete(3), 3) is None
+
+    def test_necessary_condition_counterexample_verdict(self):
+        # C5 x K2 told well-covered through the facts the claim reads
+        f = claims._facts_for(claims.SHAPE_GRAPH_N, (cycle(5), 2))
+        f.__dict__["product_wc_size"] = 5
+        verdict = claims.REGISTRY["kn_necessary"].check(f)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.instance == {"graph6": "Dhc", "n": 2}
+        assert verdict.witness == necessary_condition_check(cycle(5), 2)
 
 
 def necessary_condition(g, n):
-    product_wc = is_well_covered(direct_product(g, complete(n)).graph)
-    return necessary_condition_check(g, n, product_wc, {})
+    return verify("kn_necessary", (g, n))

@@ -9,17 +9,19 @@ from hypothesis import given, strategies as st
 
 from brute import brute_summary, is_independent, random_graph
 from wellcovered import kernel
-from wellcovered.claims import GraphFacts, PairFacts
+from wellcovered.claims import (
+    COUNTEREXAMPLE,
+    HOLDS,
+    REGISTRY,
+    VACUOUS,
+    GraphFacts,
+    PairFacts,
+    verify,
+)
 from wellcovered.families import complete, corpus_representatives, cycle, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import well_covered_report
-from wellcovered.products import (
-    direct_product,
-    lift_independent,
-    lifted_witnesses,
-    product_bounds_check,
-)
-from wellcovered.verdicts import COUNTEREXAMPLE, HOLDS, VACUOUS
+from wellcovered.products import direct_product, lift_independent, lifted_witnesses
 
 
 @st.composite
@@ -107,9 +109,7 @@ class TestLifting:
 
 
 def bounds_check(g, h):
-    p = direct_product(g, h)
-    reports = well_covered_report(g), well_covered_report(h)
-    return product_bounds_check(p, *reports, {}, lifted_witnesses(p, *reports))
+    return verify("trivial_bounds", (g, h))
 
 
 def doctored(g, h, pair_u, pair_v):
@@ -122,9 +122,13 @@ def doctored(g, h, pair_u, pair_v):
 
 
 def counted_bounds_check(monkeypatch, p, rep_g=None):
-    """product_bounds_check on p, with the kernel summaries it runs counted.
-    ``rep_g`` stands in for the first factor's report."""
-    reports = rep_g or well_covered_report(p.factor_g), well_covered_report(p.factor_h)
+    """The trivial_bounds claim on the pair of factors that p carries, with p
+    as their product, and the kernel summaries it runs once the factors are
+    summarized counted.  ``rep_g`` stands in for the first factor's report."""
+    f = PairFacts(GraphFacts(p.factor_g), GraphFacts(p.factor_h))
+    f.__dict__["product"] = p
+    f.g.__dict__["report"] = rep_g or f.g.report
+    f.h.report
     calls = []
     original = kernel.independence_summary
 
@@ -133,7 +137,7 @@ def counted_bounds_check(monkeypatch, p, rep_g=None):
         return original(adj)
 
     monkeypatch.setattr(kernel, "independence_summary", counted)
-    return product_bounds_check(p, *reports, {}, lifted_witnesses(p, *reports)), calls
+    return REGISTRY["trivial_bounds"].check(f), calls
 
 
 class TestBoundsCheck:

@@ -77,3 +77,28 @@ def test_no_unused_module_imports(path):
         ):
             used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     assert [name for name in imports.names if name not in used] == []
+
+
+CLAIM_NAMES = {"ClaimVerdict", "HOLDS", "VACUOUS", "COUNTEREXAMPLE"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_claim_verdicts_stay_in_claims(path):
+    """Claim ids, statuses and verdicts belong to ``claims.py``; of the other
+    modules only the CLI and the package namespace read them there.  A helper
+    elsewhere returns a witness or None."""
+    if path.name in ("claims.py", "cli.py", "__init__.py"):
+        return
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "claims" and node.level:
+            found.append("import from .claims")
+        names = (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [a.asname or a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        found += [name for name in names if name in CLAIM_NAMES]
+    assert found == []
