@@ -7,9 +7,14 @@ a clique order n.  Verdicts are "holds", "vacuous" (the hypothesis failed,
 so the instance says nothing), or "counterexample" carrying a witness that
 can be re-checked by hand with the basic primitives.  Universally
 quantified inner objects (independent sets, maximal independent sets,
-perfect matchings) are enumerated exhaustively; nothing is sampled.  Only
-this module builds verdicts: the checks it calls elsewhere return a witness
-dict or None.
+perfect matchings) are enumerated exhaustively; nothing is sampled.  A
+check returns only an ``Outcome``, its status and witness; the shared
+``HOLDS_OUTCOME`` and ``VACUOUS_OUTCOME`` cover every instance without a
+counterexample.  A full ``ClaimVerdict``, with the claim id and the
+instance's graph6 encoding, is built in ``Claim.verdict`` for ``verify`` and
+``cli product --check``, and in ``run_suite`` only for counterexamples.
+Only this module builds verdicts: the checks it calls elsewhere return a
+witness dict or None.
 
 Each instance's graphs and products are built once, in the two facts
 classes, and every claim of the instance's shape reads them from there.
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import kernel
 from .families import (
@@ -123,11 +128,23 @@ class ClaimVerdict:
         return out
 
 
-def _verdict(claim_id: str, instance: dict, witness: dict | None) -> ClaimVerdict:
+class Outcome(NamedTuple):
+    """What a check returns: a status and, for a counterexample, its witness.
+    ``Claim.verdict`` adds the claim id and the instance."""
+
+    status: str
+    witness: dict[str, Any] | None = None
+
+
+HOLDS_OUTCOME = Outcome(HOLDS)
+VACUOUS_OUTCOME = Outcome(VACUOUS)
+
+
+def _outcome(witness: dict | None) -> Outcome:
     """Holds without a witness; a counterexample with one."""
     if witness is None:
-        return ClaimVerdict(claim_id, instance, HOLDS)
-    return ClaimVerdict(claim_id, instance, COUNTEREXAMPLE, witness)
+        return HOLDS_OUTCOME
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
 class GraphFacts:
@@ -258,11 +275,11 @@ def _json_girth(value: int | float) -> int | str:
     return "infinite" if value == INFINITE else int(value)
 
 
-def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
+def _check_inverse_image(f: PairFacts) -> Outcome:
     """Maximal independent sets of G lift to maximal independent sets of the
     product when the second factor has no isolated vertices."""
     if f.h.has_isolated:
-        return ClaimVerdict("inverse_image", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     prod = f.product
     full = prod.graph.vertex_mask
     for mis in f.g.mis_list:
@@ -273,11 +290,11 @@ def _check_inverse_image(f: PairFacts) -> ClaimVerdict:
                 "factor_mis": to_vertices(mis),
                 "lifted": prod.pairs(lifted),
             }
-            return ClaimVerdict("inverse_image", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("inverse_image", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_trivial_bounds(f: PairFacts) -> ClaimVerdict:
+def _check_trivial_bounds(f: PairFacts) -> Outcome:
     """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
     i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.
 
@@ -287,18 +304,18 @@ def _check_trivial_bounds(f: PairFacts) -> ClaimVerdict:
     only when it fails does the exact summary of G x H run, and the verdict
     and witness then follow its alpha and i."""
     if f.g.has_isolated or f.h.has_isolated:
-        return ClaimVerdict("trivial_bounds", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     if f.lifted is not None:
-        return ClaimVerdict("trivial_bounds", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     witness = product_bounds_check(f.product, f.g.report, f.h.report, f.product_report)
-    return _verdict("trivial_bounds", f.instance, witness)
+    return _outcome(witness)
 
 
-def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
+def _check_residual_wc(f: GraphFacts) -> Outcome:
     """Deleting the closed neighborhood of any independent set of a
     well-covered graph leaves a well-covered graph."""
     if not f.report.well_covered:
-        return ClaimVerdict("residual_wc", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g = f.graph
     for s in enumerate_independent_sets(g):
         rest = residual(g, s)
@@ -311,8 +328,8 @@ def _check_residual_wc(f: GraphFacts) -> ClaimVerdict:
                 "residual_i": low,
                 "residual_alpha": high,
             }
-            return ClaimVerdict("residual_wc", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("residual_wc", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
 def _independent_sets_of_size(g: Graph, size: int) -> Iterator[int]:
@@ -333,7 +350,7 @@ def _independent_sets_of_size(g: Graph, size: int) -> Iterator[int]:
     return rec(0, g.vertex_mask, size)
 
 
-def _check_clique_leftover(f: GraphFacts) -> ClaimVerdict:
+def _check_clique_leftover(f: GraphFacts) -> Outcome:
     """An independent set one short of maximum is maximal or leaves a clique."""
     g = f.graph
     a = f.report.alpha
@@ -346,11 +363,11 @@ def _check_clique_leftover(f: GraphFacts) -> ClaimVerdict:
                     "independent_set": to_vertices(s),
                     "residual_vertices": to_vertices(rest),
                 }
-                return ClaimVerdict("clique_leftover", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("clique_leftover", f.instance, HOLDS)
+                return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_wc_direct(f: PairFacts) -> ClaimVerdict:
+def _check_wc_direct(f: PairFacts) -> Outcome:
     """A well-covered product forces well-covered factors whose isolate-free
     parts have equal independence ratios.  Pairs with an edgeless factor are
     treated as out of hypothesis: the isolate-free part is then empty and
@@ -359,16 +376,16 @@ def _check_wc_direct(f: PairFacts) -> ClaimVerdict:
     Isolated vertices lie in every maximal independent set, so the
     isolate-free part G+ has alpha(G+) = alpha(G) - #isolated."""
     if not f.product_wc:
-        return ClaimVerdict("wc_direct", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g, h = f.g.graph, f.h.graph
     if g.m == 0 or h.m == 0:
-        return ClaimVerdict("wc_direct", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     if not f.g.report.well_covered or not f.h.report.well_covered:
         witness = {
             "g_well_covered": f.g.report.well_covered,
             "h_well_covered": f.h.report.well_covered,
         }
-        return ClaimVerdict("wc_direct", f.instance, COUNTEREXAMPLE, witness)
+        return Outcome(COUNTEREXAMPLE, witness)
     iso_g = g.adj.count(0)
     iso_h = h.adj.count(0)
     a_g, n_g = f.g.report.alpha - iso_g, g.n - iso_g
@@ -380,90 +397,89 @@ def _check_wc_direct(f: PairFacts) -> ClaimVerdict:
             "alpha_h_positive": a_h,
             "n_h_positive": n_h,
         }
-        return ClaimVerdict("wc_direct", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("wc_direct", f.instance, HOLDS)
+        return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_berge(f: GraphFacts) -> ClaimVerdict:
+def _check_berge(f: GraphFacts) -> Outcome:
     """In a well-covered graph without isolated vertices, every independent
     set is at most as large as its open neighborhood."""
     if not f.report.well_covered or f.has_isolated:
-        return ClaimVerdict("berge", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     bad = berge_violation(f.graph)
     if bad is not None:
         witness = {
             "independent_set": to_vertices(bad),
             "open_neighborhood": to_vertices(neighborhood(f.graph, bad)),
         }
-        return ClaimVerdict("berge", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("berge", f.instance, HOLDS)
+        return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_favaron(f: GraphFacts) -> ClaimVerdict:
+def _check_favaron(f: GraphFacts) -> Outcome:
     witness = favaron_equivalence_verdict(f.graph, f.report.very_well_covered)
-    return _verdict("favaron", f.instance, witness)
+    return _outcome(witness)
 
 
-def _check_vwc_product(f: PairFacts) -> ClaimVerdict:
+def _check_vwc_product(f: PairFacts) -> Outcome:
     """With isolate-free factors at least one of which is very well-covered,
     the product being well-covered, the product being very well-covered, and
     both factors being very well-covered are all equivalent."""
     if f.g.has_isolated or f.h.has_isolated:
-        return ClaimVerdict("vwc_product", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     if not (f.g.report.very_well_covered or f.h.report.very_well_covered):
-        return ClaimVerdict("vwc_product", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     a = f.product_wc
     b = f.product_vwc
     c = f.g.report.very_well_covered and f.h.report.very_well_covered
     if a == b == c:
-        return ClaimVerdict("vwc_product", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     witness = {
         "product_well_covered": a,
         "product_very_well_covered": b,
         "both_factors_very_well_covered": c,
     }
-    return ClaimVerdict("vwc_product", f.instance, COUNTEREXAMPLE, witness)
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_layer_sizes(f: CliqueFacts) -> ClaimVerdict:
+def _check_layer_sizes(f: CliqueFacts) -> Outcome:
     if f.h.graph.n < 2:
-        return ClaimVerdict("layer_sizes", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     witness = layer_cardinality_check(f.product, f.product_mis_list)
-    return _verdict("layer_sizes", f.instance, witness)
+    return _outcome(witness)
 
 
-def _check_kn_necessary(f: CliqueFacts) -> ClaimVerdict:
+def _check_kn_necessary(f: CliqueFacts) -> Outcome:
     n = f.h.graph.n
     if n < 2 or not f.product_wc:
-        return ClaimVerdict("kn_necessary", f.instance, VACUOUS)
-    return _verdict("kn_necessary", f.instance, necessary_condition_check(f.g.graph, n))
+        return VACUOUS_OUTCOME
+    return _outcome(necessary_condition_check(f.g.graph, n))
 
 
-def _check_bipartite_isolation(f: GraphFacts) -> ClaimVerdict:
+def _check_bipartite_isolation(f: GraphFacts) -> Outcome:
     """A bipartite well-covered graph with minimum degree >= 2 has isolatable
     vertices; deleting any closed neighborhood N[x] leaves an isolated vertex."""
     b = f.graph
-    if not is_bipartite(b) or min_degree(b) < 2 or not f.report.well_covered:
-        return ClaimVerdict("bipartite_isolation", f.instance, VACUOUS)
+    # K0 has minimum degree infinity but no vertex to isolate
+    if b.n == 0 or not is_bipartite(b) or min_degree(b) < 2 or not f.report.well_covered:
+        return VACUOUS_OUTCOME
     if f.isolatable_mask == 0:
-        return ClaimVerdict(
-            "bipartite_isolation", f.instance, COUNTEREXAMPLE, {"reason": "no isolatable vertices"}
-        )
+        return Outcome(COUNTEREXAMPLE, {"reason": "no isolatable vertices"})
     for x in range(b.n):
         rest = residual(b, 1 << x)
         if not isolated_in(b, rest):
             witness = {"vertex": x, "residual_vertices": to_vertices(rest)}
-            return ClaimVerdict("bipartite_isolation", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("bipartite_isolation", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_closed_nbhd_size(f: PairFacts) -> ClaimVerdict:
+def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
     """With H nontrivial connected, G free of isolatable vertices, and the
     product well-covered, every independent k-set of G has closed
     neighborhood of size exactly k * n(G) / alpha(G)."""
     hyp = f.h.nontrivial_connected and f.g.isolatable_mask == 0 and f.product_wc
     if not hyp:
-        return ClaimVerdict("closed_nbhd_size", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g = f.g.graph
     a = f.g.report.alpha
     for s in enumerate_independent_sets(g):
@@ -478,11 +494,11 @@ def _check_closed_nbhd_size(f: PairFacts) -> ClaimVerdict:
                 "alpha": a,
                 "order": g.n,
             }
-            return ClaimVerdict("closed_nbhd_size", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("closed_nbhd_size", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_regularity(f: PairFacts) -> ClaimVerdict:
+def _check_regularity(f: PairFacts) -> Outcome:
     """Same hypothesis as closed_nbhd_size but with both factors nontrivial
     connected; the first factor must be (n/alpha - 1)-regular."""
     hyp = (
@@ -492,7 +508,7 @@ def _check_regularity(f: PairFacts) -> ClaimVerdict:
         and f.product_wc
     )
     if not hyp:
-        return ClaimVerdict("regularity", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g = f.g.graph
     a = f.g.report.alpha
     degree = is_regular(g)
@@ -502,22 +518,22 @@ def _check_regularity(f: PairFacts) -> ClaimVerdict:
             "alpha": a,
             "order": g.n,
         }
-        return ClaimVerdict("regularity", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("regularity", f.instance, HOLDS)
+        return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_k3_dichotomy(f: GraphFacts) -> ClaimVerdict:
+def _check_k3_dichotomy(f: GraphFacts) -> Outcome:
     """A nontrivial connected G with well-covered G x K3 is K3 itself or has
     an isolatable vertex."""
     if not f.nontrivial_connected or not f.k3.product_wc:
-        return ClaimVerdict("k3_dichotomy", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     if (f.graph.n == 3 and is_complete(f.graph)) or f.isolatable_mask:
-        return ClaimVerdict("k3_dichotomy", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     witness = {"complete_of_order_3": False, "isolatable_vertices": []}
-    return ClaimVerdict("k3_dichotomy", f.instance, COUNTEREXAMPLE, witness)
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_no_isolatable_complete(f: PairFacts) -> ClaimVerdict:
+def _check_no_isolatable_complete(f: PairFacts) -> Outcome:
     """Nontrivial connected factors, well-covered product, and no isolatable
     vertex in the first factor force the first factor to be complete."""
     hyp = (
@@ -527,19 +543,17 @@ def _check_no_isolatable_complete(f: PairFacts) -> ClaimVerdict:
         and f.g.isolatable_mask == 0
     )
     if not hyp:
-        return ClaimVerdict("no_isolatable_complete", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g = f.g.graph
     if is_complete(g):
-        return ClaimVerdict("no_isolatable_complete", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     pair = next(
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
     )
-    return ClaimVerdict(
-        "no_isolatable_complete", f.instance, COUNTEREXAMPLE, {"nonadjacent_pair": list(pair)}
-    )
+    return Outcome(COUNTEREXAMPLE, {"nonadjacent_pair": list(pair)})
 
 
-def _check_both_complete(f: PairFacts) -> ClaimVerdict:
+def _check_both_complete(f: PairFacts) -> Outcome:
     """If additionally neither factor has an isolatable vertex, both factors
     are complete graphs of the same order."""
     hyp = (
@@ -550,25 +564,25 @@ def _check_both_complete(f: PairFacts) -> ClaimVerdict:
         and f.product_wc
     )
     if not hyp:
-        return ClaimVerdict("both_complete", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g, h = f.g.graph, f.h.graph
     if is_complete(g) and is_complete(h) and g.n == h.n:
-        return ClaimVerdict("both_complete", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     witness = {
         "g_complete": is_complete(g),
         "h_complete": is_complete(h),
         "orders": [g.n, h.n],
     }
-    return ClaimVerdict("both_complete", f.instance, COUNTEREXAMPLE, witness)
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_no_bipartite_residual(f: PairFacts) -> ClaimVerdict:
+def _check_no_bipartite_residual(f: PairFacts) -> Outcome:
     """For a well-covered but not very well-covered product of nontrivial
     connected factors, no independent set of the first factor leaves behind
     a bipartite component larger than a single vertex."""
     hyp = f.g.nontrivial_connected and f.h.nontrivial_connected and f.wc_not_vwc
     if not hyp:
-        return ClaimVerdict("no_bipartite_residual", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     g = f.g.graph
     for s in enumerate_independent_sets(g):
         # the first component above K1 without an odd cycle, by least vertex
@@ -578,48 +592,43 @@ def _check_no_bipartite_residual(f: PairFacts) -> ClaimVerdict:
                 "independent_set": to_vertices(s),
                 "component_vertices": to_vertices(comp),
             }
-            return ClaimVerdict("no_bipartite_residual", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("no_bipartite_residual", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
 def _in_triangle(g: Graph, w: int) -> bool:
     return any(g.adj[w] & g.adj[a] for a in to_vertices(g.adj[w]))
 
 
-def _check_edge_triangle(f: PairFacts) -> ClaimVerdict:
+def _check_edge_triangle(f: PairFacts) -> Outcome:
     """Same hypothesis; every edge of either factor is incident with a
     triangle, meaning at least one endpoint lies in one.  The edge itself
     need not span a triangle."""
     hyp = f.g.nontrivial_connected and f.h.nontrivial_connected and f.wc_not_vwc
     if not hyp:
-        return ClaimVerdict("edge_triangle", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     for name, facts in (("g", f.g), ("h", f.h)):
         graph = facts.graph
         for u, v in graph.edges():
             if not _in_triangle(graph, u) and not _in_triangle(graph, v):
-                return ClaimVerdict(
-                    "edge_triangle",
-                    f.instance,
-                    COUNTEREXAMPLE,
-                    {"factor": name, "edge": [u, v]},
-                )
-    return ClaimVerdict("edge_triangle", f.instance, HOLDS)
+                return Outcome(COUNTEREXAMPLE, {"factor": name, "edge": [u, v]})
+    return HOLDS_OUTCOME
 
 
-def _check_girth_three(f: PairFacts) -> ClaimVerdict:
+def _check_girth_three(f: PairFacts) -> Outcome:
     """Same hypothesis; both factors have girth exactly three."""
     hyp = f.g.nontrivial_connected and f.h.nontrivial_connected and f.wc_not_vwc
     if not hyp:
-        return ClaimVerdict("girth_three", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     gg = girth(f.g.graph)
     gh = girth(f.h.graph)
     if gg == 3 and gh == 3:
-        return ClaimVerdict("girth_three", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     witness = {"girth_g": _json_girth(gg), "girth_h": _json_girth(gh)}
-    return ClaimVerdict("girth_three", f.instance, COUNTEREXAMPLE, witness)
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_twins(f: GraphFacts) -> ClaimVerdict:
+def _check_twins(f: GraphFacts) -> Outcome:
     """Vertices with identical open neighborhoods are either both inside a
     maximal independent set or that set meets their common neighborhood.
     Vacuous when the graph has no such pair."""
@@ -631,7 +640,7 @@ def _check_twins(f: GraphFacts) -> ClaimVerdict:
         if g.adj[u] == g.adj[v]
     ]
     if not twins:
-        return ClaimVerdict("twins", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     for mis in f.mis_list:
         for u, v in twins:
             if g.adj[u] & mis:
@@ -639,11 +648,11 @@ def _check_twins(f: GraphFacts) -> ClaimVerdict:
             if mis >> u & 1 and mis >> v & 1:
                 continue
             witness = {"mis": to_vertices(mis), "twin_pair": [u, v]}
-            return ClaimVerdict("twins", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("twins", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
-def _check_h_family_product(f: CliqueFacts) -> ClaimVerdict:
+def _check_h_family_product(f: CliqueFacts) -> Outcome:
     """Recognized split graphs H(k, n-1) have well-covered product with K_n.
 
     The hypothesis is recognized structurally, so relabeled instances work.
@@ -651,9 +660,9 @@ def _check_h_family_product(f: CliqueFacts) -> ClaimVerdict:
     params = h_family_params(f.g.graph)
     n = f.h.graph.n
     if params is None or n != params[1] + 1:
-        return ClaimVerdict("h_family_product", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     if f.product_wc:
-        return ClaimVerdict("h_family_product", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     # only the witness needs the product's i, alpha and extreme sets
     rep = f.product_report
     kn = kn_report(f.g.graph, n, (rep.i_number, rep.alpha, rep.witness_min, rep.witness_max))
@@ -663,46 +672,51 @@ def _check_h_family_product(f: CliqueFacts) -> ClaimVerdict:
         "argmin": kn.argmin.to_json(),
         "argmax": kn.argmax.to_json(),
     }
-    return ClaimVerdict("h_family_product", f.instance, COUNTEREXAMPLE, witness)
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_multipartite_square(f: GraphFacts) -> ClaimVerdict:
+def _check_multipartite_square(f: GraphFacts) -> Outcome:
     """Complete multipartite graphs with equal parts have well-covered
     direct product squares."""
     if multipartite_params(f.graph) is None:
-        return ClaimVerdict("multipartite_square", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     if f.square.product_wc:
-        return ClaimVerdict("multipartite_square", f.instance, HOLDS)
+        return HOLDS_OUTCOME
     # only the witness needs the square's i and alpha
     report = f.square.product_report
     witness = {"square_i": report.i_number, "square_alpha": report.alpha}
-    return ClaimVerdict("multipartite_square", f.instance, COUNTEREXAMPLE, witness)
+    return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_support_leaf_unique(f: GraphFacts) -> ClaimVerdict:
+def _check_support_leaf_unique(f: GraphFacts) -> Outcome:
     """In a well-covered graph every support vertex has exactly one leaf."""
     g = f.graph
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     supports = sorted({g.adj[v].bit_length() - 1 for v in leaves})
     if not f.report.well_covered or not supports:
-        return ClaimVerdict("support_leaf_unique", f.instance, VACUOUS)
+        return VACUOUS_OUTCOME
     leaf_mask = to_mask(leaves)
     for x in supports:
         attached = g.adj[x] & leaf_mask
         if attached.bit_count() != 1:
             witness = {"support": x, "adjacent_leaves": to_vertices(attached)}
-            return ClaimVerdict("support_leaf_unique", f.instance, COUNTEREXAMPLE, witness)
-    return ClaimVerdict("support_leaf_unique", f.instance, HOLDS)
+            return Outcome(COUNTEREXAMPLE, witness)
+    return HOLDS_OUTCOME
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One registered claim: stable id, instance shape, and checker."""
+    """One registered claim: stable id, instance shape, and checker.
+    ``check`` maps the instance's facts to an ``Outcome``."""
 
     claim_id: str
     shape: str
-    check: Callable
+    check: Callable[[Any], Outcome]
     summary: str
+
+    def verdict(self, facts: GraphFacts | PairFacts) -> ClaimVerdict:
+        status, witness = self.check(facts)
+        return ClaimVerdict(self.claim_id, facts.instance, status, witness)
 
 
 _CLAIMS = (
@@ -871,7 +885,7 @@ def _facts_for(shape: str, instance: Instance):
     return CliqueFacts(GraphFacts(instance[0]), complete_facts(instance[1]))
 
 
-def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
+def verify(claim_id: str, instance: Instance) -> Outcome:
     """Check one claim on one instance.  The instance must match the claim's
     shape: a Graph, a (Graph, Graph) pair, or a (Graph, n) pair."""
     claim = REGISTRY.get(claim_id)
@@ -880,7 +894,7 @@ def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
     shape = instance_shape(instance)
     if shape != claim.shape:
         raise TypeError(f"claim {claim_id} expects a {claim.shape} instance, got {shape}")
-    return claim.check(_facts_for(shape, instance))
+    return claim.verdict(_facts_for(shape, instance))
 
 
 @dataclass
@@ -941,21 +955,31 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
     """Apply every named claim to every instance of its shape.
 
     Facts are computed once per instance and shared by all claims on it.
-    Instances whose shape matches no requested claim are skipped.
+    Instances whose shape matches no requested claim are skipped.  Holds and
+    vacuous outcomes are only counted; a ``ClaimVerdict``, and with it the
+    instance's graph6 encoding, is built for counterexamples alone.
     """
     report = SuiteReport({c: ClaimTally() for c in claim_ids})
-    by_shape: dict[str, list[Claim]] = {}
-    for claim_id in report.tallies:  # each id once, however often it was named
+    by_shape: dict[str, list[tuple[Claim, ClaimTally]]] = {}
+    for claim_id, tally in report.tallies.items():  # each id once, however often it was named
         claim = REGISTRY[claim_id]
-        by_shape.setdefault(claim.shape, []).append(claim)
+        by_shape.setdefault(claim.shape, []).append((claim, tally))
     for inst in instances:
         shape = instance_shape(inst)
         group = by_shape.get(shape)
         if not group:
             continue
         facts = _facts_for(shape, inst)
-        for claim in group:
-            report.tallies[claim.claim_id].add(claim.check(facts))
+        for claim, tally in group:
+            status, witness = claim.check(facts)
+            if status == HOLDS:
+                tally.holds += 1
+            elif status == VACUOUS:
+                tally.vacuous += 1
+            else:
+                tally.counterexamples.append(
+                    ClaimVerdict(claim.claim_id, facts.instance, status, witness)
+                )
     return report
 
 

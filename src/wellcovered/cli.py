@@ -152,7 +152,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         data["partition_engine"] = kn_alpha_i(h, g.n).to_json()
     status = 0
     if args.check:
-        verdict = REGISTRY["wc_direct"].check(facts)
+        verdict = REGISTRY["wc_direct"].verdict(facts)
         data["check"] = verdict.to_json()
         if verdict.status == COUNTEREXAMPLE:
             status = 2

@@ -238,7 +238,7 @@ class TestForcedWitnesses:
         # is the product's summary, decoded into weak partitions
         f = claims._facts_for(claims.SHAPE_GRAPH_N, (h_family(2, 2), 3))
         forced(f, product_wc_size=-1)
-        verdict = REGISTRY["h_family_product"].check(f)
+        verdict = REGISTRY["h_family_product"].verdict(f)
         assert verdict.status == COUNTEREXAMPLE
         assert verdict.instance == {"graph6": to_graph6(h_family(2, 2)), "n": 3}
         report = kn_alpha_i(h_family(2, 2), 3)

@@ -340,7 +340,7 @@ class TestClaimChecks:
         # C5 x K2 told well-covered through the facts the claim reads
         f = claims._facts_for(claims.SHAPE_GRAPH_N, (cycle(5), 2))
         f.__dict__["product_wc_size"] = 5
-        verdict = claims.REGISTRY["kn_necessary"].check(f)
+        verdict = claims.REGISTRY["kn_necessary"].verdict(f)
         assert verdict.status == COUNTEREXAMPLE
         assert verdict.instance == {"graph6": "Dhc", "n": 2}
         assert verdict.witness == necessary_condition_check(cycle(5), 2)
