@@ -18,22 +18,24 @@ witness dict or None.
 
 Each instance's graphs and products are built once, in the two facts
 classes, and every claim of the instance's shape reads them from there.
-``GraphFacts`` summarizes a graph once.  ``PairFacts`` is the one object
-that decides whether a product is well-covered: the pair claims,
-``cli product`` and ``cli scan`` ask it, and so do the G x K_n claims,
-whose (G, n) instance pairs G with the process's one ``complete_facts(n)``,
-and ``k3_dichotomy`` and ``multipartite_square`` through the G x K3 and
-G x G that ``GraphFacts`` keeps.  It shares its factors' ``GraphFacts`` and
-so their summaries.  ``products.lifted_witnesses`` first lifts the factors'
-maximum and minimum witnesses and checks them in the product;
-``trivial_bounds`` reads the same certificate for its bounds.  When the
-certified independent set is larger than the certified maximal one, the
-product is not well-covered and no search runs.  Otherwise the kernel's
-decision runs the summary walk per component and stops at the first
-component with two maximal-set sizes.  ``trivial_bounds`` needs the
-product's exact alpha and i only if the certificate fails.  The suite
-runner tallies verdicts per claim and merges partial reports associatively,
-so instance streams can be partitioned across processes.
+``GraphFacts`` summarizes a graph once and lists its independent sets in one
+walk, which every claim about the residuals G - N[S] reads.  ``PairFacts``
+is the one object that decides whether a product is well-covered: the pair
+claims, ``cli product`` and ``cli scan`` ask it, and so do the G x K_n
+claims, whose (G, n) instance pairs G with the process's one
+``complete_facts(n)``, and ``k3_dichotomy`` and ``multipartite_square``
+through the G x K3 and G x G that ``GraphFacts`` keeps.  It shares its
+factors' ``GraphFacts`` and so their summaries.
+``products.lifted_witnesses`` first lifts the factors' maximum and minimum
+witnesses and checks them in the product; ``trivial_bounds`` reads the same
+certificate for its bounds.  When the certified independent set is larger
+than the certified maximal one, the product is not well-covered and no
+search runs.  Otherwise the kernel's decision runs the summary walk per
+component and stops at the first component with two maximal-set sizes.
+``trivial_bounds`` needs the product's exact alpha and i only if the
+certificate fails.  The suite runner tallies verdicts per claim and merges
+partial reports associatively, so instance streams can be partitioned across
+processes.
 """
 
 from __future__ import annotations
@@ -178,6 +180,13 @@ class GraphFacts:
         return kernel.maximal_independent_sets(self.graph.adj)
 
     @cached_property
+    def independent_sets(self) -> list[int]:
+        """Every independent set in ``enumerate_independent_sets`` order, for
+        ``residual_wc``, ``clique_leftover``, ``berge`` and, as first factor,
+        ``closed_nbhd_size`` and ``no_bipartite_residual``."""
+        return list(enumerate_independent_sets(self.graph))
+
+    @cached_property
     def k3(self) -> PairFacts:
         """G x K3, the product ``k3_dichotomy`` asks about."""
         return PairFacts(self, complete_facts(3))
@@ -317,7 +326,7 @@ def _check_residual_wc(f: GraphFacts) -> Outcome:
     if not f.report.well_covered:
         return VACUOUS_OUTCOME
     g = f.graph
-    for s in enumerate_independent_sets(g):
+    for s in f.independent_sets:
         rest = residual(g, s)
         if kernel.well_covered_size(g.adj, rest) < 0:
             # only the witness needs the residual's i and alpha
@@ -332,38 +341,21 @@ def _check_residual_wc(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
-def _independent_sets_of_size(g: Graph, size: int) -> Iterator[int]:
-    """The independent sets of exactly ``size`` vertices, in the order
-    ``enumerate_independent_sets`` yields them: its recursion, cut off at
-    that depth."""
-
-    def rec(s: int, cands: int, left: int) -> Iterator[int]:
-        if not left:
-            yield s
-            return
-        m = cands
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield from rec(s | 1 << v, m & ~g.adj[v], left - 1)
-
-    return rec(0, g.vertex_mask, size)
-
-
 def _check_clique_leftover(f: GraphFacts) -> Outcome:
     """An independent set one short of maximum is maximal or leaves a clique."""
     g = f.graph
-    a = f.report.alpha
-    if a >= 1:
-        for s in _independent_sets_of_size(g, a - 1):
-            rest = residual(g, s)
-            # G - N[S] is a clique exactly when every vertex left sees the rest
-            if any(rest & ~g.closed(v) for v in bits(rest)):
-                witness = {
-                    "independent_set": to_vertices(s),
-                    "residual_vertices": to_vertices(rest),
-                }
-                return Outcome(COUNTEREXAMPLE, witness)
+    size = f.report.alpha - 1
+    for s in f.independent_sets:
+        if s.bit_count() != size:
+            continue
+        rest = residual(g, s)
+        # G - N[S] is a clique exactly when every vertex left sees the rest
+        if any(rest & ~g.closed(v) for v in bits(rest)):
+            witness = {
+                "independent_set": to_vertices(s),
+                "residual_vertices": to_vertices(rest),
+            }
+            return Outcome(COUNTEREXAMPLE, witness)
     return HOLDS_OUTCOME
 
 
@@ -406,7 +398,7 @@ def _check_berge(f: GraphFacts) -> Outcome:
     set is at most as large as its open neighborhood."""
     if not f.report.well_covered or f.has_isolated:
         return VACUOUS_OUTCOME
-    bad = berge_violation(f.graph)
+    bad = berge_violation(f.graph, f.independent_sets)
     if bad is not None:
         witness = {
             "independent_set": to_vertices(bad),
@@ -482,7 +474,7 @@ def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
         return VACUOUS_OUTCOME
     g = f.g.graph
     a = f.g.report.alpha
-    for s in enumerate_independent_sets(g):
+    for s in f.g.independent_sets:
         k = s.bit_count()
         if k == 0:
             continue
@@ -584,7 +576,7 @@ def _check_no_bipartite_residual(f: PairFacts) -> Outcome:
     if not hyp:
         return VACUOUS_OUTCOME
     g = f.g.graph
-    for s in enumerate_independent_sets(g):
+    for s in f.g.independent_sets:
         # the first component above K1 without an odd cycle, by least vertex
         comp = next((c for c, odd in components(g, residual(g, s)) if not odd and c & c - 1), 0)
         if comp:
@@ -902,14 +894,6 @@ class ClaimTally:
     holds: int = 0
     vacuous: int = 0
     counterexamples: list[ClaimVerdict] = field(default_factory=list)
-
-    def add(self, verdict: ClaimVerdict) -> None:
-        if verdict.status == HOLDS:
-            self.holds += 1
-        elif verdict.status == VACUOUS:
-            self.vacuous += 1
-        else:
-            self.counterexamples.append(verdict)
 
     def merge(self, other: "ClaimTally") -> "ClaimTally":
         return ClaimTally(

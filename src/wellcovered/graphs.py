@@ -6,9 +6,10 @@ edge); a ``Graph`` is exactly ``(n, adj)``.  Vertex subsets travel as plain
 ints under the same convention, which keeps set algebra down to machine
 operations and lets the enumeration kernel work on raw words.  A residual
 G - N[S] stays a mask of G's own vertices (``residual``, ``isolated_in``,
-``components``); ``induced_subgraph`` renumbers it into a new ``Graph``
-only where a caller needs one.  Graphs are frozen after construction and
-safe to share or use as dict keys.
+``components``).  No module of the package calls ``induced_subgraph``,
+which renumbers a mask into a new ``Graph``: it stays for the tests and the
+benchmark's traced functions until it moves into the tests' oracles.
+Graphs are frozen after construction and safe to share or use as dict keys.
 """
 
 from __future__ import annotations

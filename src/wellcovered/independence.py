@@ -2,14 +2,14 @@
 the neighborhood bound for independent sets, and the perfect-matching
 characterization of very well-covered graphs.
 
-Enumeration itself lives in the kernel (compiled or pure Python); this module
-interprets the results.  Vertex sets are masks throughout.
+Maximal-set enumeration lives in the kernel (compiled or pure Python); this
+module interprets the results.  Vertex sets are masks throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import kernel
 from .graphs import Graph, bits, neighborhood, to_vertices
@@ -86,22 +86,34 @@ def well_covered_report(g: Graph) -> WellCoveredReport:
 
 
 def enumerate_independent_sets(g: Graph) -> Iterator[int]:
-    """All independent sets (the empty set included), each exactly once."""
-
-    def rec(s: int, cands: int) -> Iterator[int]:
+    """All independent sets (the empty set included), each exactly once, in
+    lexicographic order of their ascending vertex lists: the empty set, {0},
+    the sets that extend {0} by higher vertices, {1}, and so on.  Claim
+    witnesses are the first failing set in this order.  One loop: ``s`` is
+    the current set, ``p`` the higher vertices that can still join it, and
+    the stack holds each earlier set with its siblings' candidates."""
+    adj = g.adj
+    stack: list[tuple[int, int]] = []
+    s, p = 0, g.vertex_mask
+    yield 0
+    while True:
+        if not p:
+            if not stack:
+                return
+            s, p = stack.pop()
+        low = p & -p
+        p ^= low
+        if p:
+            stack.append((s, p))
+        s |= low
         yield s
-        m = cands
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield from rec(s | 1 << v, m & ~g.adj[v])
-
-    return rec(0, g.vertex_mask)
+        p &= ~adj[low.bit_length() - 1]
 
 
-def berge_violation(g: Graph) -> int | None:
-    """An independent S with |S| > |N(S)|, or None if the bound holds."""
-    for s in enumerate_independent_sets(g):
+def berge_violation(g: Graph, sets: Iterable[int]) -> int | None:
+    """The first S in ``sets``, independent sets of g, with |S| > |N(S)|, or
+    None if the bound holds for all of them."""
+    for s in sets:
         if s.bit_count() > neighborhood(g, s).bit_count():
             return s
     return None

@@ -6,12 +6,16 @@ used to cross-check.  Only usable for small n.  ``brute_violations`` checks
 the weak-partition conditions vertex by vertex, apart from the mask algebra
 of ``WeakPartition.violations``, and ``brute_min_mask`` tries all n!
 relabelings where ``families`` searches for the lowest edge mask.
+``recursive_independent_sets`` is a nested-generator recursion, the
+reference for the order in which the package's one-loop enumeration yields
+independent sets.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
+from typing import Iterator
 
 from wellcovered.graphs import Graph
 
@@ -42,6 +46,22 @@ def brute_maximal_independent_sets(adj: tuple[int, ...], n: int) -> list[int]:
 def brute_summary(adj: tuple[int, ...], n: int) -> tuple[int, int]:
     sizes = [m.bit_count() for m in brute_maximal_independent_sets(adj, n)]
     return min(sizes), max(sizes)
+
+
+def recursive_independent_sets(g: Graph) -> Iterator[int]:
+    """The reference order of ``enumerate_independent_sets``: a set, then
+    recursively each extension by one higher vertex that keeps it
+    independent, lowest vertex first."""
+
+    def rec(s: int, cands: int) -> Iterator[int]:
+        yield s
+        m = cands
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            yield from rec(s | 1 << v, m & ~g.adj[v])
+
+    return rec(0, g.vertex_mask)
 
 
 def brute_min_mask(g: Graph) -> int:

@@ -14,9 +14,10 @@ from brute import (
     brute_summary,
     is_independent,
     random_graph,
+    recursive_independent_sets,
 )
 from wellcovered import _mis_fallback
-from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
+from wellcovered.families import complete, complete_multipartite, corpus, cycle, h_family, path
 from wellcovered.graphs import Graph, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
 from wellcovered.independence import (
     alpha,
@@ -106,12 +107,13 @@ class TestFrozenValues:
 
     def test_star_berge_violation(self):
         g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-        bad = berge_violation(g)
+        bad = berge_violation(g, enumerate_independent_sets(g))
         # first violation in enumeration order: two leaves against one center
         assert bad == to_mask([1, 2])
 
     def test_cycle4_no_berge_violation(self):
-        assert berge_violation(cycle(4)) is None
+        g = cycle(4)
+        assert berge_violation(g, enumerate_independent_sets(g)) is None
 
 
 class TestIndependentSetEnumeration:
@@ -125,6 +127,20 @@ class TestIndependentSetEnumeration:
         ours = sorted(enumerate_independent_sets(g))
         expect = [m for m in range(1 << g.n) if is_independent(g.adj, m)]
         assert ours == expect
+
+    def test_order_of_k0(self):
+        assert list(enumerate_independent_sets(Graph(0, ()))) == [0]
+
+    def test_order_matches_recursion_on_corpus(self):
+        """Witnesses are the first failing set, so the order is pinned."""
+        for g in corpus(5, connected_only=False):
+            assert list(enumerate_independent_sets(g)) == list(recursive_independent_sets(g))
+
+    def test_order_matches_recursion_on_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 16), rng.choice((0.2, 0.4, 0.6)))
+            assert list(enumerate_independent_sets(g)) == list(recursive_independent_sets(g))
 
 
 def brute_perfect_matching_count(g: Graph) -> int:
