@@ -52,7 +52,7 @@ static int POPCNT(uint64_t x) { int c = 0; for (; x; x &= x - 1) ++c; return c; 
 static int CTZ(uint64_t x) { int c = 0; for (; !(x & 1); x >>= 1) ++c; return c; }
 #endif
 
-enum { COLLECT, COUNT, SUMMARY, DECIDE };
+enum { COLLECT, SUMMARY, DECIDE };
 
 /* The summary's table of finished states (P, {}), with the rules of
  * _mis_fallback: only in a walk over a component of at least
@@ -96,7 +96,6 @@ typedef struct {
 typedef struct {
     int mode;
     PyObject *out;             /* COLLECT: the emitted masks */
-    long long count;           /* COUNT */
     int lo, hi;                /* SUMMARY, DECIDE: extreme sizes seen */
     uint64_t min_wit, max_wit; /* first set of each extreme size */
     int bounded;               /* apply the degree bounds */
@@ -118,7 +117,6 @@ static int emit(Search *st, uint64_t s)
         Py_XDECREF(v);
         return -err;
     }
-    st->count++;
     if (size < st->lo) {
         st->lo = size;
         st->min_wit = s;
@@ -208,7 +206,7 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 {
     int k, nfree, go;
     const Entry *e;
-    if (st->mode == COLLECT || st->mode == COUNT)
+    if (st->mode == COLLECT)
         return EXPAND;
     k = POPCNT(s);
     nfree = POPCNT(p);
@@ -360,33 +358,27 @@ static uint64_t all_vertices(Py_ssize_t n)
     return n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
 }
 
-/* Enumerates every maximal set in mode COLLECT or COUNT; -1 with an
- * exception set on failure. */
-static int run(PyObject *adj, Search *st, int mode)
+static PyObject *maximal_independent_sets(PyObject *Py_UNUSED(self), PyObject *adj)
 {
     uint64_t closed[64];
     Py_ssize_t n = load_closed(adj, closed);
-    if (n < 0)
-        return -1;
-    *st = (Search){.mode = mode};
-    if (mode == COLLECT && (st->out = PyList_New(0)) == NULL)
-        return -1;
-    if (walk(closed, all_vertices(n), st) >= 0)
-        return 0;
-    Py_CLEAR(st->out);
-    return -1;
+    Search st = {.mode = COLLECT};
+    if (n < 0 || (st.out = PyList_New(0)) == NULL)
+        return NULL;
+    if (walk(closed, all_vertices(n), &st) < 0)
+        Py_CLEAR(st.out);
+    return st.out;
 }
 
-static PyObject *maximal_independent_sets(PyObject *Py_UNUSED(self), PyObject *adj)
+/* The length of the COLLECT list, the rule of _mis_fallback. */
+static PyObject *count_maximal_independent_sets(PyObject *self, PyObject *adj)
 {
-    Search st;
-    return run(adj, &st, COLLECT) < 0 ? NULL : st.out;
-}
-
-static PyObject *count_maximal_independent_sets(PyObject *Py_UNUSED(self), PyObject *adj)
-{
-    Search st;
-    return run(adj, &st, COUNT) < 0 ? NULL : PyLong_FromLongLong(st.count);
+    PyObject *count, *sets = maximal_independent_sets(self, adj);
+    if (sets == NULL)
+        return NULL;
+    count = PyLong_FromSsize_t(PyList_GET_SIZE(sets));
+    Py_DECREF(sets);
+    return count;
 }
 
 /* Parses (adj, within=None, /) and sums the bounded walk of each connected

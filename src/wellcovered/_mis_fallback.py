@@ -15,12 +15,17 @@ increasing order, shrinking P twice per level, which is the classic pivot
 rule and keeps the tree near the number of emitted sets.
 
 Both kernels walk the tree in one loop over an explicit stack of
-(S, P, X, remaining candidates) frames; here an emitted set costs one
-``yield`` instead of one generator frame per tree level.  The stack is last
-in, first out and a node's next candidate is taken only after the previous
-candidate's subtree is done, so the visit order is the recursive one.
+(S, P, X, remaining candidates) frames.  The stack is last in, first out and
+a node's next candidate is taken only after the previous candidate's subtree
+is done, so the visit order is the recursive one.  One walk, ``_walk`` like
+the C kernel's ``walk``, serves every entry point.  Enumeration runs it in
+collect mode: it appends every emitted set to a list, and it never skips,
+tables or bounds a node, whatever the ``TABLE_*`` constants say, so it
+visits the whole tree.  The count is the length of that list.  The plain
+walk without skips, tables or bounds, kept as the reference for the visit
+order, is ``reference_maximal_sets`` in ``tests/brute.py``.
 
-``independence_summary`` runs the same walk inline and skips a node with
+``independence_summary`` runs the same walk and skips a node with
 P nonempty when |S| + |P| <= alpha-so-far and |S| + 1 >= i-so-far.  Every set
 emitted below such a node strictly contains S and lies inside S | P, so none
 is strictly smaller or strictly larger than a set already seen.  The
@@ -128,7 +133,7 @@ where it pays:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # the table rules of the summary walk; the module docstring explains them
 TABLE_MIN_ORDER = 24
@@ -136,43 +141,6 @@ TABLE_MIN_FREE = 8
 TABLE_CAP = 4096
 TABLE_WINDOW = 64
 TABLE_MIN_HITS = 8
-
-
-def _maximal_sets(closed: list[int], full: int) -> Iterator[int]:
-    stack: list[tuple[int, int, int, int]] = []
-    push = stack.append
-    pop = stack.pop
-    s, p, x = 0, full, 0
-    while True:
-        branch = 0
-        if p:
-            best = 65
-            pivot = -1
-            m = p | x
-            while m:
-                v = (m & -m).bit_length() - 1
-                c = (closed[v] & p).bit_count()
-                if c < best:
-                    best = c
-                    pivot = v
-                    if c == 0:
-                        break
-                m &= m - 1
-            # best == 0: some excluded vertex can still join any completion
-            if best:
-                branch = closed[pivot] & p
-        elif not x:
-            yield s
-        if not branch:
-            if not stack:
-                return
-            s, p, x, branch = pop()
-        bu = branch & -branch
-        cu = closed[bu.bit_length() - 1]
-        branch ^= bu
-        if branch:
-            push((s, p & ~bu, x | bu, branch))
-        s, p, x = s | bu, p & ~cu, x & ~cu
 
 
 def _closed_rows(adj: Sequence[int]) -> list[int]:
@@ -183,13 +151,13 @@ def _closed_rows(adj: Sequence[int]) -> list[int]:
 
 def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     """All maximal independent sets as masks, in deterministic visit order."""
-    full = (1 << len(adj)) - 1
-    return list(_maximal_sets(_closed_rows(adj), full))
+    out: list[int] = []
+    _walk(_closed_rows(adj), (1 << len(adj)) - 1, {}, out=out)
+    return out
 
 
 def count_maximal_independent_sets(adj: Sequence[int]) -> int:
-    full = (1 << len(adj)) - 1
-    return sum(1 for _ in _maximal_sets(_closed_rows(adj), full))
+    return len(maximal_independent_sets(adj))
 
 
 def independence_summary(adj: Sequence[int], within: int | None = None, /) -> tuple[int, int, int, int]:
@@ -228,7 +196,7 @@ def _summarize(adj: Sequence[int], within: int | None, decide: bool) -> tuple[in
             comp |= frontier
         within ^= comp
         if comp & comp - 1:
-            c_lo, c_hi, c_min, c_max = _summary_walk(closed, comp, {}, decide)
+            c_lo, c_hi, c_min, c_max = _walk(closed, comp, {}, decide)
         else:
             c_lo = c_hi = 1
             c_min = c_max = comp
@@ -241,14 +209,21 @@ def _summarize(adj: Sequence[int], within: int | None, decide: bool) -> tuple[in
     return lo, hi, min_wit, max_wit
 
 
-def _summary_walk(
-    closed: list[int], start: int, table: dict[int, tuple[int, int, int, int]], decide: bool = False
+def _walk(
+    closed: list[int],
+    start: int,
+    table: dict[int, tuple[int, int, int, int]],
+    decide: bool = False,
+    out: list[int] | None = None,
 ) -> tuple[int, int, int, int]:
-    """The summary of the search from P = ``start``, X = {}, skipping every
-    subtree whose sets can be neither smaller than ``lo`` nor larger than
-    ``hi``.  ``table`` starts empty and ends holding the finished states:
-    P -> (c_lo, w_lo, c_hi, w_hi), the least and the greatest size of a
-    completion, each exact with its first witness when w is nonzero, else a
+    """The search from P = ``start``, X = {}, the one walk of every entry
+    point.  Given an ``out`` list it collects: it appends every emitted set
+    to ``out`` and expands every node, with no skip, table or bound.
+    Otherwise it returns the summary (lo, hi, min witness, max witness),
+    skipping every subtree whose sets can be neither smaller than ``lo`` nor
+    larger than ``hi``.  ``table`` starts empty and ends holding the finished
+    states: P -> (c_lo, w_lo, c_hi, w_hi), the least and the greatest size of
+    a completion, each exact with its first witness when w is nonzero, else a
     bound.  A state first met at a node its degree bounds skip is stored at
     once as a bound-only entry, (b_lo, 0, b_hi, 0), so a revisit skips it
     without a pivot loop.  With ``decide`` the walk stops at the first
@@ -257,7 +232,7 @@ def _summary_walk(
     min_wit = max_wit = 0
     # no state has 65 free vertices, so a small component never reads the rest
     min_free = 65
-    bounded = start.bit_count() >= TABLE_MIN_ORDER
+    bounded = out is None and start.bit_count() >= TABLE_MIN_ORDER
     if bounded:
         min_free = TABLE_MIN_FREE
         get = table.get
@@ -372,6 +347,10 @@ def _summary_walk(
                     # completion, or the bounds settled the node
                     if best:
                         branch = closed[pivot] & p
+        elif out is not None:
+            # collect: lo and hi stay 65 and -1, so the walk skips no node
+            if not x:
+                out.append(s)
         elif not x:
             size = s.bit_count()
             if size < lo:

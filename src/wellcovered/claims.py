@@ -455,8 +455,8 @@ def _check_bipartite_isolation(f: GraphFacts) -> Outcome:
     # K0 has minimum degree infinity but no vertex to isolate
     if b.n == 0 or not is_bipartite(b) or min_degree(b) < 2 or not f.report.well_covered:
         return VACUOUS_OUTCOME
-    if f.isolatable_mask == 0:
-        return Outcome(COUNTEREXAMPLE, {"reason": "no isolatable vertices"})
+    # a vertex left isolated by deleting N[x] is isolatable through {x}, so
+    # without isolatable vertices this loop already fails at x = 0
     for x in range(b.n):
         rest = residual(b, 1 << x)
         if not isolated_in(b, rest):

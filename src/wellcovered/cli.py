@@ -53,7 +53,7 @@ from .graphs import (
     to_vertices,
 )
 from .independence import isolatable_vertices, well_covered_report
-from .kn_partitions import kn_alpha_i, kn_report
+from .kn_partitions import kn_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,7 +149,10 @@ def _cmd_product(args: argparse.Namespace) -> int:
         summary = (rep.i_number, rep.alpha, rep.witness_min, rep.witness_max)
         data["partition_engine"] = kn_report(g, h.n, summary).to_json()
     elif is_complete(g) and g.n >= 2:
-        data["partition_engine"] = kn_alpha_i(h, g.n).to_json()
+        # K_n x H is H x K_n with each vertex (k, v) read as (v, k)
+        swap = facts.product.swapped
+        summary = (rep.i_number, rep.alpha, swap(rep.witness_min), swap(rep.witness_max))
+        data["partition_engine"] = kn_report(h, g.n, summary).to_json()
     status = 0
     if args.check:
         verdict = REGISTRY["wc_direct"].verdict(facts)

@@ -50,6 +50,10 @@ class ProductGraph:
         """Decode a product mask into sorted (g, h) pairs, for reports."""
         return [divmod(idx, self.n_h) for idx in bits(s)]
 
+    def swapped(self, s: int) -> int:
+        """A product mask as the same set of H x G: (g, h) becomes (h, g)."""
+        return sum(1 << h * self.n_g + g for g, h in self.pairs(s))
+
     def to_json_sidecar(self) -> dict:
         return {"nG": self.n_g, "nH": self.n_h}
 

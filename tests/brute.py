@@ -8,7 +8,9 @@ of ``WeakPartition.violations``, and ``brute_min_mask`` tries all n!
 relabelings where ``families`` searches for the lowest edge mask.
 ``recursive_independent_sets`` is a nested-generator recursion, the
 reference for the order in which the package's one-loop enumeration yields
-independent sets.
+independent sets.  ``reference_maximal_sets`` is the plain pivot walk over
+maximal independent sets, with no skip, table or bound, the reference for
+the order in which the kernels' one walk emits them.
 """
 
 from __future__ import annotations
@@ -62,6 +64,46 @@ def recursive_independent_sets(g: Graph) -> Iterator[int]:
             yield from rec(s | 1 << v, m & ~g.adj[v])
 
     return rec(0, g.vertex_mask)
+
+
+def reference_maximal_sets(closed: list[int], full: int) -> Iterator[int]:
+    """The maximal independent sets of G[full], G given by its closed rows,
+    in the kernels' visit order: branch on the candidates in P of the first
+    vertex of P | X with the fewest, lowest candidate first."""
+    stack: list[tuple[int, int, int, int]] = []
+    push = stack.append
+    pop = stack.pop
+    s, p, x = 0, full, 0
+    while True:
+        branch = 0
+        if p:
+            best = 65
+            pivot = -1
+            m = p | x
+            while m:
+                v = (m & -m).bit_length() - 1
+                c = (closed[v] & p).bit_count()
+                if c < best:
+                    best = c
+                    pivot = v
+                    if c == 0:
+                        break
+                m &= m - 1
+            # best == 0: some excluded vertex can still join any completion
+            if best:
+                branch = closed[pivot] & p
+        elif not x:
+            yield s
+        if not branch:
+            if not stack:
+                return
+            s, p, x, branch = pop()
+        bu = branch & -branch
+        cu = closed[bu.bit_length() - 1]
+        branch ^= bu
+        if branch:
+            push((s, p & ~bu, x | bu, branch))
+        s, p, x = s | bu, p & ~cu, x & ~cu
 
 
 def brute_min_mask(g: Graph) -> int:

@@ -131,6 +131,16 @@ class TestKnownVerdicts:
         # does not apply
         assert verify("wc_direct", (complete(1), cycle(6))).status == VACUOUS
 
+    def test_bipartite_isolation_reads_no_isolatable_set(self, monkeypatch):
+        """The residual of each closed neighborhood settles the claim; the
+        set of isolatable vertices is never computed for it."""
+
+        def no_isolatable(g):
+            raise AssertionError("isolatable_vertices was called")
+
+        monkeypatch.setattr(claims, "isolatable_vertices", no_isolatable)
+        assert verify("bipartite_isolation", cycle(4)).status == HOLDS
+
     def test_inverse_image(self):
         assert verify("inverse_image", (cycle(4), cycle(4))).status == HOLDS
         assert verify("inverse_image", (complete(2), complete(1))).status == VACUOUS

@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 
 import wellcovered
-from wellcovered import __version__, cli, kernel
+from wellcovered import __version__, cli, kernel, kn_partitions
 from wellcovered.claims import corpus_pair_instances
 from wellcovered.cli import main
 from wellcovered.families import complete, corpus, cycle
 from wellcovered.formats import from_graph6, to_graph6
-from wellcovered.graphs import disjoint_union
+from wellcovered.graphs import disjoint_union, to_mask
 from wellcovered.independence import well_covered_report
-from wellcovered.kn_partitions import kn_alpha_i
+from wellcovered.kn_partitions import WeakPartition, kn_alpha_i
 from wellcovered.products import direct_product
 
 FILTERS = {
@@ -175,6 +175,39 @@ class TestProduct:
     def test_complete_factor_on_left(self, capsys):
         _, out, _ = run_cli(capsys, "product", "complete:3", "cycle:4", "--format", "json")
         assert json.loads(out)["partition_engine"]["nG"] == 4
+
+    def test_complete_first_factor_summarized_once(self, capsys, monkeypatch):
+        """K_n x H decodes the partition view of H x K_n from its own report,
+        each vertex (k, v) read as (v, k), instead of building and
+        summarizing H x K_n as well."""
+        kn_partitions._kn_product.cache_clear()
+        calls = Counter()
+        for name in ("direct_product_adj", "independence_summary"):
+            original = getattr(kernel, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+        _, out, _ = run_cli(capsys, "product", "complete:3", "cycle:5", "--format", "json")
+        monkeypatch.undo()
+        assert calls == {"direct_product_adj": 1, "independence_summary": 1}
+        engine = json.loads(out)["partition_engine"]
+        expect = kn_alpha_i(cycle(5), 3)
+        assert (engine["nG"], engine["n"]) == (5, 3)
+        assert (engine["i"], engine["alpha"]) == (expect.i_value, expect.alpha_value)
+        for key, weight in (("argmin", engine["i"]), ("argmax", engine["alpha"])):
+            part = engine[key]
+            p = WeakPartition(
+                cycle(5),
+                3,
+                to_mask(part["V0"]),
+                tuple(map(to_mask, part["classes"])),
+                to_mask(part["bracket"]),
+            )
+            assert p.violations() == []
+            assert p.weight() == weight
 
     def test_check_passes(self, capsys):
         g6 = to_graph6(disjoint_union(complete(2), complete(1)))

@@ -15,6 +15,7 @@ from brute import (
     is_independent,
     random_graph,
     recursive_independent_sets,
+    reference_maximal_sets,
 )
 from wellcovered import _mis_fallback
 from wellcovered.families import complete, complete_multipartite, corpus, cycle, h_family, path
@@ -223,16 +224,23 @@ class TestKernelLimits:
             _mis_fallback.direct_product_adj([0] * 13, [0] * 5)
 
 
+def large_family_products():
+    """The 36- to 64-vertex family products of the large_products workload."""
+    pairs = [
+        (cycle(12), complete(3)), (cycle(13), complete(3)), (cycle(14), complete(3)),
+        (path(12), complete(3)), (path(14), complete(3)),
+        (cycle(6), cycle(7)), (cycle(5), cycle(8)), (cycle(4), cycle(16)),
+        (h_family(4, 2), complete(3)), (h_family(6, 2), complete(3)),
+        (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
+    ]
+    return [direct_product(g, h).graph for g, h in pairs]
+
+
 def summary_oracle_graphs():
     rng = random.Random(2024)
     graphs = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(150)]
-    families = [
-        (cycle(12), complete(3)), (cycle(13), complete(3)), (cycle(14), complete(3)),
-        (path(12), complete(3)), (path(14), complete(3)), (cycle(6), cycle(7)),
-        (cycle(5), cycle(8)), (cycle(4), cycle(16)), (h_family(4, 2), complete(3)),
-        (h_family(6, 2), complete(3)), (h_family(4, 3), complete(4)), (h_family(9, 1), complete(2)),
-        (cycle(5), cycle(7)), (path(8), complete(3)), (cycle(5), cycle(9)), (cycle(7), cycle(7)),
-    ]
+    graphs += large_family_products()
+    families = [(cycle(5), cycle(7)), (path(8), complete(3)), (cycle(5), cycle(9)), (cycle(7), cycle(7))]
     graphs += [direct_product(g, h).graph for g, h in families]
     return graphs + [Graph(0, ()), complete(64)]
 
@@ -249,8 +257,15 @@ def split_oracle_graphs():
     ]
 
 
+def reference_order(g):
+    """The maximal independent sets of g in the kernels' visit order, from
+    the reference walk, which shares no code with the kernel's."""
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    return list(reference_maximal_sets(closed, g.vertex_mask))
+
+
 def assert_summary_matches_enumeration(g):
-    sets = _mis_fallback.maximal_independent_sets(g.adj)
+    sets = reference_order(g)
     # min and max return the first extreme element, i.e. in visit order
     wit_min = min(sets, key=int.bit_count)
     wit_max = max(sets, key=int.bit_count)
@@ -285,9 +300,9 @@ def assert_table_is_sound(g):
     from P."""
     closed = _mis_fallback._closed_rows(g.adj)
     table = {}
-    _mis_fallback._summary_walk(closed, g.vertex_mask, table)
+    _mis_fallback._walk(closed, g.vertex_mask, table)
     for p, (c_lo, w_lo, c_hi, w_hi) in table.items():
-        sets = list(_mis_fallback._maximal_sets(closed, p))
+        sets = list(reference_maximal_sets(closed, p))
         first_min = min(sets, key=int.bit_count)
         first_max = max(sets, key=int.bit_count)
         if p.bit_count() <= 12:
@@ -354,6 +369,47 @@ class TestBoundedSummary:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def assert_sets_in_reference_order(g):
+    sets = _mis_fallback.maximal_independent_sets(g.adj)
+    assert sets == reference_order(g)
+    assert _mis_fallback.count_maximal_independent_sets(g.adj) == len(sets)
+
+
+class TestMaximalSetOrder:
+    """The pure enumeration is the collect mode of the summary's walk; it
+    must emit the sets of the reference walk, in its order, and the count
+    must be the number of them."""
+
+    def test_corpus(self):
+        graphs = list(corpus(5, connected_only=False))
+        assert len(graphs) == 1099
+        for g in graphs:
+            assert_sets_in_reference_order(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(2029)
+        for _ in range(200):
+            assert_sets_in_reference_order(random_graph(rng, rng.randint(1, 24), rng.random()))
+
+    @pytest.mark.parametrize("g", large_family_products(), ids=lambda g: f"n{g.n}m{g.m}")
+    def test_large_family_products(self, g):
+        assert_sets_in_reference_order(g)
+
+    @pytest.mark.parametrize("n", [0, 64])
+    def test_isolated_vertices(self, n):
+        g = Graph(n, (0,) * n)
+        assert _mis_fallback.maximal_independent_sets(g.adj) == [g.vertex_mask]
+        assert_sets_in_reference_order(g)
+
+    def test_collect_ignores_table_rules(self, table_everywhere, monkeypatch):
+        """Collect never skips, tables or bounds a node, whatever the table
+        constants say."""
+        monkeypatch.setattr(_mis_fallback, "TABLE_CAP", 1)
+        rng = random.Random(2030)
+        for _ in range(100):
+            assert_sets_in_reference_order(random_graph(rng, rng.randint(1, 16), rng.random()))
 
 
 class TestFavaronEquivalence:

@@ -12,13 +12,22 @@ import pytest
 import wellcovered
 from wellcovered import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SOURCES = sorted(Path(wellcovered.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", wellcovered.__all__)
 def test_all_names_resolve(name):
     assert getattr(wellcovered, name) is not None
+
+
+def test_version_matches_pyproject():
+    """Every CLI output prints ``__version__``; it is kept by hand in step
+    with the version the package is built under."""
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert wellcovered.__version__ == project["version"]
 
 
 def test_readme_library_example_runs():
