@@ -30,7 +30,7 @@ from .families import (
     path,
 )
 from .formats import from_graph6, load_graph_text, to_graph6
-from .graphs import CapacityError, Graph, from_adjacency, from_edge_list
+from .graphs import CapacityError, Graph, from_edge_list
 from .independence import (
     WellCoveredReport,
     alpha,
@@ -76,7 +76,6 @@ __all__ = [
     "direct_product",
     "enumerate_maximal_independent_sets",
     "enumerate_valid_partitions",
-    "from_adjacency",
     "from_edge_list",
     "from_graph6",
     "h_family",

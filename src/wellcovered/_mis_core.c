@@ -1,44 +1,22 @@
 /* Compiled enumeration kernel.
  *
- * Same algorithm, visit order and results as _mis_fallback.py; see that
- * module for the description, for why the summary bound is exact and for why
- * a summary walked one component of G[within] at a time has the witnesses
- * of one walk over all of G[within].  Graphs arrive as sequences of
- * per-vertex adjacency masks and must fit in 64 bits.  One search loop over
- * an explicit stack serves every entry point; the mode says what happens to
- * each emitted set.  The summary and the well-covered decision share one
- * bounded walk, started once per component of G[within]; the decision only
- * stops it at the first emitted set that leaves two sizes, and stops at the
- * first component that has them.  A skipped subtree holds no set of a size
- * outside [lo, hi], so G[within] is well-covered exactly when every
- * component's walk ends with lo == hi, and the size is then the sum.
+ * Same walk, visit order and results as _mis_fallback.py.  That module's
+ * docstring describes the walk once: the pivot rule, the summary's skip
+ * test, the walk per component of G[within], the decision, the degree
+ * bounds and the table of finished states with the rules that keep it
+ * where it pays.  This file says only what is particular to C.
  *
- * The bounded walk also remembers finished states (P, {}) in a hash table,
- * under the rules of _mis_fallback.  The completions of a node depend only
- * on (P, X), so an entry can stand for the subtree of any node in that
- * state.
- * An expanded state pushes an exit marker under its children with lo and hi
- * as they were; when it pops, a side whose extreme moved is exact, the
- * extreme minus |S| with its first witness minus S, since skipped subtrees
- * hold no strict improvement; a side that did not move bounds the
- * completions by the extreme minus |S|.  A later node applies an exact side
- * like an emitted set and adds a bound side to its skip test, so the
- * summary is that of the walk without a table.
+ * Graphs arrive as sequences of per-vertex adjacency masks and must fit in
+ * 64 bits, so every row and every vertex set is one uint64_t.  One loop,
+ * walk(), serves every entry point, and the mode says what happens to each
+ * emitted set.
  *
- * In a walk over a component of at least TABLE_MIN_ORDER vertices that has
- * seen two sizes, lo < hi, the pivot loop of a node it expands also bounds
- * the node's completions T from the counts c_v = |N[v] & P| of the
- * vertices of P.  T is independent, so P - T covers the |E(P)| =
- * sum (c_v - 1) / 2 edges of G[P], at most max c_v - 1 each:
- * |T| <= b_hi = |P| - ceil(|E(P)| / (max c_v - 1)).  T
- * dominates P | X, at most max over v in P of |N[v] & (P | X)| vertices
- * each: |T| >= b_lo = ceil(|P | X| / that maximum), which is max c_v when
- * X is empty and is counted only while |S| + 1 < lo.  The node is skipped
- * when |S| + b_hi <= hi and |S| + b_lo >= lo: no set below it is a strict
- * new extreme.  The bounds only read the counts, so the pivot and the visit
- * order do not change.  A new state's entry starts from (b_lo, b_hi) where
- * they are counted, else from (1, |P|), and a new state that its bounds skip
- * is stored at once with those bounds.
+ * The table is an open-addressing hash table keyed by P.  Its slots start
+ * at TABLE_SLOTS and double to stay at most half full, so a walk holds at
+ * most 2 * TABLE_CAP slots of 32 bytes.  TABLE_MIN_ORDER, TABLE_MIN_FREE,
+ * TABLE_CAP and TABLE_MIN_HITS can be set with -D: the parity tests build
+ * the kernel with no table, a one-state table, a table at every node, and
+ * the degree bounds in every walk with no table.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -54,13 +32,8 @@ static int CTZ(uint64_t x) { int c = 0; for (; !(x & 1); x >>= 1) ++c; return c;
 
 enum { COLLECT, SUMMARY, DECIDE };
 
-/* The summary's table of finished states (P, {}), with the rules of
- * _mis_fallback: only in a walk over a component of at least
- * TABLE_MIN_ORDER vertices, only for states with at least TABLE_MIN_FREE
- * free vertices, at most TABLE_CAP states a walk, and no lookups for the
- * rest of the walk after TABLE_WINDOW lookups with fewer than TABLE_MIN_HITS
- * hits.  The slots start at TABLE_SLOTS and double to keep them at most half
- * full, so a walk holds at most 2 * TABLE_CAP slots of 32 bytes. */
+/* The table's constants.  All but TABLE_SLOTS default to the constants of
+ * the same names in _mis_fallback, which a test checks. */
 #ifndef TABLE_MIN_ORDER
 #define TABLE_MIN_ORDER 24
 #endif
@@ -197,11 +170,9 @@ enum { SKIP, EXPAND, NEW_STATE, KNOWN_STATE };
 
 /* Whether to expand a node with P nonempty: SKIP, EXPAND, or expand it and
  * push an exit marker that remembers it, for a NEW_STATE or a KNOWN_STATE.
- * The summary skips it when |S| + |P| <= hi and |S| + 1 >= lo: each set
- * below it strictly contains S and lies inside S | P, so none is a strict
- * new extreme.  A remembered state first applies its exact sides like
- * emitted sets and then tightens both bounds.  The summary and the decision
- * share this; enumeration expands every node. */
+ * A remembered state first applies its exact sides like emitted sets and
+ * then tightens both bounds.  The summary and the decision share this;
+ * enumeration expands every node. */
 static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 {
     int k, nfree, go;
@@ -239,16 +210,13 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
     return go;
 }
 
-/* The search from P = start, X = {}.  Branch on the candidates of the first
- * vertex of P | X with the fewest of them, lowest first.  Each level of S
- * holds at most one stacked frame and one exit marker, so at most 128 are
- * live, and the walk visits sets in the order of the recursive search.
+/* The search from P = start, X = {}.  Each level of S holds at most one
+ * stacked frame and one exit marker, so at most 128 are live.
  *
- * In a bounded walk the pivot loop also gathers the counts of the degree
- * bounds described at the top of this file: the sum total and the maximum
- * most of c_v over P and, while the i side is open with X nonempty, the
- * maximum wide of |N[v] & (P | X)| over P, once the walk has seen two
- * sizes. */
+ * In a bounded walk that has seen two sizes, the pivot loop also gathers
+ * the counts of _mis_fallback's degree bounds: the sum total and the
+ * maximum most of c_v over P and, while the i side is open with X
+ * nonempty, the maximum wide of |N[v] & (P | X)| over P. */
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
     Frame stack[128], f = {.p = start};

@@ -244,15 +244,12 @@ class PairFacts:
     def product_wc_size(self) -> int:
         """The common size of the product's maximal independent sets, or -1.
 
-        Read off ``product_report`` when that is already computed.
-        Otherwise, when the ``lifted`` independent set ``big`` is larger than
-        the ``lifted`` maximal independent set ``small``, some maximal set
-        contains ``big`` and so is larger than ``small``: both were checked
-        in the product, so the answer is -1 without a search.  In every
-        other case the kernel decides."""
-        report = self.__dict__.get("product_report")
-        if report is not None:
-            return report.alpha if report.well_covered else -1
+        It has two sources.  When the ``lifted`` independent set ``big`` is
+        larger than the ``lifted`` maximal independent set ``small``, some
+        maximal set contains ``big`` and so is larger than ``small``: both
+        were checked in the product, so the answer is -1 without a search.
+        In every other case ``kernel.well_covered_size`` decides, even when
+        ``product_report`` is already computed."""
         lifted = self.lifted
         if lifted is not None and lifted[0].bit_count() > lifted[1].bit_count():
             return -1
@@ -877,9 +874,10 @@ def _facts_for(shape: str, instance: Instance):
     return CliqueFacts(GraphFacts(instance[0]), complete_facts(instance[1]))
 
 
-def verify(claim_id: str, instance: Instance) -> Outcome:
-    """Check one claim on one instance.  The instance must match the claim's
-    shape: a Graph, a (Graph, Graph) pair, or a (Graph, n) pair."""
+def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
+    """Check one claim on one instance and return its ``ClaimVerdict``.  The
+    instance must match the claim's shape: a Graph, a (Graph, Graph) pair, or
+    a (Graph, n) pair."""
     claim = REGISTRY.get(claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id: {claim_id}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from .claims import (
 from .families import FamilySpec
 from .formats import from_graph6, load_graph_text, to_graph6
 from .graphs import (
+    MAX_VERTICES,
     CapacityError,
     Graph,
     girth,
@@ -65,22 +67,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(text: str, low: int, kind: str) -> int:
+def _int_between(text: str, low: int, high: float, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = low - 1
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    if not low <= value <= high:
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "positive")
+    return _int_between(text, 1, math.inf, "a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0, "nonnegative")
+    return _int_between(text, 0, math.inf, "a nonnegative integer")
+
+
+def _product_order(text: str) -> int:
+    return _int_between(text, 1, MAX_VERTICES, f"an integer from 1 to {MAX_VERTICES}")
 
 
 def parse_graph_arg(text: str) -> Graph:
@@ -225,8 +231,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     unknown = [c for c in ids if c not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
-    if not 1 <= args.cap <= 64:
-        raise ValueError("--cap must be between 1 and 64")
     report = run_suite_parallel(ids, _instances(args), jobs=args.jobs)
     data = {
         "version": __version__,
@@ -248,8 +252,6 @@ def _scan_row(f: PairFacts) -> dict:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if not 1 <= args.cap <= 64:
-        raise ValueError("--cap must be between 1 and 64")
     pairs = corpus_pair_instances(args.max_n, args.cap, args.reps)
     # one GraphFacts per distinct factor, so each factor is summarized once
     # per run however many pairs it is in
@@ -304,7 +306,9 @@ def build_parser() -> _Parser:
     p.add_argument("claims", nargs="*", help="claim ids (default: all)")
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
     p.add_argument("--max-n", type=_nonnegative_int, default=4)
-    p.add_argument("--cap", type=int, default=36, help="max product order for pair instances")
+    p.add_argument(
+        "--cap", type=_product_order, default=36, help="max product order for pair instances"
+    )
     p.add_argument(
         "--orders", type=lambda s: [_positive_int(x) for x in s.split(",")], default=(2, 3)
     )
@@ -315,7 +319,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="flag well-covered products over all factor pairs in range")
     p.add_argument("--max-n", type=_nonnegative_int, default=4)
-    p.add_argument("--cap", type=int, default=36)
+    p.add_argument("--cap", type=_product_order, default=36)
     p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
     p.add_argument("--reps", action="store_true")
     common(p)

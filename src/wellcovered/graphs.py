@@ -37,24 +37,17 @@ def to_mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def to_vertices(mask: int) -> list[int]:
-    """Unpack a subset mask into a sorted vertex list."""
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
 def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def to_vertices(mask: int) -> list[int]:
+    """Unpack a subset mask into a sorted vertex list."""
+    return list(bits(mask))
 
 
 def _spaced(count: int, gap: int) -> int:
@@ -195,10 +188,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) is a loop")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
-def from_adjacency(n: int, adj: Iterable[int]) -> Graph:
     return Graph(n, tuple(adj))
 
 

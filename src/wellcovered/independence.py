@@ -125,10 +125,7 @@ def is_isolatable(g: Graph, x: int) -> bool:
     Equivalently: an independent I inside V minus N[x] with N(x) contained in
     N(I).  A degree-0 vertex qualifies via I = empty set.
     """
-    target = g.adj[x]
-    if target == 0:
-        return True
-    return _cover_search(g, g.vertex_mask & ~g.closed(x), target)
+    return _cover_search(g, g.vertex_mask & ~g.closed(x), g.adj[x])
 
 
 def _cover_search(g: Graph, allowed: int, target: int) -> bool:

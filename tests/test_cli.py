@@ -217,7 +217,10 @@ class TestProduct:
         assert data["check"]["claim"] == "wc_direct"
         assert data["check"]["status"] == "holds"
 
-    def test_check_reads_well_coveredness_off_the_report(self, capsys, monkeypatch):
+    def test_check_decides_with_the_kernel(self, capsys, monkeypatch):
+        """The report printed for C4 x C4 does not decide the check: the
+        lifted certificate cannot settle a product of two well-covered
+        factors, so ``PairFacts.product_wc_size`` asks the kernel once."""
         calls = []
         original = kernel.well_covered_size
 
@@ -229,7 +232,7 @@ class TestProduct:
         code, out, _ = run_cli(capsys, "product", "cycle:4", "cycle:4", "--check")
         assert code == 0
         assert '"status": "holds"' in out
-        assert calls == []
+        assert calls == [16]
 
     def test_capacity_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "product", "complete:9", "complete:9")
@@ -322,8 +325,11 @@ class TestVerify:
         assert "unknown claim ids" in err
 
     def test_bad_cap_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--max-n", "2", "--cap", "99")
-        assert code == 1
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--max-n", "2", "--cap", "99"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert "--cap" in err
 
     def test_corpus_cap_exits_3(self, capsys):
@@ -456,6 +462,14 @@ class TestScan:
         code, out, _ = run_cli(capsys, "scan", *argv.split(), "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGESTS[argv]
+
+    def test_bad_cap_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--max-n", "2", "--cap", "0"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--cap" in err
 
     def test_jobs_is_unrecognized(self, capsys):
         """scan runs in one process; only verify has a worker pool."""

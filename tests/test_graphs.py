@@ -141,6 +141,12 @@ class TestMasks:
     def test_round_trip(self):
         assert to_vertices(to_mask([5, 1, 3])) == [1, 3, 5]
 
+    def test_to_vertices_lists_ascending_bit_positions(self):
+        rng = random.Random(25)
+        masks = [0, 1 << 63 | 1] + [rng.getrandbits(64) for _ in range(200)]
+        for mask in masks:
+            assert to_vertices(mask) == [v for v in range(64) if mask >> v & 1]
+
     def test_neighborhoods(self):
         g = cycle(5)
         assert neighborhood(g, to_mask([0])) == to_mask([1, 4])

@@ -9,6 +9,7 @@ installed."""
 
 import importlib.util
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -131,6 +132,16 @@ def test_identical_summary_on_large_products(compiled, g, h):
     adj = compiled.direct_product_adj(g.adj, h.adj)
     assert adj == pure.direct_product_adj(g.adj, h.adj) == list(direct_product(g, h).graph.adj)
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
+
+
+def test_table_defaults_match_the_pure_kernel():
+    """The ``TABLE_*`` defaults of ``_mis_core.c`` equal the constants of
+    ``_mis_fallback``; the slot count is C's own.  The parity tests cannot
+    see a drift, which changes only speed."""
+    defines = dict(re.findall(r"^#define (TABLE_\w+) (\d+)$", SOURCE.read_text(), re.M))
+    assert defines.pop("TABLE_SLOTS")
+    constants = {name: value for name, value in vars(pure).items() if name.startswith("TABLE_")}
+    assert {name: int(value) for name, value in defines.items()} == constants
 
 
 @pytest.mark.parametrize(

@@ -298,6 +298,17 @@ class TestCertifiedDecision:
         assert f.product_wc_size == size
         assert calls == [g.n * h.n]
 
+    def test_computed_report_is_not_a_third_source(self, monkeypatch):
+        # C4 x C4 is well-covered, so the certificate cannot settle it: with
+        # the product's report already computed the kernel still decides,
+        # and agrees with the report
+        f = PairFacts(GraphFacts(cycle(4)), GraphFacts(cycle(4)))
+        report = f.product_report
+        assert report.well_covered
+        calls = counted_decisions(monkeypatch)
+        assert f.product_wc_size == report.alpha == 8
+        assert calls == [16]
+
     def test_agrees_with_kernel_and_subset_filter(self):
         reps = [GraphFacts(g) for g in corpus_representatives(5) if g.n >= 2]
         checked = 0
