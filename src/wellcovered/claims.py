@@ -59,6 +59,8 @@ from .families import (
 from .formats import to_graph6
 from .graphs import (
     INFINITE,
+    MAX_VERTICES,
+    CapacityError,
     Graph,
     bits,
     closed_neighborhood,
@@ -68,6 +70,7 @@ from .graphs import (
     is_bipartite,
     is_complete,
     is_connected,
+    is_maximal_independent,
     is_regular,
     isolated_in,
     min_degree,
@@ -101,6 +104,7 @@ SHAPE_GRAPH_N = "graph-plus-n"
 HOLDS = "holds"
 VACUOUS = "vacuous"
 COUNTEREXAMPLE = "counterexample"
+SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,9 @@ class ClaimVerdict:
     """Outcome of checking one claim on one instance.
 
     ``status`` is "holds" when hypothesis and conclusion both held,
-    "vacuous" when the hypothesis failed, and "counterexample" when the
-    hypothesis held but the conclusion did not.  A counterexample carries a
+    "vacuous" when the hypothesis failed, "counterexample" when the
+    hypothesis held but the conclusion did not, and "skipped" when the check
+    needs a product past the 64-vertex cap.  A counterexample carries a
     ``witness`` dict with enough concrete data to re-verify the violation
     without rerunning the search.
     """
@@ -287,11 +292,9 @@ def _check_inverse_image(f: PairFacts) -> Outcome:
     if f.h.has_isolated:
         return VACUOUS_OUTCOME
     prod = f.product
-    full = prod.graph.vertex_mask
     for mis in f.g.mis_list:
         lifted = lift_layers(prod.layer_h, mis)
-        reach = neighborhood(prod.graph, lifted)
-        if reach & lifted or reach | lifted != full:
+        if not is_maximal_independent(prod.graph, lifted):
             witness = {
                 "factor_mis": to_vertices(mis),
                 "lifted": prod.pairs(lifted),
@@ -704,7 +707,10 @@ class Claim:
     summary: str
 
     def verdict(self, facts: GraphFacts | PairFacts) -> ClaimVerdict:
-        status, witness = self.check(facts)
+        try:
+            status, witness = self.check(facts)
+        except CapacityError:
+            status, witness = SKIPPED, None
         return ClaimVerdict(self.claim_id, facts.instance, status, witness)
 
 
@@ -892,20 +898,22 @@ class ClaimTally:
     holds: int = 0
     vacuous: int = 0
     counterexamples: list[ClaimVerdict] = field(default_factory=list)
+    skipped: int = 0  # checks that need a product past the 64-vertex cap
 
     def merge(self, other: "ClaimTally") -> "ClaimTally":
         return ClaimTally(
             self.holds + other.holds,
             self.vacuous + other.vacuous,
             self.counterexamples + other.counterexamples,
+            self.skipped + other.skipped,
         )
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "vacuous": self.vacuous,
-            "counterexamples": [v.to_json() for v in self.counterexamples],
-        }
+        out: dict[str, Any] = {"holds": self.holds, "vacuous": self.vacuous}
+        if self.skipped:  # absent when zero, so reports without skips keep their bytes
+            out["skipped"] = self.skipped
+        out["counterexamples"] = [v.to_json() for v in self.counterexamples]
+        return out
 
 
 @dataclass
@@ -937,9 +945,10 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
     """Apply every named claim to every instance of its shape.
 
     Facts are computed once per instance and shared by all claims on it.
-    Instances whose shape matches no requested claim are skipped.  Holds and
-    vacuous outcomes are only counted; a ``ClaimVerdict``, and with it the
-    instance's graph6 encoding, is built for counterexamples alone.
+    Instances whose shape matches no requested claim are passed over.
+    Holds, vacuous and skipped outcomes are only counted; a ``ClaimVerdict``,
+    and with it the instance's graph6 encoding, is built for counterexamples
+    alone.
     """
     report = SuiteReport({c: ClaimTally() for c in claim_ids})
     by_shape: dict[str, list[tuple[Claim, ClaimTally]]] = {}
@@ -953,7 +962,11 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
             continue
         facts = _facts_for(shape, inst)
         for claim, tally in group:
-            status, witness = claim.check(facts)
+            try:
+                status, witness = claim.check(facts)
+            except CapacityError:
+                tally.skipped += 1
+                continue
             if status == HOLDS:
                 tally.holds += 1
             elif status == VACUOUS:
@@ -1013,7 +1026,7 @@ def corpus_graph_n_instances(
     orders = tuple(dict.fromkeys(orders))
     for g in corpus_single_instances(max_n, representatives):
         for n in orders:
-            if g.n * n <= 64:
+            if g.n * n <= MAX_VERTICES:
                 yield g, n
 
 

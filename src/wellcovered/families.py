@@ -38,11 +38,11 @@ from .graphs import (
     MAX_VERTICES,
     CapacityError,
     Graph,
-    complement,
-    components,
+    bits,
     from_edge_list,
     is_complete,
     is_connected,
+    to_mask,
 )
 
 MAX_EXHAUSTIVE_N = 7
@@ -82,16 +82,12 @@ def complete_multipartite(sizes: list[int]) -> Graph:
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
     _check_order(n)
-    part_of = []
-    for idx, s in enumerate(sizes):
-        part_of.extend([idx] * s)
-    adj = []
-    for v in range(n):
-        row = 0
-        for u in range(n):
-            if part_of[u] != part_of[v]:
-                row |= 1 << u
-        adj.append(row)
+    full = (1 << n) - 1
+    adj: list[int] = []
+    for s in sizes:
+        # every vertex of a part sees everything but its own part
+        part = (1 << len(adj) + s) - (1 << len(adj))
+        adj += [full & ~part] * s
     return Graph(n, tuple(adj))
 
 
@@ -106,11 +102,10 @@ def h_family(k: int, n: int) -> Graph:
     order = k * (n + 1)
     _check_order(order)
     kn = k * n
-    edges = [(u, v) for u in range(kn) for v in range(u + 1, kn)]
-    for i in range(k):
-        z = kn + i
-        edges.extend((z, i * n + j) for j in range(n))
-    return from_edge_list(order, edges)
+    # clique vertex v sees the rest of the clique and z of its block v // n
+    clique = [(1 << kn) - 1 ^ 1 << v | 1 << kn + v // n for v in range(kn)]
+    blocks = [(1 << n) - 1 << i * n for i in range(k)]
+    return Graph(order, tuple(clique + blocks))
 
 
 def corona_with_k1(k: int) -> Graph:
@@ -133,42 +128,32 @@ def h_family_params(g: Graph) -> tuple[int, int] | None:
     n = min(degs)
     if n < 1:
         return None
-    z = [v for v in range(g.n) if degs[v] == n]
-    k = len(z)
+    z_mask = to_mask(v for v, d in enumerate(degs) if d == n)
+    k = z_mask.bit_count()
     if k < 2 or g.n != k * (n + 1):
         return None
-    z_mask = sum(1 << v for v in z)
-    if any(g.adj[v] & z_mask for v in z):
-        return None
     clique = g.vertex_mask & ~z_mask
-    for v in range(g.n):
-        if not z_mask >> v & 1 and (g.adj[v] | 1 << v) & clique != clique:
-            return None
+    if any(clique & ~g.closed(v) for v in bits(clique)):
+        return None
+    # k disjoint blocks of n clique vertices each cover the k * n of them
     covered = 0
-    for v in z:
+    for v in bits(z_mask):
         block = g.adj[v]
         if block & z_mask or block & covered:
             return None
         covered |= block
-    if covered != clique:
-        return None
     return k, n
 
 
 def multipartite_params(g: Graph) -> tuple[int, int] | None:
     """Recover (m, r) if the graph is complete m-partite with equal parts of
-    size r, else None.  Checked on the complement: m disjoint cliques K_r."""
-    if g.n == 0:
+    size r, else None.  The graph is one exactly when the sets V - N(v)
+    partition V, each then the part of its vertices.  They cover V, as each
+    holds its own vertex, so m distinct sets of n // m vertices each do."""
+    parts = {g.vertex_mask & ~row for row in g.adj}
+    r = g.n // max(len(parts), 1)
+    if not parts or any(p.bit_count() != r for p in parts):
         return None
-    comp = complement(g)
-    parts = [p for p, _ in components(comp, comp.vertex_mask)]
-    r = parts[0].bit_count()
-    for p in parts:
-        if p.bit_count() != r:
-            return None
-        for v in range(g.n):
-            if p >> v & 1 and (comp.adj[v] | 1 << v) != p:
-                return None
     return len(parts), r
 
 

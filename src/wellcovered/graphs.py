@@ -6,7 +6,10 @@ edge); a ``Graph`` is exactly ``(n, adj)``.  Vertex subsets travel as plain
 ints under the same convention, which keeps set algebra down to machine
 operations and lets the enumeration kernel work on raw words.  A residual
 G - N[S] stays a mask of G's own vertices (``residual``, ``isolated_in``,
-``components``).  No module of the package calls ``induced_subgraph``,
+``components``).  One layered search of masks answers connectivity, odd
+cycles (``components``) and, from every root, ``girth``; ``is_independent``
+and ``is_maximal_independent`` are the one test of a vertex set that every
+module uses.  No module of the package calls ``induced_subgraph``,
 which renumbers a mask into a new ``Graph``: it stays for the tests and the
 benchmark's traced functions until it moves into the tests' oracles.
 Graphs are frozen after construction and safe to share or use as dict keys.
@@ -101,12 +104,9 @@ def _first_defect(n: int, adj: tuple[int, ...]) -> str:
             return f"adjacency row of vertex {v} mentions vertices >= {n}"
         if row >> v & 1:
             return f"self-loop at vertex {v}"
-        m = row
-        while m:
-            u = (m & -m).bit_length() - 1
+        for u in bits(row):
             if not adj[u] >> v & 1:
                 return f"asymmetric adjacency between {v} and {u}"
-            m &= m - 1
     raise AssertionError("no defect in rows the bulk check rejected")
 
 
@@ -166,11 +166,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            row = self.adj[v] >> v + 1 << v + 1
-            while row:
-                u = (row & -row).bit_length() - 1
+            for u in bits(self.adj[v] >> v + 1 << v + 1):
                 yield (v, u)
-                row &= row - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -211,6 +208,17 @@ def residual(g: Graph, s: int) -> int:
     return g.vertex_mask & ~closed_neighborhood(g, s)
 
 
+def is_independent(g: Graph, s: int) -> bool:
+    """Whether no edge joins two members of ``s``."""
+    return not neighborhood(g, s) & s
+
+
+def is_maximal_independent(g: Graph, s: int) -> bool:
+    """Whether ``s`` is independent and every other vertex has a neighbor in it."""
+    reach = neighborhood(g, s)
+    return not reach & s and reach | s == g.vertex_mask
+
+
 def isolated_in(g: Graph, mask: int) -> int:
     """The vertices of ``mask`` with no neighbor inside ``mask``, as a mask."""
     adj = g.adj
@@ -229,16 +237,8 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     new vertex j is ``to_vertices(mask)[j]``."""
     kept = to_vertices(mask)
     index = {old: new for new, old in enumerate(kept)}
-    adj = []
-    for old in kept:
-        row = g.adj[old] & mask
-        new_row = 0
-        while row:
-            u = (row & -row).bit_length() - 1
-            new_row |= 1 << index[u]
-            row &= row - 1
-        adj.append(new_row)
-    return Graph(len(kept), tuple(adj))
+    adj = tuple(to_mask(index[u] for u in bits(g.adj[old] & mask)) for old in kept)
+    return Graph(len(kept), adj)
 
 
 def components(g: Graph, mask: int) -> list[tuple[int, bool]]:
@@ -292,42 +292,37 @@ def is_regular(g: Graph) -> int | None:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or INFINITE when the graph is acyclic.
 
-    For each edge uv the shortest u-v path avoiding that edge closes a
-    shortest cycle through uv; the minimum over edges is the girth.
+    The layered search of ``components``, started from each root: an edge
+    inside layer d closes a walk of length 2d + 1, and a vertex of layer
+    d + 1 reached from two vertices of layer d closes one of length 2d + 2.
+    Each walk contains a cycle no longer than itself, and a root on a
+    shortest cycle finds exactly its length, so the least length over all
+    roots is the girth.
     """
+    adj = g.adj
     best: int | float = INFINITE
-    for u, v in g.edges():
-        dist = _bfs_distance(g, u, v, skip_edge=(u, v))
-        if dist is not None and dist + 1 < best:
-            best = dist + 1
-            if best == 3:
-                return 3
+    for root in range(g.n):
+        seen = frontier = 1 << root
+        length = 1  # 2d + 1 for the layer d of ``frontier``
+        while frontier and length < best:
+            once = twice = 0
+            m = frontier
+            while m:
+                low = m & -m
+                row = adj[low.bit_length() - 1]
+                twice |= once & row
+                once |= row
+                m ^= low
+            if once & frontier:
+                best = length
+            elif twice & ~seen:
+                best = length + 1
+            frontier = once & ~seen
+            seen |= frontier
+            length += 2
+        if best == 3:
+            return 3
     return best
-
-
-def _bfs_distance(g: Graph, src: int, dst: int, skip_edge: tuple[int, int]) -> int | None:
-    su, sv = skip_edge
-    seen = 1 << src
-    frontier = 1 << src
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        while frontier:
-            w = (frontier & -frontier).bit_length() - 1
-            row = g.adj[w]
-            if w == su:
-                row &= ~(1 << sv)
-            elif w == sv:
-                row &= ~(1 << su)
-            nxt |= row
-            frontier &= frontier - 1
-        nxt &= ~seen
-        if nxt >> dst & 1:
-            return d
-        seen |= nxt
-        frontier = nxt
-    return None
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -171,10 +171,7 @@ def has_pairing_property(g: Graph, mate: tuple[int, ...]) -> bool:
     to mate[x] and y is adjacent to every neighbor of mate[x]."""
     for x, m in enumerate(mate):
         mate_nbrs = g.adj[m]
-        ys = g.adj[x] & ~(1 << m)
-        while ys:
-            y = (ys & -ys).bit_length() - 1
-            ys &= ys - 1
+        for y in bits(g.adj[x] & ~(1 << m)):
             if mate_nbrs >> y & 1:
                 return False
             if mate_nbrs & ~g.adj[y]:

@@ -34,7 +34,16 @@ from typing import ClassVar
 
 from . import kernel
 from .families import complete
-from .graphs import Graph, bits, isolated_in, neighborhood, residual, to_vertices
+from .graphs import (
+    Graph,
+    bits,
+    is_independent,
+    is_maximal_independent,
+    isolated_in,
+    neighborhood,
+    residual,
+    to_vertices,
+)
 from .products import ProductGraph, direct_product, lift_layers
 
 ENGINE_PRODUCT = "product-enumeration"
@@ -142,11 +151,9 @@ def mis_from_partition(p: WeakPartition) -> int:
     for k, vk in enumerate(p.classes, start=1):
         for g in bits(vk):
             out |= 1 << prod.index(g, k - 1)
-    reach = neighborhood(prod.graph, out)
-    if reach & out:
-        raise RuntimeError("valid partition produced a non-independent set")
-    if reach | out != prod.graph.vertex_mask:
-        raise RuntimeError("valid partition produced a non-maximal set")
+    if not is_maximal_independent(prod.graph, out):
+        fault = "non-maximal" if is_independent(prod.graph, out) else "non-independent"
+        raise RuntimeError(f"valid partition produced a {fault} set")
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel
-from .graphs import CapacityError, Graph, MAX_VERTICES, bits, neighborhood
+from .graphs import CapacityError, Graph, MAX_VERTICES, bits, is_independent, is_maximal_independent
 from .independence import WellCoveredReport
 
 
@@ -80,11 +80,8 @@ def lift_layers(layer, mask: int) -> int:
 
 def lift_independent(p: ProductGraph, i_mask: int) -> int:
     """I x V(H) as a product mask, for I independent in the first factor."""
-    members = list(bits(i_mask))
-    for a in members:
-        for b in members:
-            if b > a and p.factor_g.has_edge(a, b):
-                raise ValueError(f"set is not independent: factor edge ({a}, {b})")
+    if not is_independent(p.factor_g, i_mask):
+        raise ValueError("set is not independent in the first factor")
     return lift_layers(p.layer_h, i_mask)
 
 
@@ -118,14 +115,11 @@ def lifted_witnesses(
         small = lift_layers(p.layer_h, rep_g.witness_min)
     else:
         small = lift_layers(p.layer_g, rep_h.witness_min)
-    prod = p.graph
-    around_small = neighborhood(prod, small)
     if (
         big.bit_count() >= max(lower_g, lower_h)
-        and not neighborhood(prod, big) & big
         and small.bit_count() <= min(upper_g, upper_h)
-        and not around_small & small
-        and around_small | small == prod.vertex_mask
+        and is_independent(p.graph, big)
+        and is_maximal_independent(p.graph, small)
     ):
         return big, small
     return None

@@ -113,7 +113,7 @@ def test_criterion_4_cycle_table(capsys):
     announce(capsys, "criterion 4 PASS: C_m x C_n table 3..7 matches; consistent on very well-covered factors", t0)
 
 
-def test_criterion_5_theorem_suite(capsys):
+def test_criterion_5_theorem_suite(capsys, kernel_backend):
     t0 = time.perf_counter()
     instances = itertools.chain(
         targeted_instances(),
@@ -132,7 +132,8 @@ def test_criterion_5_theorem_suite(capsys):
     checked = sum(t.holds + t.vacuous for t in report.tallies.values())
     announce(
         capsys,
-        f"criterion 5 PASS: 23 claims, {checked} verdicts, 0 counterexamples, all non-vacuous",
+        f"criterion 5 PASS ({kernel_backend} kernel): 23 claims, {checked} verdicts, "
+        "0 counterexamples, all non-vacuous",
         t0,
     )
 

@@ -142,6 +142,20 @@ class TestCounterexamplePath:
             }
         ]
 
+    def test_cli_product_check_exits_2(self, monkeypatch, capsys):
+        claim = dataclasses.replace(
+            REGISTRY["wc_direct"], check=lambda f: Outcome(COUNTEREXAMPLE, WITNESS)
+        )
+        monkeypatch.setitem(REGISTRY, "wc_direct", claim)
+        assert cli.main(["product", "cycle:5", "complete:2", "--check", "--format", "json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["check"] == {
+            "claim": "wc_direct",
+            "instance": {"g": to_graph6(cycle(5)), "h": to_graph6(complete(2))},
+            "status": COUNTEREXAMPLE,
+            "witness": WITNESS,
+        }
+
     def test_parallel_matches_serial(self, planted, monkeypatch):
         instances = [*targeted_instances(), *corpus_single_instances(3)]
         serial = run_suite(CLAIM_IDS, instances)

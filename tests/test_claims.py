@@ -5,14 +5,17 @@ import dataclasses
 import json
 from collections import Counter
 
+import networkx as nx
 import pytest
 
+from brute import brute_maximal_independent_sets
 from wellcovered import claims, cli, independence, kernel
 from wellcovered.claims import (
     CLAIM_IDS,
     COUNTEREXAMPLE,
     HOLDS,
     REGISTRY,
+    SKIPPED,
     VACUOUS,
     ClaimTally,
     ClaimVerdict,
@@ -38,7 +41,15 @@ from wellcovered.families import (
     path,
 )
 from wellcovered.formats import to_graph6
-from wellcovered.graphs import disjoint_union
+from wellcovered.graphs import (
+    bits,
+    closed_neighborhood,
+    disjoint_union,
+    is_complete,
+    neighborhood,
+    residual,
+    to_mask,
+)
 from wellcovered.kn_partitions import kn_alpha_i
 
 EXPECTED_IDS = (
@@ -196,9 +207,38 @@ def forced(facts, **values):
     return facts
 
 
+def pair_facts(g, h, **values):
+    """The facts of (G, H), with the given facts preset on the pair."""
+    return forced(PairFacts(GraphFacts(g), GraphFacts(h)), **values)
+
+
+def without_isolatable(f):
+    """``f`` with neither factor taken to have an isolatable vertex."""
+    forced(f.g, isolatable_mask=0)
+    forced(f.h, isolatable_mask=0)
+    return f
+
+
+def mis_sizes(g):
+    return {s.bit_count() for s in brute_maximal_independent_sets(g.adj, g.n)}
+
+
+def counterexample(claim_id, facts, keys):
+    """The witness of ``claim_id`` on ``facts``, after checking that the
+    check finds a counterexample and that the witness has ``keys``."""
+    status, witness = REGISTRY[claim_id].check(facts)
+    assert status == COUNTEREXAMPLE
+    assert list(witness) == keys
+    return witness
+
+
 class TestForcedWitnesses:
     """Counterexample witnesses worked out by hand, reached by presetting a
-    fact the hypothesis reads; none of these graphs really satisfies it."""
+    fact the hypothesis reads; none of these graphs really satisfies it.  No
+    real instance reaches these counterexample branches.  The newer tests
+    also re-check each witness on its graphs with the ``graphs`` primitives,
+    the subset filter or networkx, apart from the parts that only echo a
+    preset fact."""
 
     def test_residual_wc(self):
         # S = {} leaves all of P3, where i = 1 (the centre) and alpha = 2
@@ -258,6 +298,167 @@ class TestForcedWitnesses:
             "argmin": report.argmin.to_json(),
             "argmax": report.argmax.to_json(),
         }
+
+
+    def test_inverse_image(self):
+        # {0} is not a maximal independent set of P3: vertex 2 is undominated
+        f = pair_facts(path(3), complete(2))
+        forced(f.g, mis_list=[to_mask([0])])
+        witness = counterexample("inverse_image", f, ["factor_mis", "lifted"])
+        assert witness == {"factor_mis": [0], "lifted": [(0, 0), (0, 1)]}
+        prod = f.product
+        lifted = to_mask(prod.index(g, h) for g, h in witness["lifted"])
+        assert residual(prod.graph, lifted)
+
+    def test_wc_direct_factor_not_well_covered(self):
+        f = pair_facts(path(3), complete(2), product_wc_size=2)
+        witness = counterexample("wc_direct", f, ["g_well_covered", "h_well_covered"])
+        assert witness == {"g_well_covered": False, "h_well_covered": True}
+        assert mis_sizes(path(3)) == {1, 2} and mis_sizes(complete(2)) == {1}
+
+    def test_wc_direct_ratios_differ(self):
+        f = pair_facts(complete(2), complete(3), product_wc_size=1)
+        keys = ["alpha_g_positive", "n_g_positive", "alpha_h_positive", "n_h_positive"]
+        witness = counterexample("wc_direct", f, keys)
+        assert witness == dict(zip(keys, [1, 2, 1, 3]))
+        assert mis_sizes(complete(2)) == mis_sizes(complete(3)) == {1}
+
+    def test_berge(self):
+        g = path(3)
+        f = forced(GraphFacts(g), report={"well_covered": True})
+        witness = counterexample("berge", f, ["independent_set", "open_neighborhood"])
+        assert witness == {"independent_set": [0, 2], "open_neighborhood": [1]}
+        s = to_mask(witness["independent_set"])
+        assert not neighborhood(g, s) & s
+        assert neighborhood(g, s) == to_mask(witness["open_neighborhood"])
+        assert s.bit_count() > neighborhood(g, s).bit_count()
+
+    def test_vwc_product(self):
+        # K3 is taken as very well-covered; C4 x K3 is in fact not
+        # well-covered, so it is not very well-covered either
+        f = pair_facts(cycle(4), complete(3))
+        forced(f.h, report={"very_well_covered": True})
+        keys = [
+            "product_well_covered",
+            "product_very_well_covered",
+            "both_factors_very_well_covered",
+        ]
+        witness = counterexample("vwc_product", f, keys)
+        assert witness == dict(zip(keys, [False, False, True]))
+        assert len(mis_sizes(f.product.graph)) > 1
+
+    def test_closed_nbhd_size(self):
+        # P3 x K2 is taken as well-covered and P3 as free of isolatable
+        # vertices; alpha(P3) = 2, so {0} would need 3 / 2 closed neighbors
+        g = path(3)
+        f = without_isolatable(pair_facts(g, complete(2), product_wc_size=2))
+        keys = ["independent_set", "closed_neighborhood", "alpha", "order"]
+        witness = counterexample("closed_nbhd_size", f, keys)
+        assert witness == dict(zip(keys, [[0], [0, 1], 2, 3]))
+        s = to_mask(witness["independent_set"])
+        closed = closed_neighborhood(g, s)
+        assert closed == to_mask(witness["closed_neighborhood"])
+        assert max(mis_sizes(g)) == witness["alpha"]
+        assert closed.bit_count() * witness["alpha"] != s.bit_count() * g.n
+
+    def test_regularity(self):
+        g = path(3)
+        f = without_isolatable(pair_facts(g, complete(2), product_wc_size=2))
+        witness = counterexample("regularity", f, ["regular_degree", "alpha", "order"])
+        assert witness == {"regular_degree": None, "alpha": 2, "order": 3}
+        assert g.degree(0) != g.degree(1)
+
+    def test_k3_dichotomy(self):
+        # P3 x K3 is taken as well-covered and P3 as free of isolatable vertices
+        g = path(3)
+        f = forced(GraphFacts(g), isolatable_mask=0)
+        forced(f.k3, product_wc_size=3)
+        witness = counterexample("k3_dichotomy", f, ["complete_of_order_3", "isolatable_vertices"])
+        assert witness == {"complete_of_order_3": False, "isolatable_vertices": []}
+        assert not g.has_edge(0, 2)
+
+    def test_no_isolatable_complete(self):
+        g = path(3)
+        f = without_isolatable(pair_facts(g, complete(2), product_wc_size=2))
+        witness = counterexample("no_isolatable_complete", f, ["nonadjacent_pair"])
+        assert witness == {"nonadjacent_pair": [0, 2]}
+        assert not g.has_edge(*witness["nonadjacent_pair"])
+
+    def test_both_complete(self):
+        g, h = path(3), complete(2)
+        f = without_isolatable(pair_facts(g, h, product_wc_size=2))
+        witness = counterexample("both_complete", f, ["g_complete", "h_complete", "orders"])
+        assert witness == {"g_complete": False, "h_complete": True, "orders": [3, 2]}
+        assert is_complete(h) and g.m < g.n * (g.n - 1) // 2
+
+    def test_edge_triangle(self):
+        # C5 x K2 is taken as well-covered with 1 of its 10 vertices per
+        # maximal set, so not very well-covered; C5 has no triangle
+        g = cycle(5)
+        f = pair_facts(g, complete(2), product_wc_size=1)
+        assert f.wc_not_vwc
+        witness = counterexample("edge_triangle", f, ["factor", "edge"])
+        assert witness == {"factor": "g", "edge": [0, 1]}
+        for w in witness["edge"]:
+            assert not any(g.adj[w] & g.adj[a] for a in bits(g.adj[w]))
+
+    def test_girth_three(self):
+        g, h = cycle(5), complete(2)
+        f = pair_facts(g, h, product_wc_size=1)
+        witness = counterexample("girth_three", f, ["girth_g", "girth_h"])
+        assert witness == {"girth_g": 5, "girth_h": "infinite"}
+        assert nx.girth(nx.cycle_graph(5)) == 5 and h.m == h.n - 1
+
+    def test_twins(self):
+        # {0} is taken as a maximal independent set of C4: it holds twin 0
+        # but not twin 2 and misses their common neighbors 1 and 3
+        g = cycle(4)
+        f = forced(GraphFacts(g), mis_list=[to_mask([0])])
+        witness = counterexample("twins", f, ["mis", "twin_pair"])
+        assert witness == {"mis": [0], "twin_pair": [0, 2]}
+        u, v = witness["twin_pair"]
+        mis = to_mask(witness["mis"])
+        assert g.adj[u] == g.adj[v]
+        assert not g.adj[u] & mis and (mis >> u & 1) != (mis >> v & 1)
+
+    def test_support_leaf_unique(self):
+        g = path(3)
+        f = forced(GraphFacts(g), report={"well_covered": True})
+        witness = counterexample("support_leaf_unique", f, ["support", "adjacent_leaves"])
+        assert witness == {"support": 1, "adjacent_leaves": [0, 2]}
+        for leaf in witness["adjacent_leaves"]:
+            assert g.adj[leaf] == 1 << witness["support"]
+
+
+@pytest.mark.parametrize(
+    "graph, capped",
+    [(h_family(11, 1), "k3_dichotomy"), (complete_multipartite([3, 3, 3]), "multipartite_square")],
+    ids=["H(11,1)xK3", "K333xK333"],
+)
+class TestProductPastTheCap:
+    """A single-graph claim whose product passes 64 vertices is counted as
+    skipped, and every other claim on the instance still runs."""
+
+    def test_run_suite(self, graph, capped):
+        report = run_suite(CLAIM_IDS, [graph])
+        assert report.passed
+        for claim_id, tally in report.tallies.items():
+            counted = tally.holds + tally.vacuous + len(tally.counterexamples)
+            if REGISTRY[claim_id].shape != claims.SHAPE_GRAPH:
+                assert (counted, tally.skipped) == (0, 0)
+            elif claim_id == capped:
+                assert (counted, tally.skipped) == (0, 1)
+                assert report.to_json()[claim_id]["skipped"] == 1
+            else:
+                assert (counted, tally.skipped) == (1, 0)
+                assert "skipped" not in report.to_json()[claim_id]
+
+    def test_verify(self, graph, capped):
+        for claim_id in CLAIM_IDS:
+            if REGISTRY[claim_id].shape == claims.SHAPE_GRAPH:
+                status = verify(claim_id, graph).status
+                assert (status == SKIPPED) == (claim_id == capped)
+                assert status != COUNTEREXAMPLE
 
 
 class TestSuite:
@@ -439,9 +640,14 @@ class TestTallyMachinery:
         assert encoded["witness"] == {"set": [0]}
 
     def test_merge(self):
-        a = SuiteReport({"berge": ClaimTally(holds=2)})
-        b = SuiteReport({"berge": ClaimTally(holds=1, vacuous=3), "twins": ClaimTally(holds=5)})
+        a = SuiteReport({"berge": ClaimTally(holds=2, skipped=1)})
+        b = SuiteReport(
+            {"berge": ClaimTally(holds=1, vacuous=3, skipped=2), "twins": ClaimTally(holds=5)}
+        )
         merged = a.merge(b)
         assert merged.tallies["berge"].holds == 3
         assert merged.tallies["berge"].vacuous == 3
+        assert merged.tallies["berge"].skipped == 3
         assert merged.tallies["twins"].holds == 5
+        assert merged.to_json()["berge"]["skipped"] == 3
+        assert "skipped" not in merged.to_json()["twins"]

@@ -77,6 +77,11 @@ class TestAnalyze:
         _, out, _ = run_cli(capsys, "analyze", "path:3", "--format", "json")
         assert json.loads(out)["girth"] == "infinite"
 
+    def test_irregular_text(self, capsys):
+        _, out, _ = run_cli(capsys, "analyze", "path:3")
+        assert "girth: infinite" in out.splitlines()
+        assert "regular_degree: null" in out.splitlines()
+
     def test_graph6_input(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "Bw", "--format", "json")
         assert code == 0

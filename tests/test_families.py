@@ -1,6 +1,7 @@
 """Named constructions, parameter recognition, and the exhaustive corpus."""
 
 import hashlib
+import random
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from wellcovered.families import (
     h_family_params,
     multipartite_params,
     path,
+    _canonical_mask,
 )
 from wellcovered.formats import to_graph6
 from wellcovered.graphs import CapacityError, from_edge_list
@@ -68,6 +70,17 @@ def as_networkx(g) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+def h_parameters(max_order=64):
+    """Every (k, n) with H(k, n) on at most ``max_order`` vertices."""
+    return [(k, n) for k in range(1, max_order) for n in range(1, max_order) if k * (n + 1) <= max_order]
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def stream_digest(graphs) -> str:
@@ -128,11 +141,67 @@ class TestNamed:
     def test_corona_is_h_with_single_blocks(self):
         assert corona_with_k1(3) == h_family(3, 1)
 
+    def test_h_family_matches_definition(self):
+        """Every H(k, n) up to 64 vertices equals its edge list: the clique
+        on the k * n block vertices, and z_i joined to block i."""
+        for k, n in h_parameters():
+            kn = k * n
+            edges = list(combinations(range(kn), 2))
+            edges += [(kn + v // n, v) for v in range(kn)]
+            assert h_family(k, n) == from_edge_list(k * (n + 1), edges), (k, n)
+
+    def test_multipartite_matches_definition(self):
+        """complete_multipartite equals the edge list of its definition,
+        every pair of vertices in different parts, on every list of part
+        sizes up to 8 vertices, every balanced list up to 64 and seeded
+        lists up to 64."""
+        rng = random.Random(26)
+        lists = [[1] * n for n in range(1, 9)]
+        for n in range(1, 9):
+            for cuts in range(1 << n - 1):
+                sizes, run = [], 1
+                for i in range(n - 1):
+                    if cuts >> i & 1:
+                        sizes.append(run)
+                        run = 0
+                    run += 1
+                lists.append(sizes + [run])
+        lists += [[r] * m for r in range(1, 65) for m in range(1, 65 // r + 1) if r * m <= 64]
+        for _ in range(200):
+            sizes, left = [], rng.randint(1, 64)
+            while left:
+                sizes.append(min(left, rng.randint(1, 4) if rng.random() < 0.8 else 64))
+                left -= sizes[-1]
+            lists.append(sizes)
+        for sizes in lists:
+            part = [i for i, size in enumerate(sizes) for _ in range(size)]
+            edges = [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]]
+            assert complete_multipartite(sizes) == from_edge_list(len(part), edges), sizes
+
 
 class TestRecognition:
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
     def test_h_params_round_trip(self, k, n):
         assert h_family_params(h_family(k, n)) == (k, n)
+
+    def test_h_params_match_canonical_forms(self, reps7):
+        """On every connected class up to 7 vertices, h_family_params names
+        (k, n) exactly when the class has the canonical form of H(k, n)."""
+        forms = {}
+        for k, n in h_parameters(7):
+            h = h_family(k, n)
+            forms[h.n, _canonical_mask(list(h.adj))] = k, n
+        hits = 0
+        for g in reps7:
+            expected = forms.get((g.n, _canonical_mask(list(g.adj))))
+            assert h_family_params(g) == expected, to_graph6(g)
+            hits += expected is not None
+        assert hits == len(forms)
+
+    def test_h_params_of_relabeled_members(self):
+        rng = random.Random(64)
+        for k, n in h_parameters():
+            assert h_family_params(relabeled(h_family(k, n), rng)) == (k, n)
 
     def test_h_params_ignores_labeling(self):
         g = h_family(2, 2)
@@ -145,6 +214,24 @@ class TestRecognition:
     )
     def test_h_params_rejections(self, g):
         assert h_family_params(g) is None
+
+    def test_multipartite_params_match_complement(self, reps7):
+        """On every connected class up to 7 vertices, multipartite_params
+        names (m, r) exactly when networkx finds the complement to be m
+        disjoint copies of K_r; relabeled balanced graphs up to 64 vertices
+        give their parameters."""
+        for g in reps7:
+            comp = nx.complement(as_networkx(g))
+            parts = [comp.subgraph(c) for c in nx.connected_components(comp)]
+            sizes = {len(p) for p in parts}
+            cliques = all(2 * p.number_of_edges() == len(p) * (len(p) - 1) for p in parts)
+            expected = (len(parts), sizes.pop()) if cliques and len(sizes) == 1 else None
+            assert multipartite_params(g) == expected, to_graph6(g)
+        rng = random.Random(8)
+        for m in range(1, 65):
+            for r in range(1, 64 // m + 1):
+                g = relabeled(complete_multipartite([r] * m), rng)
+                assert multipartite_params(g) == (m, r)
 
     def test_multipartite_params(self):
         assert multipartite_params(complete_multipartite([2, 2, 2])) == (3, 2)

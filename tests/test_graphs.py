@@ -22,6 +22,8 @@ from wellcovered.graphs import (
     is_bipartite,
     is_complete,
     is_connected,
+    is_independent,
+    is_maximal_independent,
     is_regular,
     isolated_in,
     min_degree,
@@ -282,3 +284,29 @@ class TestAgainstNetworkx:
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 9), rng.random())
             assert girth(g) == nx.girth(to_networkx(g))
+
+    def test_girth_sparse_up_to_64(self):
+        """Sparse graphs, whose shortest cycles are long and often end in an
+        even layer, and the 64-vertex edge."""
+        rng = random.Random(26)
+        pool = [random_graph(rng, n, 2.2 / n) for n in (rng.randint(10, 64) for _ in range(150))]
+        pool += [cycle(64), path(64), from_edge_list(64, [])]
+        lengths = set()
+        for g in pool:
+            lengths.add(girth(g))
+            assert girth(g) == nx.girth(to_networkx(g))
+        assert {3, 4, 5, 6, math.inf} <= lengths
+
+    def test_independent_set_tests(self):
+        """is_independent: no edge inside the set; is_maximal_independent:
+        also a dominating set, by networkx."""
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            nxg = to_networkx(g)
+            for s in [0, g.vertex_mask, *(rng.getrandbits(g.n) for _ in range(20))]:
+                members = to_vertices(s)
+                independent = nxg.subgraph(members).number_of_edges() == 0
+                assert is_independent(g, s) == independent
+                maximal = independent and nx.is_dominating_set(nxg, members)
+                assert is_maximal_independent(g, s) == maximal

@@ -61,16 +61,6 @@ def load(path):
     return module
 
 
-@pytest.fixture(scope="module")
-def compiled_path(tmp_path_factory):
-    return build(tmp_path_factory)
-
-
-@pytest.fixture(scope="module")
-def compiled(compiled_path):
-    return load(compiled_path)
-
-
 def sample_graphs():
     rng = random.Random(41)
     graphs = [
