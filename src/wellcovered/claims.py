@@ -58,7 +58,6 @@ from .families import (
 )
 from .formats import to_graph6
 from .graphs import (
-    INFINITE,
     MAX_VERTICES,
     CapacityError,
     Graph,
@@ -73,6 +72,7 @@ from .graphs import (
     is_maximal_independent,
     is_regular,
     isolated_in,
+    json_girth,
     min_degree,
     neighborhood,
     residual,
@@ -170,7 +170,7 @@ class GraphFacts:
 
     @cached_property
     def has_isolated(self) -> bool:
-        return self.graph.n > 0 and min_degree(self.graph) == 0
+        return 0 in self.graph.adj
 
     @cached_property
     def nontrivial_connected(self) -> bool:
@@ -269,6 +269,12 @@ class PairFacts:
         return is_very_well_covered(self.product.graph, self.product_wc_size)
 
     @property
+    def connected_factors(self) -> bool:
+        """Both factors nontrivial and connected: the hypothesis the paper's
+        product theorems share."""
+        return self.g.nontrivial_connected and self.h.nontrivial_connected
+
+    @property
     def wc_not_vwc(self) -> bool:
         return self.product_wc and not self.product_vwc
 
@@ -280,10 +286,6 @@ class CliqueFacts(PairFacts):
     @cached_property
     def instance(self) -> dict:
         return {"graph6": self.g.instance["graph6"], "n": self.h.graph.n}
-
-
-def _json_girth(value: int | float) -> int | str:
-    return "infinite" if value == INFINITE else int(value)
 
 
 def _check_inverse_image(f: PairFacts) -> Outcome:
@@ -493,12 +495,7 @@ def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
 def _check_regularity(f: PairFacts) -> Outcome:
     """Same hypothesis as closed_nbhd_size but with both factors nontrivial
     connected; the first factor must be (n/alpha - 1)-regular."""
-    hyp = (
-        f.g.nontrivial_connected
-        and f.h.nontrivial_connected
-        and f.g.isolatable_mask == 0
-        and f.product_wc
-    )
+    hyp = f.connected_factors and f.g.isolatable_mask == 0 and f.product_wc
     if not hyp:
         return VACUOUS_OUTCOME
     g = f.g.graph
@@ -528,12 +525,7 @@ def _check_k3_dichotomy(f: GraphFacts) -> Outcome:
 def _check_no_isolatable_complete(f: PairFacts) -> Outcome:
     """Nontrivial connected factors, well-covered product, and no isolatable
     vertex in the first factor force the first factor to be complete."""
-    hyp = (
-        f.g.nontrivial_connected
-        and f.h.nontrivial_connected
-        and f.product_wc
-        and f.g.isolatable_mask == 0
-    )
+    hyp = f.connected_factors and f.product_wc and f.g.isolatable_mask == 0
     if not hyp:
         return VACUOUS_OUTCOME
     g = f.g.graph
@@ -549,8 +541,7 @@ def _check_both_complete(f: PairFacts) -> Outcome:
     """If additionally neither factor has an isolatable vertex, both factors
     are complete graphs of the same order."""
     hyp = (
-        f.g.nontrivial_connected
-        and f.h.nontrivial_connected
+        f.connected_factors
         and f.g.isolatable_mask == 0
         and f.h.isolatable_mask == 0
         and f.product_wc
@@ -572,7 +563,7 @@ def _check_no_bipartite_residual(f: PairFacts) -> Outcome:
     """For a well-covered but not very well-covered product of nontrivial
     connected factors, no independent set of the first factor leaves behind
     a bipartite component larger than a single vertex."""
-    hyp = f.g.nontrivial_connected and f.h.nontrivial_connected and f.wc_not_vwc
+    hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
     g = f.g.graph
@@ -596,7 +587,7 @@ def _check_edge_triangle(f: PairFacts) -> Outcome:
     """Same hypothesis; every edge of either factor is incident with a
     triangle, meaning at least one endpoint lies in one.  The edge itself
     need not span a triangle."""
-    hyp = f.g.nontrivial_connected and f.h.nontrivial_connected and f.wc_not_vwc
+    hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
     for name, facts in (("g", f.g), ("h", f.h)):
@@ -609,14 +600,14 @@ def _check_edge_triangle(f: PairFacts) -> Outcome:
 
 def _check_girth_three(f: PairFacts) -> Outcome:
     """Same hypothesis; both factors have girth exactly three."""
-    hyp = f.g.nontrivial_connected and f.h.nontrivial_connected and f.wc_not_vwc
+    hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
     gg = girth(f.g.graph)
     gh = girth(f.h.graph)
     if gg == 3 and gh == 3:
         return HOLDS_OUTCOME
-    witness = {"girth_g": _json_girth(gg), "girth_h": _json_girth(gh)}
+    witness = {"girth_g": json_girth(gg), "girth_h": json_girth(gh)}
     return Outcome(COUNTEREXAMPLE, witness)
 
 

@@ -34,14 +34,13 @@ from .claims import (
     REGISTRY,
     GraphFacts,
     PairFacts,
-    _json_girth,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
     run_suite_parallel,
     targeted_instances,
 )
-from .families import FamilySpec
+from .families import FAMILIES, FamilySpec
 from .formats import from_graph6, load_graph_text, to_graph6
 from .graphs import (
     MAX_VERTICES,
@@ -52,6 +51,7 @@ from .graphs import (
     is_complete,
     is_connected,
     is_regular,
+    json_girth,
     to_vertices,
 )
 from .independence import isolatable_vertices, well_covered_report
@@ -97,7 +97,7 @@ def parse_graph_arg(text: str) -> Graph:
     if text.startswith("@") and len(text) > 1:
         return load_graph_text(Path(text[1:]).read_text())
     head = text.partition(":")[0]
-    if head in FamilySpec._KINDS:
+    if head in FAMILIES:
         return FamilySpec.parse(text).build()
     try:
         return from_graph6(text)
@@ -109,26 +109,27 @@ def parse_graph_arg(text: str) -> Graph:
         ) from None
 
 
+def _text(value: object) -> str:
+    """A value in text output: JSON for booleans, None and containers.
+    Every scan row holds two booleans, so they are spelled here rather than
+    by the far slower ``json.dumps``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None or isinstance(value, (dict, list)):
+        return json.dumps(value)
+    return str(value)
+
+
 def _render(data: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(data, indent=2)
-    lines = []
-    for key, value in data.items():
-        if isinstance(value, bool):
-            lines.append(f"{key}: {'true' if value else 'false'}")
-        elif value is None:
-            lines.append(f"{key}: null")
-        elif isinstance(value, (dict, list)):
-            lines.append(f"{key}: {json.dumps(value)}")
-        else:
-            lines.append(f"{key}: {value}")
-    return "\n".join(lines)
+    return "\n".join(f"{key}: {_text(value)}" for key, value in data.items())
 
 
 def _analyze_payload(g: Graph) -> dict:
     data = {"version": __version__}
     data.update(well_covered_report(g).to_json())
-    data["girth"] = _json_girth(girth(g))
+    data["girth"] = json_girth(girth(g))
     data["regular_degree"] = is_regular(g)
     data["bipartite"] = is_bipartite(g)
     data["connected"] = is_connected(g)
@@ -169,14 +170,16 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return status
 
 
+# each --filter name and the (well-covered, very well-covered) pairs it keeps
+FILTERS = {
+    "wc": lambda wc, vwc: wc,
+    "vwc": lambda wc, vwc: vwc,
+    "wc-not-vwc": lambda wc, vwc: wc and not vwc,
+}
+
+
 def _passes_filter(name: str | None, well_covered: bool, very_well_covered: bool) -> bool:
-    if name is None:
-        return True
-    if name == "wc":
-        return well_covered
-    if name == "vwc":
-        return very_well_covered
-    return well_covered and not very_well_covered
+    return name is None or FILTERS[name](well_covered, very_well_covered)
 
 
 def _print_lines(lines: Iterable[str]) -> None:
@@ -265,13 +268,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"version": __version__, "pairs": list(rows)}, indent=2))
     else:
-        _print_lines(
-            " ".join(
-                f"{k}={'true' if v else 'false'}" if isinstance(v, bool) else f"{k}={v}"
-                for k, v in r.items()
-            )
-            for r in rows
-        )
+        _print_lines(" ".join(f"{k}={_text(v)}" for k, v in r.items()) for r in rows)
     return 0
 
 
@@ -299,7 +296,7 @@ def build_parser() -> _Parser:
         "--max-n", type=_nonnegative_int, default=None, help="stream the connected corpus instead"
     )
     p.add_argument("--reps", action="store_true", help="one graph per isomorphism class")
-    p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
+    p.add_argument("--filter", choices=tuple(FILTERS), default=None)
     common(p)
 
     p = sub.add_parser("verify", help="run the claim suite over corpora and targeted instances")
@@ -320,7 +317,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="flag well-covered products over all factor pairs in range")
     p.add_argument("--max-n", type=_nonnegative_int, default=4)
     p.add_argument("--cap", type=_product_order, default=36)
-    p.add_argument("--filter", choices=("wc", "vwc", "wc-not-vwc"), default=None)
+    p.add_argument("--filter", choices=tuple(FILTERS), default=None)
     p.add_argument("--reps", action="store_true")
     common(p)
 

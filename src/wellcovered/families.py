@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import or_
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import (
     MAX_VERTICES,
@@ -241,17 +241,8 @@ def _canonical_mask(adj: list[int]) -> int:
 def corpus_representatives(max_n: int) -> Iterator[Graph]:
     """Connected graphs on 1..max_n vertices, one per isomorphism class, in
     (n, mask) order; each class is its canonical form, the lowest edge mask
-    over all relabelings.
-
-    The classes on n vertices grow from those on n - 1: every connected
-    graph has a vertex that is not a cut vertex (a leaf of a spanning tree),
-    so joining a new vertex to each nonempty vertex set of each class on
-    n - 1 vertices reaches every class on n.  Each candidate is reduced to
-    its canonical form, and equal forms are kept once.  The canonical search
-    places labels from n - 1 downward, cuts a partial labeling as soon as
-    its rows exceed the lowest ones on its level, and tries only one of two
-    twin candidates for a label.
-    """
+    over all relabelings.  The module docstring gives the growth from one
+    order to the next and the canonical search."""
     if max_n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"exhaustive corpus capped at {MAX_EXHAUSTIVE_N} vertices")
     classes: list[tuple[int, ...]] = []
@@ -271,6 +262,18 @@ def corpus_representatives(max_n: int) -> Iterator[Graph]:
             yield Graph(n, rows)
 
 
+# each kind's builder and parameter count (None: any count), in the order
+# the "unknown family spec" message lists them
+FAMILIES: dict[str, tuple[Callable[..., Graph], int | None]] = {
+    "complete": (complete, 1),
+    "cycle": (cycle, 1),
+    "path": (path, 1),
+    "kpartite": (lambda *sizes: complete_multipartite(list(sizes)), None),
+    "h": (h_family, 2),
+    "corona": (corona_with_k1, 1),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A parsed family description such as h:4,2 or kpartite:2,2,2."""
@@ -278,15 +281,13 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...]
 
-    _KINDS = ("complete", "cycle", "path", "kpartite", "h", "corona")
-
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
         kind, sep, rest = text.partition(":")
-        if not sep or kind not in cls._KINDS:
+        if not sep or kind not in FAMILIES:
             raise ValueError(
                 f"unknown family spec {text!r}; expected one of "
-                + ", ".join(f"{k}:..." for k in cls._KINDS)
+                + ", ".join(f"{k}:..." for k in FAMILIES)
             )
         try:
             params = tuple(int(p) for p in rest.split(","))
@@ -294,23 +295,13 @@ class FamilySpec:
             raise ValueError(f"non-integer parameter in family spec {text!r}") from None
         if not params or any(p < 1 for p in params):
             raise ValueError(f"family spec {text!r} needs positive parameters")
-        arity = {"complete": 1, "cycle": 1, "path": 1, "h": 2, "corona": 1}
-        if kind in arity and len(params) != arity[kind]:
-            raise ValueError(f"{kind} takes {arity[kind]} parameter(s), got {len(params)}")
+        arity = FAMILIES[kind][1]
+        if arity is not None and len(params) != arity:
+            raise ValueError(f"{kind} takes {arity} parameter(s), got {len(params)}")
         return cls(kind, params)
 
     def build(self) -> Graph:
-        if self.kind == "complete":
-            return complete(self.params[0])
-        if self.kind == "cycle":
-            return cycle(self.params[0])
-        if self.kind == "path":
-            return path(self.params[0])
-        if self.kind == "kpartite":
-            return complete_multipartite(list(self.params))
-        if self.kind == "h":
-            return h_family(*self.params)
-        return corona_with_k1(self.params[0])
+        return FAMILIES[self.kind][0](*self.params)
 
     def __str__(self) -> str:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"

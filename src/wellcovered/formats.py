@@ -74,13 +74,15 @@ def from_graph6(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
-def from_edge_list_text(text: str) -> Graph:
+def load_graph_text(text: str) -> Graph:
+    """Parse either format, deciding by the shape of the first data line:
+    two integers are an edge-list header, anything else a graph6 string."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
-        raise ValueError("empty edge-list input")
+        raise ValueError("no graph data found in input")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
+    if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
+        return from_graph6(lines[0])
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges but {len(lines) - 1} lines follow")
@@ -91,16 +93,3 @@ def from_edge_list_text(text: str) -> Graph:
             raise ValueError(f"bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return from_edge_list(n, edges)
-
-
-def load_graph_text(text: str) -> Graph:
-    """Parse either format, deciding by the shape of the first data line."""
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-            return from_edge_list_text(text)
-        return from_graph6(ln)
-    raise ValueError("no graph data found in input")

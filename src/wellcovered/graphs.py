@@ -28,6 +28,11 @@ MAX_VERTICES = 64
 INFINITE = math.inf
 
 
+def json_girth(value: int | float) -> int | str:
+    """A girth as JSON holds it: ``"infinite"`` for INFINITE."""
+    return "infinite" if value == INFINITE else int(value)
+
+
 class CapacityError(ValueError):
     """A construction would exceed the 64-vertex core limit."""
 
@@ -328,11 +333,6 @@ def girth(g: Graph) -> int | float:
 def is_bipartite(g: Graph) -> bool:
     """Whether no component has an odd cycle."""
     return not any(odd for _, odd in components(g, g.vertex_mask))
-
-
-def complement(g: Graph) -> Graph:
-    full = g.vertex_mask
-    return Graph(g.n, tuple(full & ~(g.adj[v] | 1 << v) for v in range(g.n)))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

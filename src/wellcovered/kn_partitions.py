@@ -28,6 +28,7 @@ one product.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -235,45 +236,26 @@ def kn_alpha_i(g: Graph, n: int) -> KnReport:
     return kn_report(g, n, kernel.independence_summary(_kn_product(g, n).graph.adj))
 
 
-def _labels_to_partition(g: Graph, n: int, labels: list[int]) -> WeakPartition:
-    v0 = 0
-    vb = 0
-    classes = [0] * n
-    for v, lab in enumerate(labels):
-        if lab == 0:
-            v0 |= 1 << v
-        elif lab == n + 1:
-            vb |= 1 << v
-        else:
-            classes[lab - 1] |= 1 << v
-    return WeakPartition(g, n, v0, tuple(classes), vb)
-
-
 def enumerate_valid_partitions(g: Graph, n: int) -> list[WeakPartition]:
     """All valid weak partitions, every class labeling included.
 
     The correspondence with maximal independent sets distinguishes class
     labels (V_k picks clique vertex k), so no symmetry reduction here.
     Exhaustive and only meant for cross-validation at small orders: the
-    candidate count is (n+2)^n(G).
+    candidate count is (n+2)^n(G).  A candidate gives vertex v a label, 0
+    for V_0, k for V_k and n + 1 for the bracket, and the labelings run in
+    lexicographic order, vertex 0 slowest.
     """
     if n < 2:
         raise ValueError("clique order must be at least 2")
     out: list[WeakPartition] = []
-    labels = [0] * g.n
-
-    def rec(v: int) -> None:
-        if v == g.n:
-            p = _labels_to_partition(g, n, labels)
-            if not p.violations():
-                out.append(p)
-            return
-        for lab in range(0, n + 2):
-            labels[v] = lab
-            rec(v + 1)
-        labels[v] = 0
-
-    rec(0)
+    for labels in itertools.product(range(n + 2), repeat=g.n):
+        parts = [0] * (n + 2)
+        for v, label in enumerate(labels):
+            parts[label] |= 1 << v
+        p = WeakPartition(g, n, parts[0], tuple(parts[1:-1]), parts[-1])
+        if not p.violations():
+            out.append(p)
     return out
 
 

@@ -11,6 +11,10 @@ reference for the order in which the package's one-loop enumeration yields
 independent sets.  ``reference_maximal_sets`` is the plain pivot walk over
 maximal independent sets, with no skip, table or bound, the reference for
 the order in which the kernels' one walk emits them.
+
+The hypothesis strategy ``graphs`` and the networkx converter
+``to_networkx`` are the test modules' shared ways to draw a graph and to
+hand one to networkx.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ import random
 from itertools import permutations
 from typing import Iterator
 
-from wellcovered.graphs import Graph
+import networkx as nx
+from hypothesis import strategies as st
+
+from wellcovered.graphs import Graph, from_edge_list
 
 
 def is_independent(adj: tuple[int, ...], mask: int) -> bool:
@@ -116,6 +123,22 @@ def brute_min_mask(g: Graph) -> int:
             bit[i, j] = bit[j, i] = 1 << i * n - i * (i + 1) // 2 + j - i - 1
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1]
     return min(sum(bit[p[u], p[v]] for u, v in edges) for p in permutations(range(n)))
+
+
+@st.composite
+def graphs(draw, max_n: int, min_n: int = 0) -> Graph:
+    """A graph on min_n..max_n vertices with any set of edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return from_edge_list(n, chosen)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

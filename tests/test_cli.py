@@ -1,6 +1,7 @@
 """Command-line interface: output fields, exit codes, determinism, and
 agreement with the library functions it fronts."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -135,6 +136,39 @@ class TestAnalyze:
         got, _, err = run_cli(capsys, "analyze", f"@{path}")
         assert got == code
         assert message in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "no graph data found in input"),
+            ("# only a comment\n\n   # and another\n", "no graph data found in input"),
+            ("3 3\n0 1\n1 2\n", "header promises 3 edges but 2 lines follow"),
+            ("3 2\n0 1 2\n1 2\n", "bad edge line '0 1 2'"),
+            ("3 1\n1 1\n", "edge (1, 1) is a loop"),
+        ],
+        ids=["empty", "comments-only", "short-edge-count", "three-token-edge", "loop"],
+    )
+    def test_bad_edge_list_file_exits_1(self, capsys, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert run_cli(capsys, "analyze", f"@{path}") == (1, "", f"wellcovered: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "graph,message",
+        [
+            ("~", "cannot parse graph input '~': not a family spec, @file, or graph6 string"),
+            ("h:0,2", "family spec 'h:0,2' needs positive parameters"),
+        ],
+        ids=["truncated-long-form", "nonpositive-parameter"],
+    )
+    def test_bad_graph_argument_exits_1(self, capsys, graph, message):
+        assert run_cli(capsys, "analyze", graph) == (1, "", f"wellcovered: error: {message}\n")
+
+    def test_empty_graph6_is_k0(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "?", "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert (data["n"], data["regular_degree"], data["connected"]) == (0, 0, True)
 
     def test_missing_argument_exits_1(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -293,6 +327,11 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--max-n", "8")
         assert code == 3
         assert "resource cap" in err
+
+    def test_reps_cap_exits_3(self, capsys):
+        assert run_cli(capsys, "generate", "--max-n", "8", "--reps") == (
+            3, "", "wellcovered: resource cap: exhaustive corpus capped at 7 vertices\n"
+        )
 
     def test_no_input_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "generate")
@@ -491,6 +530,46 @@ class TestScan:
             main([command, "--max-n", "2", "--jobs", jobs])
         assert info.value.code == 1
         assert "--jobs" in capsys.readouterr().err
+
+
+class TestOutputTables:
+    @pytest.mark.parametrize("command", ["generate", "scan"])
+    def test_filter_choices_are_the_table(self, command):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        action = next(a for a in sub.choices[command]._actions if a.dest == "filter")
+        assert action.choices == tuple(cli.FILTERS) == ("wc", "vwc", "wc-not-vwc")
+
+    @pytest.mark.parametrize(
+        "name,kept",
+        [
+            (None, [True, True, True, True]),
+            ("wc", [False, False, True, True]),
+            ("vwc", [False, True, False, True]),
+            ("wc-not-vwc", [False, False, True, False]),
+        ],
+    )
+    def test_filter_truth_table(self, name, kept):
+        """Over (wc, vwc) = (F, F), (F, T), (T, F), (T, T); the second cannot
+        occur, but the predicates still decide it."""
+        cases = [(False, False), (False, True), (True, False), (True, True)]
+        assert [cli._passes_filter(name, *c) for c in cases] == kept
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (None, "null"),
+            (True, "true"),
+            (False, "false"),
+            ([0, 2], "[0, 2]"),
+            ({"a": [1], "b": None}, '{"a": [1], "b": null}'),
+            ("Bw", "Bw"),
+            (7, "7"),
+        ],
+    )
+    def test_text_form(self, value, text):
+        assert cli._text(value) == text
 
 
 class TestMaxN:

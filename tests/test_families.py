@@ -8,11 +8,12 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from brute import brute_min_mask
+from brute import brute_min_mask, to_networkx
 from wellcovered import __version__, claims
 from wellcovered.cli import main
 from wellcovered.families import (
     MAX_EXHAUSTIVE_N,
+    FAMILIES,
     FamilySpec,
     complete,
     complete_multipartite,
@@ -63,13 +64,6 @@ def reps7():
 def edge_mask(g) -> int:
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     return sum(1 << p for p, (i, j) in enumerate(pairs) if g.has_edge(i, j))
-
-
-def as_networkx(g) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def h_parameters(max_order=64):
@@ -137,6 +131,11 @@ class TestNamed:
             for b in first_block:
                 if a != b:
                     assert g.has_edge(a, b)
+
+    @pytest.mark.parametrize("k,n", [(0, 2), (2, 0)])
+    def test_h_family_rejects_nonpositive(self, k, n):
+        with pytest.raises(ValueError, match="both parameters must be positive"):
+            h_family(k, n)
 
     def test_corona_is_h_with_single_blocks(self):
         assert corona_with_k1(3) == h_family(3, 1)
@@ -210,7 +209,8 @@ class TestRecognition:
         assert h_family_params(shuffled) == (2, 2)
 
     @pytest.mark.parametrize(
-        "g", [cycle(4), path(3), complete(1), complete_multipartite([1, 3])]
+        "g",
+        [cycle(4), path(3), complete(1), complete_multipartite([1, 3]), from_edge_list(3, [(0, 1)])],
     )
     def test_h_params_rejections(self, g):
         assert h_family_params(g) is None
@@ -221,7 +221,7 @@ class TestRecognition:
         disjoint copies of K_r; relabeled balanced graphs up to 64 vertices
         give their parameters."""
         for g in reps7:
-            comp = nx.complement(as_networkx(g))
+            comp = nx.complement(to_networkx(g))
             parts = [comp.subgraph(c) for c in nx.connected_components(comp)]
             sizes = {len(p) for p in parts}
             cliques = all(2 * p.number_of_edges() == len(p) * (len(p) - 1) for p in parts)
@@ -276,7 +276,7 @@ class TestCorpus:
         groups = defaultdict(list)
         for g in reps7:
             if g.n == 7:
-                h = as_networkx(g)
+                h = to_networkx(g)
                 groups[nx.weisfeiler_lehman_graph_hash(h)].append(h)
         for group in groups.values():
             assert not any(nx.is_isomorphic(a, b) for a, b in combinations(group, 2))
@@ -344,6 +344,51 @@ class TestSpec:
     def test_kpartite_matches_constructor(self):
         built = FamilySpec.parse("kpartite:1,3").build()
         assert built.adj == complete_multipartite([1, 3]).adj
+
+    def test_kinds_in_message_order(self):
+        assert list(FAMILIES) == ["complete", "cycle", "path", "kpartite", "h", "corona"]
+        with pytest.raises(ValueError) as info:
+            FamilySpec.parse("blob:3")
+        assert str(info.value) == (
+            "unknown family spec 'blob:3'; expected one of complete:..., cycle:..., "
+            "path:..., kpartite:..., h:..., corona:..."
+        )
+
+    @pytest.mark.parametrize(
+        "text,built",
+        [
+            ("complete:1", complete(1)),
+            ("complete:4", complete(4)),
+            ("cycle:3", cycle(3)),
+            ("cycle:8", cycle(8)),
+            ("path:1", path(1)),
+            ("path:5", path(5)),
+            ("kpartite:3", complete_multipartite([3])),
+            ("kpartite:2,1,3", complete_multipartite([2, 1, 3])),
+            ("h:1,3", h_family(1, 3)),
+            ("h:3,2", h_family(3, 2)),
+            ("corona:1", corona_with_k1(1)),
+            ("corona:4", corona_with_k1(4)),
+        ],
+    )
+    def test_each_kind_builds_its_family(self, text, built):
+        assert FamilySpec.parse(text).build() == built
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("complete:1,2", "complete takes 1 parameter(s), got 2"),
+            ("cycle:3,4", "cycle takes 1 parameter(s), got 2"),
+            ("path:1,2,3", "path takes 1 parameter(s), got 3"),
+            ("h:4", "h takes 2 parameter(s), got 1"),
+            ("h:1,2,3", "h takes 2 parameter(s), got 3"),
+            ("corona:2,2", "corona takes 1 parameter(s), got 2"),
+        ],
+    )
+    def test_fixed_arity_kinds_reject_wrong_counts(self, text, message):
+        with pytest.raises(ValueError) as info:
+            FamilySpec.parse(text)
+        assert str(info.value) == message
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown family"):

@@ -9,7 +9,6 @@ import pytest
 from brute import random_graph
 from wellcovered.families import complete, cycle, h_family
 from wellcovered.formats import (
-    from_edge_list_text,
     from_graph6,
     load_graph_text,
     to_graph6,
@@ -59,7 +58,7 @@ def test_long_form_orders():
 
 def test_edge_list_round_trip():
     text = "6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
-    assert from_edge_list_text(text) == cycle(6)
+    assert load_graph_text(text) == cycle(6)
 
 
 def test_load_autodetect():

@@ -9,11 +9,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import random_graph
+from brute import graphs, random_graph, to_networkx
 from wellcovered.graphs import (
     CapacityError,
     Graph,
-    complement,
     components,
     disjoint_union,
     from_edge_list,
@@ -36,21 +35,6 @@ from wellcovered.graphs import (
 from wellcovered.families import complete, cycle, path
 
 
-def to_networkx(g: Graph) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges())
-    return out
-
-
-@st.composite
-def graphs(draw, max_n=8):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return from_edge_list(n, chosen)
-
-
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -59,6 +43,10 @@ class TestConstruction:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="adjacency has 2 rows for 3 vertices"):
+            Graph(3, (0, 0))
 
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
@@ -220,18 +208,19 @@ class TestStructure:
         assert residual(g, 0) == g.vertex_mask
         assert residual(g, to_mask([0, 3])) == 0
 
-    def test_complement_involution(self):
-        g = cycle(5)
-        assert complement(complement(g)) == g
-
     def test_disjoint_union(self):
         g = disjoint_union(complete(2), complete(3))
         assert g.n == 5
         assert sorted(g.edges()) == [(0, 1), (2, 3), (2, 4), (3, 4)]
 
+    def test_disjoint_union_over_64_vertices(self):
+        assert disjoint_union(complete(63), complete(1)).n == 64
+        with pytest.raises(CapacityError, match="union on 65 vertices exceeds the 64-vertex limit"):
+            disjoint_union(complete(64), complete(1))
+
 
 class TestAgainstNetworkx:
-    @given(graphs())
+    @given(graphs(max_n=8))
     def test_connected(self, g):
         nxg = to_networkx(g)
         if g.n == 0:
@@ -239,7 +228,7 @@ class TestAgainstNetworkx:
         else:
             assert is_connected(g) == nx.is_connected(nxg)
 
-    @given(graphs())
+    @given(graphs(max_n=8))
     def test_bipartite(self, g):
         assert is_bipartite(g) == nx.is_bipartite(to_networkx(g))
 
@@ -258,13 +247,13 @@ class TestAgainstNetworkx:
             for c, odd in got:
                 assert odd == (not nx.is_bipartite(sub.subgraph(to_vertices(c))))
 
-    @given(graphs())
+    @given(graphs(max_n=8))
     def test_girth(self, g):
         ours = girth(g)
         theirs = nx.girth(to_networkx(g)) if g.n else math.inf
         assert ours == theirs
 
-    @given(graphs(), st.integers(min_value=0, max_value=(1 << 8) - 1))
+    @given(graphs(max_n=8), st.integers(min_value=0, max_value=(1 << 8) - 1))
     def test_residual_and_isolated(self, g, s):
         s &= g.vertex_mask
         nxg = to_networkx(g)

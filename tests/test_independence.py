@@ -7,11 +7,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from brute import (
     brute_maximal_independent_sets,
     brute_summary,
+    graphs,
     is_independent,
     random_graph,
     recursive_independent_sets,
@@ -35,14 +36,6 @@ from wellcovered.independence import (
     well_covered_report,
 )
 from wellcovered.products import direct_product
-
-
-@st.composite
-def graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return from_edge_list(n, chosen)
 
 
 class TestFrozenValues:
@@ -123,7 +116,7 @@ class TestIndependentSetEnumeration:
         assert sets[0] == 0
         assert len(sets) == 1 + 4 + 2  # empty, singletons, two diagonals
 
-    @given(graphs())
+    @given(graphs(max_n=7))
     def test_matches_filter(self, g):
         ours = sorted(enumerate_independent_sets(g))
         expect = [m for m in range(1 << g.n) if is_independent(g.adj, m)]
@@ -446,13 +439,13 @@ class TestFavaronEquivalence:
 
 
 class TestAgainstOracle:
-    @given(graphs())
+    @given(graphs(max_n=7))
     def test_summary_matches_filter(self, g):
         expect = brute_maximal_independent_sets(g.adj, g.n)
         assert sorted(enumerate_maximal_independent_sets(g)) == expect
         assert (i_number(g), alpha(g)) == brute_summary(g.adj, g.n)
 
-    @given(graphs())
+    @given(graphs(max_n=7))
     def test_well_covered_definition(self, g):
         sizes = {m.bit_count() for m in brute_maximal_independent_sets(g.adj, g.n)}
         assert is_well_covered(g) == (len(sizes) == 1)

@@ -247,6 +247,41 @@ class TestViolationsOracle:
         assert 500 <= valid <= 3500
 
 
+class TestEnumerateValidPartitions:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_per_vertex_oracle(self, n):
+        """The valid partitions are the labelings of V(G) that the per-vertex
+        oracle accepts, in the order of the labelings read as base n + 2
+        numerals with vertex 0 the leading digit.  A label is 0 for V_0, k
+        for V_k and n + 1 for the bracket."""
+        base = n + 2
+        for g in corpus(4, connected_only=False):
+            want = []
+            for code in range(base**g.n):
+                parts = [0] * base
+                for v in range(g.n):
+                    parts[code // base ** (g.n - 1 - v) % base] |= 1 << v
+                candidate = (parts[0], tuple(parts[1:-1]), parts[-1])
+                if not brute_violations(g, n, *candidate):
+                    want.append(candidate)
+            got = [(p.v0, p.classes, p.vbracket) for p in enumerate_valid_partitions(g, n)]
+            assert got == want, to_graph6(g)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: partition_from_mis(cycle(4), 1, 0),
+            lambda: enumerate_valid_partitions(cycle(4), 1),
+            lambda: layer_cardinality_check(direct_product(cycle(4), complete(1)), []),
+            lambda: necessary_condition_check(cycle(4), 1),
+        ],
+        ids=["partition_from_mis", "enumerate", "layer_cardinality", "necessary_condition"],
+    )
+    def test_clique_order_below_2_rejected(self, call):
+        with pytest.raises(ValueError, match="clique order must be at least 2"):
+            call()
+
+
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_product_enumeration(self, n):

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import brute_summary, is_independent, random_graph
+from brute import brute_summary, graphs, is_independent, random_graph
 from wellcovered import kernel
 from wellcovered.claims import (
     COUNTEREXAMPLE,
@@ -24,16 +24,8 @@ from wellcovered.independence import well_covered_report
 from wellcovered.products import direct_product, lift_independent, lifted_witnesses
 
 
-@st.composite
-def graph_pairs(draw):
-    def one(n):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        return from_edge_list(n, chosen)
-
-    n1 = draw(st.integers(min_value=1, max_value=5))
-    n2 = draw(st.integers(min_value=1, max_value=5))
-    return one(n1), one(n2)
+def graph_pairs():
+    return st.tuples(graphs(max_n=5, min_n=1), graphs(max_n=5, min_n=1))
 
 
 class TestConstruction:
@@ -58,6 +50,18 @@ class TestConstruction:
         for g in range(4):
             for h in range(3):
                 assert divmod(p.index(g, h), p.n_h) == (g, h)
+
+    def test_vertex_ranges_checked(self):
+        p = direct_product(path(2), complete(3))
+        for g, h in [(2, 0), (0, 3), (-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match=rf"\({g}, {h}\) outside factor ranges 2x3"):
+                p.index(g, h)
+        for g in (-1, 2):
+            with pytest.raises(ValueError, match=f"vertex {g} outside first factor"):
+                p.layer_h(g)
+        for h in (-1, 3):
+            with pytest.raises(ValueError, match=f"vertex {h} outside second factor"):
+                p.layer_g(h)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

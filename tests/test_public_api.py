@@ -1,6 +1,7 @@
 """The public surface: every name in ``wellcovered.__all__`` resolves, the
-README's library example runs as printed and its CLI examples parse, and no
-module imports a name it does not use."""
+README's library example runs as printed and its CLI examples parse, no
+module imports a name it does not use, and none reads a sibling's private
+names."""
 
 import ast
 import re
@@ -111,3 +112,51 @@ def test_claim_verdicts_stay_in_claims(path):
         )
         found += [name for name in names if name in CLAIM_NAMES]
     assert found == []
+
+
+# the kernel picks its backend by importing one of these modules
+KERNEL_BACKENDS = {"_mis_fallback", "_mis_core"}
+
+
+def private_reads(tree: ast.Module) -> list[str]:
+    """The private names a module takes from its siblings: underscore names
+    in its relative imports, apart from the kernel backends, and underscore
+    attributes of a name that such an import binds.  Dunder names are
+    public."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    found, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if private(alias.name) and alias.name not in KERNEL_BACKENDS:
+                    found.append(f"import {alias.name}")
+                bound.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+            and private(node.attr)
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_reads_finds_both_forms():
+    source = (
+        "from . import __version__, _mis_core as _impl\n"
+        "from .claims import _json_girth, verify\n"
+        "from .families import FamilySpec\n"
+        "kinds = FamilySpec._KINDS, FamilySpec.parse, _impl.well_covered_size\n"
+    )
+    assert private_reads(ast.parse(source)) == ["import _json_girth", "FamilySpec._KINDS"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    """A module reaches a sibling only through its public names, so a
+    sibling can rename or drop a private helper without breaking it."""
+    assert private_reads(ast.parse(path.read_text(), str(path))) == []
