@@ -430,7 +430,7 @@ static PyObject *well_covered_size(PyObject *Py_UNUSED(self), PyObject *const *a
 static PyObject *direct_product_adj(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *adj_g, *adj_h, *out, *row;
-    uint64_t rows_g[64], rows_h[64], layers, bits, m;
+    uint64_t rows_g[64], rows_h[64], layers, m;
     Py_ssize_t ng, nh, g, h;
     if (!PyArg_ParseTuple(args, "OO:direct_product_adj", &adj_g, &adj_h))
         return NULL;
@@ -451,10 +451,9 @@ static PyObject *direct_product_adj(PyObject *Py_UNUSED(self), PyObject *args)
         for (m = rows_g[g]; m; m &= m - 1)
             layers |= (uint64_t)1 << (CTZ(m) * nh);
         for (h = 0; h < nh; h++) {
-            bits = 0;
-            for (m = rows_h[h]; m; m &= m - 1)
-                bits |= layers << CTZ(m);
-            if ((row = PyLong_FromUnsignedLongLong(bits)) == NULL) {
+            /* each copy of rows_h[h] < 2^nh lands in its own layer block:
+               no carries, and the product is exact below 2^64 */
+            if ((row = PyLong_FromUnsignedLongLong(layers * rows_h[h])) == NULL) {
                 Py_DECREF(out);
                 return NULL;
             }

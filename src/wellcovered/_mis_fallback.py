@@ -386,25 +386,20 @@ def _walk(
 
 
 def direct_product_adj(adj_g: Sequence[int], adj_h: Sequence[int]) -> list[int]:
-    """Adjacency of the direct product under index (g, h) -> g*nH + h."""
+    """Adjacency of the direct product under index (g, h) -> g*nH + h.
+
+    Row (g, h) is ``layers * adj_h[h]``, where ``layers`` has one bit at the
+    start g'*nH of each G-layer with g' adjacent to g: each copy of
+    adj_h[h] < 2**nH lands in its own layer block, so no carries occur."""
     nh = len(adj_h)
     if len(adj_g) * nh > 64:
         raise ValueError("product exceeds 64 vertices")
-    out = []
-    for g in range(len(adj_g)):
-        row_g = adj_g[g]
-        neighbor_layers = 0
-        m = row_g
+    out: list[int] = []
+    for m in adj_g:
+        layers = 0
         while m:
-            gp = (m & -m).bit_length() - 1
-            neighbor_layers |= 1 << gp * nh
-            m &= m - 1
-        for h in range(nh):
-            row = 0
-            m = adj_h[h]
-            while m:
-                hp = (m & -m).bit_length() - 1
-                row |= neighbor_layers << hp
-                m &= m - 1
-            out.append(row)
+            low = m & -m
+            layers |= 1 << (low.bit_length() - 1) * nh
+            m ^= low
+        out += [layers * row_h for row_h in adj_h]
     return out

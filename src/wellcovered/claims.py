@@ -16,16 +16,20 @@ instance's graph6 encoding, is built in ``Claim.verdict`` for ``verify`` and
 Only this module builds verdicts: the checks it calls elsewhere return a
 witness dict or None.
 
-Each instance's graphs and products are built once, in the two facts
-classes, and every claim of the instance's shape reads them from there.
-``GraphFacts`` summarizes a graph once and lists its independent sets in one
-walk, which every claim about the residuals G - N[S] reads.  ``PairFacts``
-is the one object that decides whether a product is well-covered: the pair
-claims, ``cli product`` and ``cli scan`` ask it, and so do the G x K_n
-claims, whose (G, n) instance pairs G with the process's one
-``complete_facts(n)``, and ``k3_dichotomy`` and ``multipartite_square``
-through the G x K3 and G x G that ``GraphFacts`` keeps.  It shares its
-factors' ``GraphFacts`` and so their summaries.
+Graphs and products are built once, in the two facts classes, and every
+claim reads them from there.  ``run_suite`` keeps one ``GraphFacts`` per
+distinct graph for the whole call, through one ``facts_cache`` of at most
+``FACTS_CACHE_SIZE`` graphs, so a graph in many instances is summarized,
+enumerated and walked once.  ``GraphFacts`` summarizes a graph once and
+lists its independent sets in one walk, which every claim about the
+residuals G - N[S] reads.  ``PairFacts`` is the one object that decides
+whether a product is well-covered: the pair claims, ``cli product`` and
+``cli scan`` ask it, and so do the G x K_n claims, whose (G, n) instance is
+``GraphFacts.clique(n)``, G paired with the process's one
+``complete_facts(n)``.  ``k3_dichotomy`` reads the same ``clique(3)`` and
+``multipartite_square`` the ``square`` G x G, which is also the facts of a
+pair of equal graphs.  ``PairFacts`` shares its factors' ``GraphFacts`` and
+so their summaries.
 ``products.lifted_witnesses`` first lifts the factors' maximum and minimum
 witnesses and checks them in the product; ``trivial_bounds`` reads the same
 certificate for its bounds.  When the certified independent set is larger
@@ -159,6 +163,7 @@ class GraphFacts:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
+        self._cliques: dict[int, CliqueFacts] = {}
 
     @cached_property
     def instance(self) -> dict:
@@ -191,14 +196,19 @@ class GraphFacts:
         ``closed_nbhd_size`` and ``no_bipartite_residual``."""
         return list(enumerate_independent_sets(self.graph))
 
-    @cached_property
-    def k3(self) -> PairFacts:
-        """G x K3, the product ``k3_dichotomy`` asks about."""
-        return PairFacts(self, complete_facts(3))
+    def clique(self, n: int) -> CliqueFacts:
+        """G x K_n, one per order: the facts of a (G, n) instance, and for
+        n = 3 the product ``k3_dichotomy`` asks about, so the two share one
+        product and one decision."""
+        found = self._cliques.get(n)
+        if found is None:
+            found = self._cliques[n] = CliqueFacts(self, complete_facts(n))
+        return found
 
     @cached_property
     def square(self) -> PairFacts:
-        """G x G, the product ``multipartite_square`` asks about."""
+        """G x G, the product ``multipartite_square`` asks about and the
+        facts of a pair of equal graphs."""
         return PairFacts(self, self)
 
 
@@ -514,7 +524,7 @@ def _check_regularity(f: PairFacts) -> Outcome:
 def _check_k3_dichotomy(f: GraphFacts) -> Outcome:
     """A nontrivial connected G with well-covered G x K3 is K3 itself or has
     an isolatable vertex."""
-    if not f.nontrivial_connected or not f.k3.product_wc:
+    if not f.nontrivial_connected or not f.clique(3).product_wc:
         return VACUOUS_OUTCOME
     if (f.graph.n == 3 and is_complete(f.graph)) or f.isolatable_mask:
         return HOLDS_OUTCOME
@@ -863,12 +873,41 @@ def instance_shape(instance: Instance) -> str:
     raise TypeError(f"unrecognized instance {instance!r}")
 
 
-def _facts_for(shape: str, instance: Instance):
+FACTS_CACHE_SIZE = 1024  # distinct graphs a facts_cache holds before it starts afresh
+
+
+def facts_cache() -> Callable[[Graph], GraphFacts]:
+    """A function that returns one ``GraphFacts`` per distinct graph (equal
+    by value) for as long as it is kept, so a graph that appears in many
+    instances is summarized, enumerated and walked once.  It holds at most
+    ``FACTS_CACHE_SIZE`` graphs and is emptied when it reaches that many;
+    1,024 holds every pair pool whose pairs a run can finish, such as the
+    996 classes of ``corpus_representatives(7)`` or the 772 labeled graphs
+    of ``corpus(5)``."""
+    held: dict[Graph, GraphFacts] = {}
+
+    def facts(g: Graph) -> GraphFacts:
+        found = held.get(g)
+        if found is None:
+            if len(held) >= FACTS_CACHE_SIZE:
+                held.clear()
+            found = held[g] = GraphFacts(g)
+        return found
+
+    return facts
+
+
+def _facts_for(
+    shape: str, instance: Instance, facts: Callable[[Graph], GraphFacts] = GraphFacts
+):
+    """The facts of one instance, with each graph's ``GraphFacts`` from
+    ``facts``.  A pair of equal graphs is its first factor's ``square``."""
     if shape == SHAPE_GRAPH:
-        return GraphFacts(instance)
+        return facts(instance)
     if shape == SHAPE_PAIR:
-        return PairFacts(GraphFacts(instance[0]), GraphFacts(instance[1]))
-    return CliqueFacts(GraphFacts(instance[0]), complete_facts(instance[1]))
+        g, h = facts(instance[0]), facts(instance[1])
+        return g.square if g is h else PairFacts(g, h)
+    return facts(instance[0]).clique(instance[1])
 
 
 def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
@@ -935,14 +974,17 @@ class SuiteReport:
 def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteReport:
     """Apply every named claim to every instance of its shape.
 
-    Facts are computed once per instance and shared by all claims on it.
-    Instances whose shape matches no requested claim are passed over.
+    Facts are computed once per distinct graph per call, through one
+    ``facts_cache`` (at most ``FACTS_CACHE_SIZE`` graphs at a time), and
+    shared by every claim on every instance that graph is in.  Instances
+    whose shape matches no requested claim are passed over.
     Holds, vacuous and skipped outcomes are only counted; a ``ClaimVerdict``,
     and with it the instance's graph6 encoding, is built for counterexamples
     alone.
     """
     report = SuiteReport({c: ClaimTally() for c in claim_ids})
     by_shape: dict[str, list[tuple[Claim, ClaimTally]]] = {}
+    facts_of = facts_cache()
     for claim_id, tally in report.tallies.items():  # each id once, however often it was named
         claim = REGISTRY[claim_id]
         by_shape.setdefault(claim.shape, []).append((claim, tally))
@@ -951,7 +993,7 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
         group = by_shape.get(shape)
         if not group:
             continue
-        facts = _facts_for(shape, inst)
+        facts = _facts_for(shape, inst, facts_of)
         for claim, tally in group:
             try:
                 status, witness = claim.check(facts)

@@ -32,11 +32,11 @@ from .claims import (
     CLAIM_IDS,
     COUNTEREXAMPLE,
     REGISTRY,
-    GraphFacts,
     PairFacts,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
+    facts_cache,
     run_suite_parallel,
     targeted_instances,
 )
@@ -146,7 +146,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
-    facts = PairFacts(GraphFacts(g), GraphFacts(h))
+    shared = facts_cache()  # G x G summarizes G once
+    facts = PairFacts(shared(g), shared(h))
     data = {"version": __version__}
     data.update(facts.product.to_json_sidecar())
     rep = facts.product_report
@@ -258,7 +259,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     pairs = corpus_pair_instances(args.max_n, args.cap, args.reps)
     # one GraphFacts per distinct factor, so each factor is summarized once
     # per run however many pairs it is in
-    shared = functools.cache(GraphFacts)
+    shared = facts_cache()
     facts = (PairFacts(shared(g), shared(h)) for g, h in pairs)
     rows = (
         r

@@ -75,15 +75,23 @@ def from_graph6(text: str) -> Graph:
 
 
 def load_graph_text(text: str) -> Graph:
-    """Parse either format, deciding by the shape of the first data line:
-    two integers are an edge-list header, anything else a graph6 string."""
+    """Parse either format, deciding by the first data line.  graph6 bytes
+    are 63..126, so a line that holds whitespace or starts with a digit or
+    ``-`` is no graph6 string: it must be an edge-list header ``n m``.  A
+    line that starts with the ``>>graph6<<`` header is graph6 whatever
+    follows."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("no graph data found in input")
-    head = lines[0].split()
-    if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
-        return from_graph6(lines[0])
-    n, m = int(head[0]), int(head[1])
+    head = lines[0]
+    if head.startswith(_HEADER) or not (head[0] in "-0123456789" or len(head.split()) > 1):
+        return from_graph6(head)
+    try:
+        n, m = map(int, head.split())
+    except ValueError:
+        raise ValueError(
+            f"bad edge-list header {head!r}: expected 'n m', the vertex and edge counts"
+        ) from None
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges but {len(lines) - 1} lines follow")
     edges = []

@@ -2,6 +2,7 @@
 runner in both serial and parallel form."""
 
 import dataclasses
+import functools
 import json
 from collections import Counter
 
@@ -36,6 +37,7 @@ from wellcovered.families import (
     complete,
     complete_multipartite,
     corona_with_k1,
+    corpus,
     cycle,
     h_family,
     path,
@@ -372,7 +374,7 @@ class TestForcedWitnesses:
         # P3 x K3 is taken as well-covered and P3 as free of isolatable vertices
         g = path(3)
         f = forced(GraphFacts(g), isolatable_mask=0)
-        forced(f.k3, product_wc_size=3)
+        forced(f.clique(3), product_wc_size=3)
         witness = counterexample("k3_dichotomy", f, ["complete_of_order_3", "isolatable_vertices"])
         assert witness == {"complete_of_order_3": False, "isolatable_vertices": []}
         assert not g.has_edge(0, 2)
@@ -524,10 +526,11 @@ class TestSuite:
                 (path(3), cycle(4)),
                 {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 0},
             ),
-            # K3 x K3: both bounds are 3, so only the kernel can decide
+            # K3 x K3: both bounds are 3, so only the kernel can decide; the
+            # two equal factors share one GraphFacts and so one summary
             (
                 (complete(3), complete(3)),
-                {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 1},
+                {"direct_product_adj": 1, "independence_summary": 1, "well_covered_size": 1},
             ),
             # layer_sizes lists the maximal sets of C5 x K3; kn_necessary
             # finds it certified not well-covered (6 > 5) from the summary
@@ -621,6 +624,82 @@ class TestSuite:
         certified = run_suite(CLAIM_IDS, cli._instances(args)).to_json()
         monkeypatch.setattr(claims, "lifted_witnesses", lambda p, rep_g, rep_h: None)
         assert run_suite(CLAIM_IDS, cli._instances(args)).to_json() == certified
+
+
+def mixed_stream(pool, filler):
+    """The targeted instances, then the singles, pairs and (G, n) instances of
+    ``pool``, with the ``filler`` singles between the pairs and the (G, n)
+    instances."""
+    return [
+        *targeted_instances(),
+        *pool,
+        *((g, h) for g in pool for h in pool),
+        *filler,
+        *((g, n) for g in pool for n in (2, 3)),
+    ]
+
+
+def shared_and_separate(stream):
+    """One ``run_suite`` call over ``stream``, and the merge of one call per
+    instance, which shares no facts between instances."""
+    shared = run_suite(CLAIM_IDS, stream)
+    separate = functools.reduce(
+        SuiteReport.merge, (run_suite(CLAIM_IDS, [inst]) for inst in stream)
+    )
+    return shared, separate
+
+
+def all_counterexamples(report):
+    return [v for tally in report.tallies.values() for v in tally.counterexamples]
+
+
+class TestSharedFacts:
+    """``run_suite`` keeps one ``GraphFacts`` per distinct graph for the whole
+    call; that sharing must change no tally, verdict or witness."""
+
+    def test_one_call_equals_one_call_per_instance(self):
+        # the 1,024 labeled 5-vertex graphs fill the cache past its size, so
+        # it is emptied between the pairs and the (G, n) instances
+        pool = list(corpus(4, connected_only=False))
+        filler = [g for g in corpus(5, connected_only=False) if g.n == 5]
+        assert len(set(pool + filler)) > claims.FACTS_CACHE_SIZE
+        shared, separate = shared_and_separate(mixed_stream(pool, filler))
+        assert shared.to_json() == separate.to_json()
+        assert all_counterexamples(shared) == all_counterexamples(separate)
+
+    def test_facts_keyed_by_order_alone_are_caught(self, monkeypatch):
+        """A cache that takes every graph of one order for the first it saw
+        gives a report that differs from one call per instance."""
+
+        def by_order():
+            held = {}
+
+            def facts(g):
+                return held.setdefault(g.n, GraphFacts(g))
+
+            return facts
+
+        monkeypatch.setattr(claims, "facts_cache", by_order)
+        stream = mixed_stream(list(corpus(3, connected_only=False)), [])
+        shared, separate = shared_and_separate(stream)
+        assert shared.to_json() != separate.to_json()
+
+    def test_equal_graphs_share_facts(self):
+        facts = claims.facts_cache()
+        first = facts(cycle(5))
+        assert facts(cycle(5)) is first
+        assert facts(cycle(6)) is not first
+        assert first.clique(3) is first.clique(3)
+        assert claims._facts_for(claims.SHAPE_PAIR, (cycle(5), cycle(5)), facts) is first.square
+
+    def test_cache_starts_afresh_when_full(self, monkeypatch):
+        monkeypatch.setattr(claims, "FACTS_CACHE_SIZE", 2)
+        facts = claims.facts_cache()
+        first = facts(cycle(4))
+        facts(cycle(5))
+        assert facts(cycle(4)) is first
+        facts(cycle(6))  # the third graph empties the cache
+        assert facts(cycle(4)) is not first
 
 
 class TestTallyMachinery:

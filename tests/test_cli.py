@@ -15,7 +15,7 @@ import pytest
 
 import wellcovered
 from wellcovered import __version__, cli, kernel, kn_partitions
-from wellcovered.claims import corpus_pair_instances
+from wellcovered.claims import complete_facts, corpus_pair_instances
 from wellcovered.cli import main
 from wellcovered.families import complete, corpus, cycle
 from wellcovered.formats import from_graph6, to_graph6
@@ -50,6 +50,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_kernel_calls(monkeypatch, *names) -> Counter:
+    """A Counter that each listed kernel function bumps when called."""
+    calls = Counter()
+    for name in names:
+        original = getattr(kernel, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
 
 
 class TestAnalyze:
@@ -127,8 +141,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "text,code,message",
-        [("-1 0\n", 1, "error:"), ("-1 1\n0 1\n", 1, "error:"), ("65 0\n", 3, "resource cap")],
-        ids=["negative", "negative-with-edge", "over-cap"],
+        [
+            ("-1 0\n", 1, "error:"),
+            ("-1 1\n0 1\n", 1, "error:"),
+            ("65 0\n", 3, "resource cap"),
+            ("3 x\n", 1, "expected 'n m'"),
+            ("5\n", 1, "expected 'n m'"),
+        ],
+        ids=["negative", "negative-with-edge", "over-cap", "non-integer-header", "one-field-header"],
     )
     def test_edge_list_vertex_count_exit_code(self, capsys, tmp_path, text, code, message):
         path = tmp_path / "g.txt"
@@ -145,8 +165,19 @@ class TestAnalyze:
             ("3 3\n0 1\n1 2\n", "header promises 3 edges but 2 lines follow"),
             ("3 2\n0 1 2\n1 2\n", "bad edge line '0 1 2'"),
             ("3 1\n1 1\n", "edge (1, 1) is a loop"),
+            # whitespace or a leading digit rule out graph6 (bytes 63..126)
+            ("3 x\n", "bad edge-list header '3 x': expected 'n m', the vertex and edge counts"),
+            ("5\n", "bad edge-list header '5': expected 'n m', the vertex and edge counts"),
         ],
-        ids=["empty", "comments-only", "short-edge-count", "three-token-edge", "loop"],
+        ids=[
+            "empty",
+            "comments-only",
+            "short-edge-count",
+            "three-token-edge",
+            "loop",
+            "non-integer-header",
+            "one-field-header",
+        ],
     )
     def test_bad_edge_list_file_exits_1(self, capsys, tmp_path, text, message):
         path = tmp_path / "g.txt"
@@ -220,15 +251,7 @@ class TestProduct:
         each vertex (k, v) read as (v, k), instead of building and
         summarizing H x K_n as well."""
         kn_partitions._kn_product.cache_clear()
-        calls = Counter()
-        for name in ("direct_product_adj", "independence_summary"):
-            original = getattr(kernel, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(kernel, name, counted)
+        calls = count_kernel_calls(monkeypatch, "direct_product_adj", "independence_summary")
         _, out, _ = run_cli(capsys, "product", "complete:3", "cycle:5", "--format", "json")
         monkeypatch.undo()
         assert calls == {"direct_product_adj": 1, "independence_summary": 1}
@@ -405,6 +428,31 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
+    def test_kernel_calls_per_run(self, capsys, monkeypatch):
+        """One GraphFacts per distinct graph for the whole run: each graph is
+        summarized once however many instances it is in, and a (G, 3)
+        instance shares G x K3 with k3_dichotomy.  K2 and K3, the second
+        factors of every G x K_n, are summarized once per process, before
+        counting."""
+        complete_facts(2).report
+        complete_facts(3).report
+        kn_partitions._kn_product.cache_clear()
+        calls = count_kernel_calls(
+            monkeypatch,
+            "independence_summary",
+            "well_covered_size",
+            "maximal_independent_sets",
+            "direct_product_adj",
+        )
+        code, _, _ = run_cli(capsys, "verify", "--max-n", "4", "--reps", "--format", "json")
+        assert code == 0
+        assert calls == {
+            "independence_summary": 17,
+            "well_covered_size": 144,
+            "maximal_independent_sets": 40,
+            "direct_product_adj": 135,
+        }
+
     def test_repeated_claim_id_counts_once(self, capsys):
         argv = ["--max-n", "3", "--no-targeted", "--format", "json"]
         _, once, _ = run_cli(capsys, "verify", "berge", *argv)
@@ -487,15 +535,7 @@ class TestScan:
     def test_each_factor_summarized_once(self, capsys, monkeypatch):
         """All pairs with a common factor share its summary, and the lifted
         certificate settles some pairs without a decision."""
-        calls = Counter()
-        for name in ("independence_summary", "well_covered_size"):
-            original = getattr(kernel, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(kernel, name, counted)
+        calls = count_kernel_calls(monkeypatch, "independence_summary", "well_covered_size")
         code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--format", "json")
         assert code == 0
         assert calls["independence_summary"] == len(list(corpus(3)))

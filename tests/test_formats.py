@@ -64,3 +64,8 @@ def test_edge_list_round_trip():
 def test_load_autodetect():
     assert load_graph_text("3 1\n0 2\n") == Graph(3, (0b100, 0, 0b001))
     assert load_graph_text("Bw\n") == complete(3)
+
+
+def test_graph6_header_line_with_space_is_graph6():
+    # the whitespace test for edge-list headers skips the graph6 header
+    assert load_graph_text(">>graph6<< Bw\n") == complete(3)

@@ -28,6 +28,21 @@ def graph_pairs():
     return st.tuples(graphs(max_n=5, min_n=1), graphs(max_n=5, min_n=1))
 
 
+def definition_rows(g, h):
+    """The product's rows straight from its definition: (g1, h1) and
+    (g2, h2) are adjacent when g1g2 and h1h2 are both edges."""
+    return [
+        to_mask(
+            g2 * h.n + h2
+            for g2 in range(g.n)
+            for h2 in range(h.n)
+            if g.has_edge(g1, g2) and h.has_edge(h1, h2)
+        )
+        for g1 in range(g.n)
+        for h1 in range(h.n)
+    ]
+
+
 class TestConstruction:
     def test_k2_times_k2_is_two_disjoint_edges(self):
         p = direct_product(complete(2), complete(2))
@@ -79,8 +94,16 @@ class TestConstruction:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 6), rng.random())
             h = random_graph(rng, rng.randint(1, 6), rng.random())
-            p = direct_product(g, h)
-            assert list(p.graph.adj) == kernel.direct_product_adj(g.adj, h.adj)
+            assert kernel.direct_product_adj(g.adj, h.adj) == definition_rows(g, h)
+
+    @pytest.mark.parametrize("n_g, n_h", [(1, 64), (2, 32), (8, 8), (5, 12), (16, 4), (64, 1)])
+    def test_rows_match_definition_up_to_64_vertices(self, kernel_backend, n_g, n_h):
+        """Each row is one multiplication in both kernels; the product's top
+        layer block ends at bit 63, where a carry or an overflow would show."""
+        rng = random.Random(n_g * 100 + n_h)
+        for p in (0.3, 0.9, 1.0):
+            g, h = random_graph(rng, n_g, p), random_graph(rng, n_h, p)
+            assert kernel.direct_product_adj(g.adj, h.adj) == definition_rows(g, h)
 
 
 class TestLayers:
