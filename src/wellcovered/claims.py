@@ -20,13 +20,14 @@ Graphs and products are built once, in the two facts classes, and every
 claim reads them from there.  ``run_suite`` keeps one ``GraphFacts`` per
 distinct graph for the whole call, through one ``facts_cache`` of at most
 ``FACTS_CACHE_SIZE`` graphs, so a graph in many instances is summarized,
-enumerated and walked once.  ``GraphFacts`` summarizes a graph once and
+enumerated and walked once while the stream has at most that many distinct
+graphs.  ``GraphFacts`` summarizes a graph once and
 lists its independent sets in one walk, which every claim about the
 residuals G - N[S] reads.  ``PairFacts`` is the one object that decides
 whether a product is well-covered: the pair claims, ``cli product`` and
 ``cli scan`` ask it, and so do the G x K_n claims, whose (G, n) instance is
 ``GraphFacts.clique(n)``, G paired with the process's one
-``complete_facts(n)``.  ``k3_dichotomy`` reads the same ``clique(3)`` and
+``complete_facts(n)``, which is also what ``facts_cache`` gives for K_n.  ``k3_dichotomy`` reads the same ``clique(3)`` and
 ``multipartite_square`` the ``square`` G x G, which is also the facts of a
 pair of equal graphs.  ``PairFacts`` shares its factors' ``GraphFacts`` and
 so their summaries.
@@ -215,7 +216,8 @@ class GraphFacts:
 @cache
 def complete_facts(n: int) -> GraphFacts:
     """The facts of K_n, one per order and process, so every G x K_n shares
-    the summary of its second factor."""
+    the summary of its second factor, and ``facts_cache`` gives the same
+    object for a K_n instance or factor."""
     return GraphFacts(complete(n))
 
 
@@ -873,25 +875,33 @@ def instance_shape(instance: Instance) -> str:
     raise TypeError(f"unrecognized instance {instance!r}")
 
 
-FACTS_CACHE_SIZE = 1024  # distinct graphs a facts_cache holds before it starts afresh
+FACTS_CACHE_SIZE = 1024  # distinct graphs a bounded facts_cache holds before it starts afresh
 
 
-def facts_cache() -> Callable[[Graph], GraphFacts]:
+def facts_cache(bounded: bool = True) -> Callable[[Graph], GraphFacts]:
     """A function that returns one ``GraphFacts`` per distinct graph (equal
     by value) for as long as it is kept, so a graph that appears in many
-    instances is summarized, enumerated and walked once.  It holds at most
-    ``FACTS_CACHE_SIZE`` graphs and is emptied when it reaches that many;
-    1,024 holds every pair pool whose pairs a run can finish, such as the
-    996 classes of ``corpus_representatives(7)`` or the 772 labeled graphs
-    of ``corpus(5)``."""
+    instances is summarized, enumerated and walked once.  A complete graph
+    gets ``complete_facts(n)``, the second factor of every G x K_n.
+
+    A bounded cache holds at most ``FACTS_CACHE_SIZE`` graphs and is emptied
+    when it reaches that many, so a stream of any length keeps a bounded
+    memory.  That covers every pair pool of at most 1,024 graphs: the 996
+    classes of ``corpus_representatives(7)`` or the 772 labeled graphs of
+    ``corpus(5)``.  Past it, as with the 27,476 labeled graphs of
+    ``corpus(6)`` under a small ``--cap``, a graph may be summarized again
+    after the cache is emptied, though never more than once per instance.
+    An unbounded cache keeps every graph it is given, for a caller that
+    holds the whole pool in memory anyway."""
     held: dict[Graph, GraphFacts] = {}
+    limit = FACTS_CACHE_SIZE if bounded else None
 
     def facts(g: Graph) -> GraphFacts:
         found = held.get(g)
         if found is None:
-            if len(held) >= FACTS_CACHE_SIZE:
+            if len(held) == limit:
                 held.clear()
-            found = held[g] = GraphFacts(g)
+            found = held[g] = complete_facts(g.n) if is_complete(g) else GraphFacts(g)
         return found
 
     return facts

@@ -257,9 +257,10 @@ def _scan_row(f: PairFacts) -> dict:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     pairs = corpus_pair_instances(args.max_n, args.cap, args.reps)
-    # one GraphFacts per distinct factor, so each factor is summarized once
-    # per run however many pairs it is in
-    shared = facts_cache()
+    # one GraphFacts per distinct factor for the whole run, so each factor is
+    # summarized once however many pairs it is in; unbounded, because the
+    # pair stream holds the whole pool in memory anyway
+    shared = facts_cache(bounded=False)
     facts = (PairFacts(shared(g), shared(h)) for g, h in pairs)
     rows = (
         r

@@ -527,10 +527,11 @@ class TestSuite:
                 {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 0},
             ),
             # K3 x K3: both bounds are 3, so only the kernel can decide; the
-            # two equal factors share one GraphFacts and so one summary
+            # two equal factors share the process's K3, summarized before
+            # counting, so the pair needs no summary
             (
                 (complete(3), complete(3)),
-                {"direct_product_adj": 1, "independence_summary": 1, "well_covered_size": 1},
+                {"direct_product_adj": 1, "independence_summary": 0, "well_covered_size": 1},
             ),
             # layer_sizes lists the maximal sets of C5 x K3; kn_necessary
             # finds it certified not well-covered (6 > 5) from the summary
@@ -561,7 +562,10 @@ class TestSuite:
     def test_facts_built_once(self, monkeypatch, instance, expected):
         """All claims of an instance read one summary per graph, build each
         product once and ask it only what they need.  K3, the second factor
-        of every G x K3, is summarized once per process, before counting."""
+        of every G x K3, is summarized once per process, before counting;
+        the process's facts of K_n are dropped first, so no product of K3
+        built by an earlier test is reused."""
+        complete_facts.cache_clear()
         complete_facts(3).report
         calls = Counter()
         for name in expected:

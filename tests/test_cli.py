@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import wellcovered
-from wellcovered import __version__, cli, kernel, kn_partitions
+from wellcovered import __version__, claims, cli, kernel, kn_partitions
 from wellcovered.claims import complete_facts, corpus_pair_instances
 from wellcovered.cli import main
 from wellcovered.families import complete, corpus, cycle
@@ -431,11 +431,11 @@ class TestVerify:
     def test_kernel_calls_per_run(self, capsys, monkeypatch):
         """One GraphFacts per distinct graph for the whole run: each graph is
         summarized once however many instances it is in, and a (G, 3)
-        instance shares G x K3 with k3_dichotomy.  K2 and K3, the second
-        factors of every G x K_n, are summarized once per process, before
-        counting."""
-        complete_facts(2).report
-        complete_facts(3).report
+        instance shares G x K3 with k3_dichotomy.  K2 and K3 are summarized
+        once, as instances and as the second factors of every G x K_n alike;
+        the process's facts of K_n are dropped first, so the count does not
+        depend on what ran before."""
+        complete_facts.cache_clear()
         kn_partitions._kn_product.cache_clear()
         calls = count_kernel_calls(
             monkeypatch,
@@ -533,8 +533,12 @@ class TestScan:
         assert [line.split()[:2] for line in lines[1:]] == [["g=@", "h=@"], ["g=@", "h=A_"]]
 
     def test_each_factor_summarized_once(self, capsys, monkeypatch):
-        """All pairs with a common factor share its summary, and the lifted
-        certificate settles some pairs without a decision."""
+        """All pairs with a common factor share its summary, even when the
+        pool holds more graphs than a bounded facts cache, and the lifted
+        certificate settles some pairs without a decision.  The process's
+        facts of K_n are dropped first, so K1, K2 and K3 count too."""
+        monkeypatch.setattr(claims, "FACTS_CACHE_SIZE", 2)
+        complete_facts.cache_clear()
         calls = count_kernel_calls(monkeypatch, "independence_summary", "well_covered_size")
         code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--format", "json")
         assert code == 0
