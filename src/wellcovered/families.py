@@ -31,6 +31,7 @@ order vertices by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import or_
 from typing import Callable, Iterator
 
@@ -54,7 +55,11 @@ def _check_order(n: int) -> None:
         raise CapacityError(f"{n} vertices exceed the {MAX_VERTICES}-vertex limit")
 
 
+@cache
 def complete(n: int) -> Graph:
+    """K_n, one object per order and process: every G x K_n and every
+    ``claims.complete_facts(n)`` reads the same graph.  A rejected order
+    raises on every call, since ``cache`` keeps only returned values."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     _check_order(n)

@@ -21,6 +21,21 @@ independent sets into their partitions (``kn_report``), so it shares the
 the conditions directly on every labeling of V(G) and serves as an
 independent oracle at small orders.
 
+The codec works on the row-major index g*n + k of ``products``: the layer
+over g is the n bits (mask >> g*n) & (2^n - 1), and (g, k) is bit g*n + k.
+Decoding (``partition_from_mis``) reads each layer with one shift and takes
+the class of a single hit from its bit position; it rejects a clique order
+below 2, bits at or above n(G)*n and a layer met in a size outside
+{0, 1, n}.  Encoding (``mis_from_partition``) first requires
+``WeakPartition.violations`` to be empty, then sets the full layer over
+each bracket vertex and bit g*n + (k - 1) for each g in V_k, and finally
+checks that the result is a maximal independent set of the materialized
+product.  The cover test of ``violations`` keeps every vertex of a valid
+partition below n(G) and its class-count test keeps every class index
+below n, so each index is a vertex of G x K_n: the per-bit range checks of
+``ProductGraph.index`` and ``layer_h`` could never fail there and are not
+made.
+
 ``kn_alpha_i`` and ``mis_from_partition`` build G x K_n once per (G, n) and
 keep the last 16 in a memo, so a run of round trips over one graph shares
 one product.
@@ -41,11 +56,10 @@ from .graphs import (
     is_independent,
     is_maximal_independent,
     isolated_in,
-    neighborhood,
     residual,
     to_vertices,
 )
-from .products import ProductGraph, direct_product, lift_layers
+from .products import ProductGraph, direct_product
 
 ENGINE_PRODUCT = "product-enumeration"
 
@@ -71,30 +85,33 @@ class WeakPartition:
 
     def violations(self) -> list[str]:
         g = self.graph
+        n = self.n
+        classes = self.classes
         out = []
-        if self.n < 2:
+        if n < 2:
             out.append("clique order below 2")
-        if len(self.classes) != self.n:
-            out.append(f"expected {self.n} classes, got {len(self.classes)}")
+        if len(classes) != n:
+            out.append(f"expected {n} classes, got {len(classes)}")
             return out
         v0, vb = self.v0, self.vbracket
-        union = 0
-        overlap = False
-        for p in (v0, *self.classes, vb):
-            if union & p:
-                overlap = True
-            union |= p
+        # overlap collects every pairwise intersection of the parts
+        union = v0 | vb
+        overlap = v0 & vb
+        for vk in classes:
+            overlap |= union & vk
+            union |= vk
         if overlap:
             out.append("disjointness")
-        if union != g.vertex_mask:
+        full = (1 << g.n) - 1
+        if union != full:
             out.append("cover")
-            if union & ~g.vertex_mask:
+            if union & ~full:
                 return out
         adj = g.adj
         # once/twice: the vertices in at least one/two of the N(V_k)
         once = twice = 0
         cond1 = cond2 = False
-        for vk in self.classes:
+        for vk in classes:
             reach = 0
             m = vk
             while m:
@@ -108,7 +125,12 @@ class WeakPartition:
                 cond1 = True
             twice |= once & reach
             once |= reach
-        reach_b = neighborhood(g, vb)
+        reach_b = 0
+        m = vb
+        while m:
+            low = m & -m
+            reach_b |= adj[low.bit_length() - 1]
+            m ^= low
         if cond1:
             out.append("condition 1")
         if cond2:
@@ -120,7 +142,7 @@ class WeakPartition:
         return out
 
     def weight(self) -> int:
-        return self.n * self.vbracket.bit_count() + sum(vk.bit_count() for vk in self.classes)
+        return self.n * self.vbracket.bit_count() + sum(map(int.bit_count, self.classes))
 
     def to_json(self) -> dict:
         return {
@@ -138,20 +160,33 @@ def _kn_product(g: Graph, n: int) -> ProductGraph:
 def mis_from_partition(p: WeakPartition) -> int:
     """The maximal independent set of G x K_n encoded by a valid partition.
 
-    Takes the full layer over every bracket vertex and the single product
-    vertex (g, k-1) for g in V_k.  The result is checked to be maximal
-    independent in the materialized product, which is built once per
-    (G, n) and kept in a bounded memo; a failure raises rather than
+    Takes the full layer over every bracket vertex g, bits g*n..g*n + n - 1,
+    and the single product vertex (g, k - 1), bit g*n + k - 1, for g in
+    V_k.  ``violations`` runs first and must be empty: its cover and
+    class-count tests put every g below n(G) and every k at most n, so
+    these indices need no range check.  The result is checked to be
+    maximal independent in the materialized product, which is built once
+    per (G, n) and kept in a bounded memo; a failure raises rather than
     repairs, since it would contradict the partition correspondence.
     """
     bad = p.violations()
     if bad:
         raise InvalidPartition(f"invalid weak partition: {bad[0]}")
-    prod = _kn_product(p.graph, p.n)
-    out = lift_layers(prod.layer_h, p.vbracket)
-    for k, vk in enumerate(p.classes, start=1):
-        for g in bits(vk):
-            out |= 1 << prod.index(g, k - 1)
+    n = p.n
+    prod = _kn_product(p.graph, n)
+    layer = (1 << n) - 1
+    out = 0
+    m = p.vbracket
+    while m:
+        low = m & -m
+        out |= layer << (low.bit_length() - 1) * n
+        m ^= low
+    for k, vk in enumerate(p.classes):
+        m = vk
+        while m:
+            low = m & -m
+            out |= 1 << (low.bit_length() - 1) * n + k
+            m ^= low
     if not is_maximal_independent(prod.graph, out):
         fault = "non-maximal" if is_independent(prod.graph, out) else "non-independent"
         raise RuntimeError(f"valid partition produced a {fault} set")
@@ -161,31 +196,35 @@ def mis_from_partition(p: WeakPartition) -> int:
 def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
     """Decode a maximal independent set of G x K_n into its weak partition.
 
-    Rejects any set whose intersection with some layer has size outside
-    {0, 1, n}: no maximal independent set can do that.  Bits at or above
-    g.n * n name no product vertex and are rejected too.
+    Reads the layer over vertex g as (i_mask >> g*n) & (2^n - 1): an empty
+    layer puts g in V0, a full one in the bracket, and a single bit at
+    position k in V_(k+1).  Rejects any set whose intersection with some
+    layer has size outside {0, 1, n}: no maximal independent set can do
+    that.  Bits at or above g.n * n name no product vertex and are rejected
+    too.
     """
     if n < 2:
         raise ValueError("clique order must be at least 2")
     if i_mask >> g.n * n:
         raise ValueError(f"set has bits outside the {g.n * n} vertices of G x K_{n}")
+    layer = (1 << n) - 1
     v0 = 0
     vb = 0
     classes = [0] * n
+    m = i_mask
     for gv in range(g.n):
-        layer = ((1 << n) - 1) << gv * n
-        hit = i_mask & layer
-        size = hit.bit_count()
-        if size == 0:
+        hit = m & layer
+        m >>= n
+        if not hit:
             v0 |= 1 << gv
-        elif size == n:
+        elif hit == layer:
             vb |= 1 << gv
-        elif size == 1:
-            k = (hit & -hit).bit_length() - 1 - gv * n
-            classes[k] |= 1 << gv
+        elif not hit & hit - 1:
+            classes[hit.bit_length() - 1] |= 1 << gv
         else:
             raise ValueError(
-                f"layer over vertex {gv} meets the set in {size} vertices, outside {{0, 1, {n}}}"
+                f"layer over vertex {gv} meets the set in {hit.bit_count()} vertices, "
+                f"outside {{0, 1, {n}}}"
             )
     return WeakPartition(g, n, v0, tuple(classes), vb)
 
@@ -262,14 +301,18 @@ def enumerate_valid_partitions(g: Graph, n: int) -> list[WeakPartition]:
 def layer_cardinality_check(prod: ProductGraph, sets: list[int]) -> dict | None:
     """Every maximal independent set of G x K_n meets each layer in 0, 1, or n.
 
-    ``prod`` is G x K_n and ``sets`` its maximal independent sets.  Returns
-    the witness of a set that does not, or None."""
+    ``prod`` is G x K_n and ``sets`` its maximal independent sets; the layer
+    over g is read as (s >> g*n) & (2^n - 1), as in ``partition_from_mis``.
+    Returns the witness of the first set and vertex that fail, or None."""
     n = prod.n_h
     if n < 2:
         raise ValueError("clique order must be at least 2")
+    layer = (1 << n) - 1
     for s in sets:
+        m = s
         for gv in range(prod.n_g):
-            size = (s & prod.layer_h(gv)).bit_count()
+            size = (m & layer).bit_count()
+            m >>= n
             if size not in (0, 1, n):
                 return {
                     "mis": prod.pairs(s),

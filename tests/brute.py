@@ -6,6 +6,11 @@ used to cross-check.  Only usable for small n.  ``brute_violations`` checks
 the weak-partition conditions vertex by vertex, apart from the mask algebra
 of ``WeakPartition.violations``, and ``brute_min_mask`` tries all n!
 relabelings where ``families`` searches for the lowest edge mask.
+``brute_decode`` and ``brute_encode`` are the weak-partition codec of
+G x K_n rebuilt from (g, k) pairs: decoding lists the product indices of a
+set and counts them per layer, encoding lists the pairs of a partition and
+checks the set in the product built from its definition.  Both raise with
+the exception messages of ``kn_partitions`` and share no code with it.
 ``recursive_independent_sets`` is a nested-generator recursion, the
 reference for the order in which the package's one-loop enumeration yields
 independent sets.  ``reference_maximal_sets`` is the plain pivot walk over
@@ -200,3 +205,68 @@ def brute_violations(
             out.append("condition 4")
             break
     return out
+
+
+def brute_decode(g: Graph, n: int, mask: int) -> tuple[int, tuple[int, ...], int]:
+    """(V0, classes, bracket) of a set of G x K_n, from its product indices
+    g*n + k counted per layer g.  Raises ValueError, with the message of
+    ``partition_from_mis``, for a clique order below 2, an index outside
+    the product or a layer met in a size outside {0, 1, n}."""
+    if n < 2:
+        raise ValueError("clique order must be at least 2")
+    size = g.n * n
+    if not 0 <= mask < 1 << size:
+        raise ValueError(f"set has bits outside the {size} vertices of G x K_{n}")
+    hits: list[list[int]] = [[] for _ in range(g.n)]
+    for idx in range(size):
+        if mask >> idx & 1:
+            v, k = divmod(idx, n)
+            hits[v].append(k)
+    v0 = bracket = 0
+    classes = [0] * n
+    for v, ks in enumerate(hits):
+        if not ks:
+            v0 |= 1 << v
+        elif len(ks) == n:
+            bracket |= 1 << v
+        elif len(ks) == 1:
+            classes[ks[0]] |= 1 << v
+        else:
+            raise ValueError(
+                f"layer over vertex {v} meets the set in {len(ks)} vertices, outside {{0, 1, {n}}}"
+            )
+    return v0, tuple(classes), bracket
+
+
+def kn_product_adj(g: Graph, n: int) -> tuple[int, ...]:
+    """Rows of G x K_n from the definition: (u, k) ~ (w, l) exactly when
+    u ~ w in G and k != l, with (u, k) at index u*n + k."""
+    adj = [0] * (g.n * n)
+    for u in range(g.n):
+        for w in range(g.n):
+            if g.adj[u] >> w & 1:
+                for k in range(n):
+                    for l in range(n):
+                        if k != l:
+                            adj[u * n + k] |= 1 << w * n + l
+    return tuple(adj)
+
+
+def brute_encode(g: Graph, n: int, v0: int, classes: tuple[int, ...], bracket: int) -> int:
+    """The set of G x K_n that a weak partition encodes, from its (g, k)
+    pairs: every (g, k) for g in the bracket and (g, k - 1) for g in V_k.
+    Raises ValueError with the first requirement ``brute_violations``
+    reports, in the message of ``mis_from_partition``; a valid partition
+    whose set is not maximal independent in the product raises
+    RuntimeError."""
+    bad = brute_violations(g, n, v0, classes, bracket)
+    if bad:
+        raise ValueError(f"invalid weak partition: {bad[0]}")
+    pairs = [(v, k) for v in range(g.n) if bracket >> v & 1 for k in range(n)]
+    pairs += [(v, k) for k, vk in enumerate(classes) for v in range(g.n) if vk >> v & 1]
+    mask = 0
+    for v, k in pairs:
+        mask |= 1 << v * n + k
+    if not is_maximal_independent(kn_product_adj(g, n), g.n * n, mask):
+        raise RuntimeError("valid partition produced a set that is not maximal independent")
+    return mask

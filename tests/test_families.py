@@ -91,6 +91,24 @@ class TestNamed:
         assert complete(0).n == 0
         assert complete(1).m == 0
 
+    def test_complete_one_object_per_order(self):
+        for n in (0, 1, 2, 3, 7, 64):
+            g = complete(n)
+            assert complete(n) is g
+            assert g == from_edge_list(n, list(combinations(range(n), 2)))
+
+    def test_rejected_complete_order_raises_every_call(self):
+        """The cache keeps no exception: a bad order raises each time."""
+        for _ in range(3):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                complete(-1)
+            with pytest.raises(CapacityError, match="65 vertices exceed the 64-vertex limit"):
+                complete(65)
+
+    def test_complete_facts_reads_the_cached_graph(self):
+        for n in (1, 2, 3, 5):
+            assert claims.complete_facts(n).graph is complete(n)
+
     def test_cycle(self):
         g = cycle(6)
         assert (g.n, g.m) == (6, 6)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from brute import brute_violations
+from brute import brute_decode, brute_encode, brute_violations, kn_product_adj
 from wellcovered import claims, kernel, kn_partitions
 from wellcovered.claims import COUNTEREXAMPLE, HOLDS, VACUOUS, verify
 from wellcovered.families import complete, corpus, cycle, h_family, path
@@ -245,6 +245,110 @@ class TestViolationsOracle:
             assert got == brute_violations(g, n, v0, classes, bracket), (g, n, v0, classes, bracket)
             valid += not got
         assert 500 <= valid <= 3500
+
+
+def random_product_set(rng: random.Random, g: Graph, n: int, sets: list[int]) -> int:
+    """A seeded random set of G x K_n given its maximal independent sets
+    ``sets``: one of them, one with a bit flipped, a random subset, one with
+    a bit past the product, or a negative number."""
+    size = g.n * n
+    kind = rng.randrange(6)
+    if kind == 0 and size:
+        return rng.choice(sets) ^ 1 << rng.randrange(size)
+    if kind == 1:
+        return rng.getrandbits(size) if size else 0
+    if kind == 2:
+        return rng.choice(sets) | 1 << size + rng.randrange(4)
+    if kind == 3:
+        return -rng.randrange(1, 1 << size + 1)
+    return rng.choice(sets)
+
+
+def outcome(call, *args):
+    """What a call returns, or the class and message of the ValueError or
+    RuntimeError it raises."""
+    try:
+        return call(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCodecOracle:
+    """``partition_from_mis`` and ``mis_from_partition`` against
+    ``brute_decode`` and ``brute_encode``, which count product indices per
+    layer and encode (g, k) pairs into a product built from its definition."""
+
+    @pytest.mark.parametrize(("n", "count"), [(2, 433), (3, 564), (4, 701)])
+    def test_every_maximal_set_round_trips(self, n, count):
+        checked = 0
+        for g in corpus(4, connected_only=False):
+            for mis in kernel.maximal_independent_sets(kn_product_adj(g, n)):
+                want = brute_decode(g, n, mis)
+                p = partition_from_mis(g, n, mis)
+                assert (p.v0, p.classes, p.vbracket) == want, (to_graph6(g), mis)
+                assert brute_encode(g, n, *want) == mis
+                assert mis_from_partition(p) == mis
+                checked += 1
+        assert checked == count
+
+    def test_random_sets_decode_like_the_oracle(self):
+        """Valid and malformed sets: a malformed one raises ValueError with
+        the oracle's message, naming the first defect."""
+        rng = random.Random(11)
+        graphs = list(corpus(5, connected_only=False))
+        sets: dict[tuple[Graph, int], list[int]] = {}
+        messages: set[str] = set()
+        decoded = 0
+        for _ in range(20000):
+            g = rng.choice(graphs)
+            n = rng.choice([0, 1, 2, 2, 3, 3, 4])
+            if (g, n) not in sets:
+                sets[g, n] = kernel.maximal_independent_sets(kn_product_adj(g, n)) if n else [0]
+            mask = random_product_set(rng, g, n, sets[g, n])
+            try:
+                want = brute_decode(g, n, mask)
+            except ValueError as exc:
+                want = (ValueError, str(exc))
+                messages.add(str(exc).split(" ")[0])
+            got = outcome(partition_from_mis, g, n, mask)
+            if isinstance(got, WeakPartition):
+                got = (got.v0, got.classes, got.vbracket)
+                decoded += 1
+            assert got == want, (to_graph6(g), n, mask)
+        assert messages == {"clique", "set", "layer"}
+        assert 3000 <= decoded <= 17000
+
+    def test_random_partitions_encode_like_the_oracle(self):
+        """Valid and malformed partitions: a malformed one raises
+        InvalidPartition with the oracle's message, naming the first
+        requirement it breaks."""
+        rng = random.Random(13)
+        graphs = list(corpus(5, connected_only=False))
+        reasons: set[str] = set()
+        encoded = 0
+        for _ in range(20000):
+            g = rng.choice(graphs)
+            n, v0, classes, bracket = random_partition(rng, g)
+            try:
+                want = brute_encode(g, n, v0, classes, bracket)
+            except ValueError as exc:
+                want = (InvalidPartition, str(exc))
+                reasons.add(str(exc).removeprefix("invalid weak partition: ").split(" classes")[0])
+            got = outcome(mis_from_partition, WeakPartition(g, n, v0, classes, bracket))
+            encoded += isinstance(got, int)
+            assert got == want, (to_graph6(g), n, v0, classes, bracket)
+        assert reasons == {
+            "clique order below 2",
+            "expected 2",
+            "expected 3",
+            "disjointness",
+            "cover",
+            "condition 1",
+            "condition 2",
+            "condition 3",
+            "condition 4",
+        }
+        assert 3000 <= encoded <= 17000
 
 
 class TestEnumerateValidPartitions:
