@@ -3,34 +3,41 @@ direct products.
 
 Every claim pairs a hypothesis with a conclusion over one of three instance
 shapes: a single graph, an ordered pair of graphs, or a graph together with
-a clique order n.  Verdicts are "holds", "vacuous" (the hypothesis failed,
-so the instance says nothing), or "counterexample" carrying a witness that
-can be re-checked by hand with the basic primitives.  Universally
-quantified inner objects (independent sets, maximal independent sets,
-perfect matchings) are enumerated exhaustively; nothing is sampled.  A
-check returns only an ``Outcome``, its status and witness; the shared
-``HOLDS_OUTCOME`` and ``VACUOUS_OUTCOME`` cover every instance without a
-counterexample.  A full ``ClaimVerdict``, with the claim id and the
-instance's graph6 encoding, is built in ``Claim.verdict`` for ``verify`` and
-``cli product --check``, and in ``run_suite`` only for counterexamples.
-Only this module builds verdicts: the checks it calls elsewhere return a
-witness dict or None.
+a clique order n.  Each check is registered where it is defined, by
+``@_claim(claim_id, shape, summary)``, and ``REGISTRY`` and ``CLAIM_IDS``
+keep the order of definition.  Verdicts are "holds", "vacuous" (the
+hypothesis failed, so the instance says nothing), or "counterexample"
+carrying a witness that can be re-checked by hand with the basic
+primitives.  Universally quantified inner objects (independent sets, maximal
+independent sets, perfect matchings) are enumerated exhaustively; nothing is
+sampled.  A check returns only an ``Outcome``, its status and witness; the
+shared ``HOLDS_OUTCOME`` and ``VACUOUS_OUTCOME`` cover every instance
+without a counterexample.  ``Claim.outcome`` runs a check and holds the one
+skip rule: a check that needs a product past the 64-vertex cap is
+"skipped".  A full ``ClaimVerdict`` adds the claim id and the instance JSON,
+which ``instance_json`` alone spells from the claim's shape.  It is built in
+``Claim.verdict`` for ``verify`` and ``cli product --check``, and in
+``run_suite`` only for counterexamples.  Only this module builds verdicts:
+the checks it calls elsewhere return a witness dict or None.
 
 Graphs and products are built once, in the two facts classes, and every
-claim reads them from there.  ``run_suite`` keeps one ``GraphFacts`` per
-distinct graph for the whole call, through one ``facts_cache`` of at most
-``FACTS_CACHE_SIZE`` graphs, so a graph in many instances is summarized,
-enumerated and walked once while the stream has at most that many distinct
-graphs.  ``GraphFacts`` summarizes a graph once and
-lists its independent sets in one walk, which every claim about the
-residuals G - N[S] reads.  ``PairFacts`` is the one object that decides
-whether a product is well-covered: the pair claims, ``cli product`` and
-``cli scan`` ask it, and so do the G x K_n claims, whose (G, n) instance is
-``GraphFacts.clique(n)``, G paired with the process's one
-``complete_facts(n)``, which is also what ``facts_cache`` gives for K_n.  ``k3_dichotomy`` reads the same ``clique(3)`` and
-``multipartite_square`` the ``square`` G x G, which is also the facts of a
-pair of equal graphs.  ``PairFacts`` shares its factors' ``GraphFacts`` and
-so their summaries.
+claim reads them from there; ``facts_for`` gives the facts of one instance.
+``run_suite`` keeps one ``GraphFacts`` per distinct graph for the whole
+call, through one ``facts_cache`` of at most ``FACTS_CACHE_SIZE`` graphs, so
+a graph in many instances is summarized, enumerated and walked once while
+the stream has at most that many distinct graphs.  ``GraphFacts``
+summarizes a graph once and lists its independent sets in one walk, which
+every claim about the residuals G - N[S] reads.  ``PairFacts`` is the one
+object that decides whether a product is well-covered: the pair claims,
+``cli product`` and ``cli scan`` ask it, and so do the G x K_n claims.
+``GraphFacts.clique(n)`` is G paired with the process's one
+``complete_facts(n)``, which is also what ``facts_cache`` gives for K_n.  It
+is the facts of a (G, n) instance and of a (G, K_n) pair, and
+``k3_dichotomy`` reads the same ``clique(3)``, so the three share one
+product, one lifted certificate and one decision.  ``multipartite_square``
+reads the ``square`` G x G, which is also the facts of any other pair of
+equal graphs.  ``PairFacts`` shares its factors' ``GraphFacts`` and so their
+summaries.
 ``products.lifted_witnesses`` first lifts the factors' maximum and minimum
 witnesses and checks them in the product; ``trivial_bounds`` reads the same
 certificate for its bounds.  When the certified independent set is larger
@@ -150,6 +157,7 @@ class Outcome(NamedTuple):
 
 HOLDS_OUTCOME = Outcome(HOLDS)
 VACUOUS_OUTCOME = Outcome(VACUOUS)
+SKIPPED_OUTCOME = Outcome(SKIPPED)
 
 
 def _outcome(witness: dict | None) -> Outcome:
@@ -164,11 +172,11 @@ class GraphFacts:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self._cliques: dict[int, CliqueFacts] = {}
+        self._cliques: dict[int, PairFacts] = {}
 
     @cached_property
-    def instance(self) -> dict:
-        return {"graph6": to_graph6(self.graph)}
+    def graph6(self) -> str:
+        return to_graph6(self.graph)
 
     @cached_property
     def report(self) -> WellCoveredReport:
@@ -197,13 +205,15 @@ class GraphFacts:
         ``closed_nbhd_size`` and ``no_bipartite_residual``."""
         return list(enumerate_independent_sets(self.graph))
 
-    def clique(self, n: int) -> CliqueFacts:
-        """G x K_n, one per order: the facts of a (G, n) instance, and for
-        n = 3 the product ``k3_dichotomy`` asks about, so the two share one
-        product and one decision."""
+    def clique(self, n: int) -> PairFacts:
+        """G x K_n, one per order: the facts of a (G, n) instance and of a
+        (G, K_n) pair, and for n = 3 the product ``k3_dichotomy`` asks about,
+        so all three share one product and one decision.  For G = K_n it is
+        the ``square``."""
         found = self._cliques.get(n)
         if found is None:
-            found = self._cliques[n] = CliqueFacts(self, complete_facts(n))
+            kn = complete_facts(n)
+            found = self._cliques[n] = self.square if kn is self else PairFacts(self, kn)
         return found
 
     @cached_property
@@ -229,10 +239,6 @@ class PairFacts:
     def __init__(self, g: GraphFacts, h: GraphFacts) -> None:
         self.g = g
         self.h = h
-
-    @cached_property
-    def instance(self) -> dict:
-        return {"g": self.g.instance["graph6"], "h": self.h.instance["graph6"]}
 
     @cached_property
     def product(self) -> ProductGraph:
@@ -291,18 +297,59 @@ class PairFacts:
         return self.product_wc and not self.product_vwc
 
 
-class CliqueFacts(PairFacts):
-    """G x K_n for a (G, n) instance, with ``complete_facts(n)`` as second
-    factor; the instance names G and the order n."""
+def instance_json(shape: str, facts: GraphFacts | PairFacts) -> dict:
+    """The instance a verdict or scan row names, spelled from its shape: a
+    (G, K_n) pair and a (G, n) instance share their facts but not this."""
+    if shape == SHAPE_GRAPH:
+        return {"graph6": facts.graph6}
+    if shape == SHAPE_PAIR:
+        return {"g": facts.g.graph6, "h": facts.h.graph6}
+    return {"graph6": facts.g.graph6, "n": facts.h.graph.n}
 
-    @cached_property
-    def instance(self) -> dict:
-        return {"graph6": self.g.instance["graph6"], "n": self.h.graph.n}
+
+@dataclass(frozen=True)
+class Claim:
+    """One registered claim: stable id, instance shape, and checker.
+    ``check`` maps the instance's facts to an ``Outcome``."""
+
+    claim_id: str
+    shape: str
+    check: Callable[[Any], Outcome]
+    summary: str
+
+    def outcome(self, facts: GraphFacts | PairFacts) -> Outcome:
+        """The check's outcome, or skipped when it needs a product past the
+        64-vertex cap."""
+        try:
+            return self.check(facts)
+        except CapacityError:
+            return SKIPPED_OUTCOME
+
+    def verdict(self, facts: GraphFacts | PairFacts) -> ClaimVerdict:
+        status, witness = self.outcome(facts)
+        return ClaimVerdict(self.claim_id, instance_json(self.shape, facts), status, witness)
 
 
+REGISTRY: dict[str, Claim] = {}
+
+
+def _claim(claim_id: str, shape: str, summary: str) -> Callable:
+    """Register the decorated check as claim ``claim_id``, in the order of
+    definition."""
+
+    def register(check: Callable[[Any], Outcome]) -> Callable[[Any], Outcome]:
+        REGISTRY[claim_id] = Claim(claim_id, shape, check, summary)
+        return check
+
+    return register
+
+
+@_claim(
+    "inverse_image",
+    SHAPE_PAIR,
+    "maximal independent sets of G lift to maximal sets of G x H when H has no isolated vertices",
+)
 def _check_inverse_image(f: PairFacts) -> Outcome:
-    """Maximal independent sets of G lift to maximal independent sets of the
-    product when the second factor has no isolated vertices."""
     if f.h.has_isolated:
         return VACUOUS_OUTCOME
     prod = f.product
@@ -317,11 +364,13 @@ def _check_inverse_image(f: PairFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "trivial_bounds",
+    SHAPE_PAIR,
+    "alpha(G x H) >= max(alpha(G) n(H), alpha(H) n(G)) and i(G x H) <= min(i(G) n(H), i(H) n(G))",
+)
 def _check_trivial_bounds(f: PairFacts) -> Outcome:
-    """alpha(GxH) >= max(alpha(G)n(H), alpha(H)n(G)) and
-    i(GxH) <= min(i(G)n(H), i(H)n(G)), for isolate-free factors.
-
-    Both bounds are certified in the product by ``lifted``: an independent
+    """Both bounds are certified in the product by ``lifted``: an independent
     set of the lower bound's size, and a maximal independent set within the
     upper bound.  For isolate-free factors the certificate always passes;
     only when it fails does the exact summary of G x H run, and the verdict
@@ -334,9 +383,12 @@ def _check_trivial_bounds(f: PairFacts) -> Outcome:
     return _outcome(witness)
 
 
+@_claim(
+    "residual_wc",
+    SHAPE_GRAPH,
+    "removing N[I] from a well-covered graph leaves a well-covered graph",
+)
 def _check_residual_wc(f: GraphFacts) -> Outcome:
-    """Deleting the closed neighborhood of any independent set of a
-    well-covered graph leaves a well-covered graph."""
     if not f.report.well_covered:
         return VACUOUS_OUTCOME
     g = f.graph
@@ -355,8 +407,12 @@ def _check_residual_wc(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "clique_leftover",
+    SHAPE_GRAPH,
+    "an independent set of size alpha - 1 is maximal or leaves a clique",
+)
 def _check_clique_leftover(f: GraphFacts) -> Outcome:
-    """An independent set one short of maximum is maximal or leaves a clique."""
     g = f.graph
     size = f.report.alpha - 1
     for s in f.independent_sets:
@@ -373,11 +429,14 @@ def _check_clique_leftover(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "wc_direct",
+    SHAPE_PAIR,
+    "well-covered products have well-covered factors with equal isolate-free independence ratios",
+)
 def _check_wc_direct(f: PairFacts) -> Outcome:
-    """A well-covered product forces well-covered factors whose isolate-free
-    parts have equal independence ratios.  Pairs with an edgeless factor are
-    treated as out of hypothesis: the isolate-free part is then empty and
-    the ratio is undefined.
+    """Pairs with an edgeless factor are treated as out of hypothesis: the
+    isolate-free part is then empty and the ratio is undefined.
 
     Isolated vertices lie in every maximal independent set, so the
     isolate-free part G+ has alpha(G+) = alpha(G) - #isolated."""
@@ -407,9 +466,12 @@ def _check_wc_direct(f: PairFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "berge",
+    SHAPE_GRAPH,
+    "independent sets of well-covered isolate-free graphs satisfy |S| <= |N(S)|",
+)
 def _check_berge(f: GraphFacts) -> Outcome:
-    """In a well-covered graph without isolated vertices, every independent
-    set is at most as large as its open neighborhood."""
     if not f.report.well_covered or f.has_isolated:
         return VACUOUS_OUTCOME
     bad = berge_violation(f.graph, f.independent_sets)
@@ -422,11 +484,21 @@ def _check_berge(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "favaron",
+    SHAPE_GRAPH,
+    "very well-covered is equivalent to the perfect-matching pairing property",
+)
 def _check_favaron(f: GraphFacts) -> Outcome:
     witness = favaron_equivalence_verdict(f.graph, f.report.very_well_covered)
     return _outcome(witness)
 
 
+@_claim(
+    "vwc_product",
+    SHAPE_PAIR,
+    "with a very well-covered factor, product well-coveredness collapses to both factors very well-covered",
+)
 def _check_vwc_product(f: PairFacts) -> Outcome:
     """With isolate-free factors at least one of which is very well-covered,
     the product being well-covered, the product being very well-covered, and
@@ -448,23 +520,37 @@ def _check_vwc_product(f: PairFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
-def _check_layer_sizes(f: CliqueFacts) -> Outcome:
+@_claim(
+    "layer_sizes",
+    SHAPE_GRAPH_N,
+    "maximal independent sets of G x K_n meet every layer in 0, 1, or n vertices",
+)
+def _check_layer_sizes(f: PairFacts) -> Outcome:
     if f.h.graph.n < 2:
         return VACUOUS_OUTCOME
     witness = layer_cardinality_check(f.product, f.product_mis_list)
     return _outcome(witness)
 
 
-def _check_kn_necessary(f: CliqueFacts) -> Outcome:
+@_claim(
+    "kn_necessary",
+    SHAPE_GRAPH_N,
+    "well-covered G x K_n forces isolated vertices in G - N[x] for every x of degree >= n",
+)
+def _check_kn_necessary(f: PairFacts) -> Outcome:
     n = f.h.graph.n
     if n < 2 or not f.product_wc:
         return VACUOUS_OUTCOME
     return _outcome(necessary_condition_check(f.g.graph, n))
 
 
+@_claim(
+    "bipartite_isolation",
+    SHAPE_GRAPH,
+    "bipartite well-covered graphs with minimum degree 2 have isolatable vertices everywhere",
+)
 def _check_bipartite_isolation(f: GraphFacts) -> Outcome:
-    """A bipartite well-covered graph with minimum degree >= 2 has isolatable
-    vertices; deleting any closed neighborhood N[x] leaves an isolated vertex."""
+    """Deleting any closed neighborhood N[x] leaves an isolated vertex."""
     b = f.graph
     # K0 has minimum degree infinity but no vertex to isolate
     if b.n == 0 or not is_bipartite(b) or min_degree(b) < 2 or not f.report.well_covered:
@@ -479,6 +565,11 @@ def _check_bipartite_isolation(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "closed_nbhd_size",
+    SHAPE_PAIR,
+    "without isolatable vertices, independent k-sets have closed neighborhoods of size k n / alpha",
+)
 def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
     """With H nontrivial connected, G free of isolatable vertices, and the
     product well-covered, every independent k-set of G has closed
@@ -504,6 +595,11 @@ def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "regularity",
+    SHAPE_PAIR,
+    "without isolatable vertices, a well-covered product forces an (n/alpha - 1)-regular factor",
+)
 def _check_regularity(f: PairFacts) -> Outcome:
     """Same hypothesis as closed_nbhd_size but with both factors nontrivial
     connected; the first factor must be (n/alpha - 1)-regular."""
@@ -523,9 +619,10 @@ def _check_regularity(f: PairFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "k3_dichotomy", SHAPE_GRAPH, "well-covered G x K3 forces G = K3 or an isolatable vertex in G"
+)
 def _check_k3_dichotomy(f: GraphFacts) -> Outcome:
-    """A nontrivial connected G with well-covered G x K3 is K3 itself or has
-    an isolatable vertex."""
     if not f.nontrivial_connected or not f.clique(3).product_wc:
         return VACUOUS_OUTCOME
     if (f.graph.n == 3 and is_complete(f.graph)) or f.isolatable_mask:
@@ -534,9 +631,12 @@ def _check_k3_dichotomy(f: GraphFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
+@_claim(
+    "no_isolatable_complete",
+    SHAPE_PAIR,
+    "a factor without isolatable vertices in a well-covered product is complete",
+)
 def _check_no_isolatable_complete(f: PairFacts) -> Outcome:
-    """Nontrivial connected factors, well-covered product, and no isolatable
-    vertex in the first factor force the first factor to be complete."""
     hyp = f.connected_factors and f.product_wc and f.g.isolatable_mask == 0
     if not hyp:
         return VACUOUS_OUTCOME
@@ -549,9 +649,12 @@ def _check_no_isolatable_complete(f: PairFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, {"nonadjacent_pair": list(pair)})
 
 
+@_claim(
+    "both_complete",
+    SHAPE_PAIR,
+    "two factors without isolatable vertices force equal complete graphs",
+)
 def _check_both_complete(f: PairFacts) -> Outcome:
-    """If additionally neither factor has an isolatable vertex, both factors
-    are complete graphs of the same order."""
     hyp = (
         f.connected_factors
         and f.g.isolatable_mask == 0
@@ -571,10 +674,12 @@ def _check_both_complete(f: PairFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
+@_claim(
+    "no_bipartite_residual",
+    SHAPE_PAIR,
+    "well-covered but not very well-covered products leave no bipartite residual component above K1",
+)
 def _check_no_bipartite_residual(f: PairFacts) -> Outcome:
-    """For a well-covered but not very well-covered product of nontrivial
-    connected factors, no independent set of the first factor leaves behind
-    a bipartite component larger than a single vertex."""
     hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -595,10 +700,14 @@ def _in_triangle(g: Graph, w: int) -> bool:
     return any(g.adj[w] & g.adj[a] for a in to_vertices(g.adj[w]))
 
 
+@_claim(
+    "edge_triangle",
+    SHAPE_PAIR,
+    "well-covered but not very well-covered products leave every factor edge incident with a triangle",
+)
 def _check_edge_triangle(f: PairFacts) -> Outcome:
-    """Same hypothesis; every edge of either factor is incident with a
-    triangle, meaning at least one endpoint lies in one.  The edge itself
-    need not span a triangle."""
+    """An edge is incident with a triangle when at least one endpoint lies
+    in one; the edge itself need not span a triangle."""
     hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -610,8 +719,12 @@ def _check_edge_triangle(f: PairFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
+@_claim(
+    "girth_three",
+    SHAPE_PAIR,
+    "well-covered but not very well-covered products force girth 3 in both factors",
+)
 def _check_girth_three(f: PairFacts) -> Outcome:
-    """Same hypothesis; both factors have girth exactly three."""
     hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -623,10 +736,14 @@ def _check_girth_three(f: PairFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
+@_claim(
+    "twins",
+    SHAPE_GRAPH,
+    "a maximal independent set meets the common neighborhood of twins or contains both",
+)
 def _check_twins(f: GraphFacts) -> Outcome:
-    """Vertices with identical open neighborhoods are either both inside a
-    maximal independent set or that set meets their common neighborhood.
-    Vacuous when the graph has no such pair."""
+    """Twins are vertices with identical open neighborhoods; vacuous when
+    the graph has no such pair."""
     g = f.graph
     twins = [
         (u, v)
@@ -647,11 +764,14 @@ def _check_twins(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
-def _check_h_family_product(f: CliqueFacts) -> Outcome:
-    """Recognized split graphs H(k, n-1) have well-covered product with K_n.
-
-    The hypothesis is recognized structurally, so relabeled instances work.
-    """
+@_claim(
+    "h_family_product",
+    SHAPE_GRAPH_N,
+    "split graphs H(k, n-1) have well-covered direct product with K_n",
+)
+def _check_h_family_product(f: PairFacts) -> Outcome:
+    """The hypothesis is recognized structurally, so relabeled instances
+    work."""
     params = h_family_params(f.g.graph)
     n = f.h.graph.n
     if params is None or n != params[1] + 1:
@@ -670,9 +790,12 @@ def _check_h_family_product(f: CliqueFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
+@_claim(
+    "multipartite_square",
+    SHAPE_GRAPH,
+    "balanced complete multipartite graphs have well-covered direct product squares",
+)
 def _check_multipartite_square(f: GraphFacts) -> Outcome:
-    """Complete multipartite graphs with equal parts have well-covered
-    direct product squares."""
     if multipartite_params(f.graph) is None:
         return VACUOUS_OUTCOME
     if f.square.product_wc:
@@ -683,8 +806,12 @@ def _check_multipartite_square(f: GraphFacts) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
+@_claim(
+    "support_leaf_unique",
+    SHAPE_GRAPH,
+    "support vertices of well-covered graphs carry exactly one leaf",
+)
 def _check_support_leaf_unique(f: GraphFacts) -> Outcome:
-    """In a well-covered graph every support vertex has exactly one leaf."""
     g = f.graph
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     supports = sorted({g.adj[v].bit_length() - 1 for v in leaves})
@@ -699,167 +826,8 @@ def _check_support_leaf_unique(f: GraphFacts) -> Outcome:
     return HOLDS_OUTCOME
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One registered claim: stable id, instance shape, and checker.
-    ``check`` maps the instance's facts to an ``Outcome``."""
 
-    claim_id: str
-    shape: str
-    check: Callable[[Any], Outcome]
-    summary: str
-
-    def verdict(self, facts: GraphFacts | PairFacts) -> ClaimVerdict:
-        try:
-            status, witness = self.check(facts)
-        except CapacityError:
-            status, witness = SKIPPED, None
-        return ClaimVerdict(self.claim_id, facts.instance, status, witness)
-
-
-_CLAIMS = (
-    Claim(
-        "inverse_image",
-        SHAPE_PAIR,
-        _check_inverse_image,
-        "maximal independent sets of G lift to maximal sets of G x H when H has no isolated vertices",
-    ),
-    Claim(
-        "trivial_bounds",
-        SHAPE_PAIR,
-        _check_trivial_bounds,
-        "alpha(G x H) >= max(alpha(G) n(H), alpha(H) n(G)) and i(G x H) <= min(i(G) n(H), i(H) n(G))",
-    ),
-    Claim(
-        "residual_wc",
-        SHAPE_GRAPH,
-        _check_residual_wc,
-        "removing N[I] from a well-covered graph leaves a well-covered graph",
-    ),
-    Claim(
-        "clique_leftover",
-        SHAPE_GRAPH,
-        _check_clique_leftover,
-        "an independent set of size alpha - 1 is maximal or leaves a clique",
-    ),
-    Claim(
-        "wc_direct",
-        SHAPE_PAIR,
-        _check_wc_direct,
-        "well-covered products have well-covered factors with equal isolate-free independence ratios",
-    ),
-    Claim(
-        "berge",
-        SHAPE_GRAPH,
-        _check_berge,
-        "independent sets of well-covered isolate-free graphs satisfy |S| <= |N(S)|",
-    ),
-    Claim(
-        "favaron",
-        SHAPE_GRAPH,
-        _check_favaron,
-        "very well-covered is equivalent to the perfect-matching pairing property",
-    ),
-    Claim(
-        "vwc_product",
-        SHAPE_PAIR,
-        _check_vwc_product,
-        "with a very well-covered factor, product well-coveredness collapses to both factors very well-covered",
-    ),
-    Claim(
-        "layer_sizes",
-        SHAPE_GRAPH_N,
-        _check_layer_sizes,
-        "maximal independent sets of G x K_n meet every layer in 0, 1, or n vertices",
-    ),
-    Claim(
-        "kn_necessary",
-        SHAPE_GRAPH_N,
-        _check_kn_necessary,
-        "well-covered G x K_n forces isolated vertices in G - N[x] for every x of degree >= n",
-    ),
-    Claim(
-        "bipartite_isolation",
-        SHAPE_GRAPH,
-        _check_bipartite_isolation,
-        "bipartite well-covered graphs with minimum degree 2 have isolatable vertices everywhere",
-    ),
-    Claim(
-        "closed_nbhd_size",
-        SHAPE_PAIR,
-        _check_closed_nbhd_size,
-        "without isolatable vertices, independent k-sets have closed neighborhoods of size k n / alpha",
-    ),
-    Claim(
-        "regularity",
-        SHAPE_PAIR,
-        _check_regularity,
-        "without isolatable vertices, a well-covered product forces an (n/alpha - 1)-regular factor",
-    ),
-    Claim(
-        "k3_dichotomy",
-        SHAPE_GRAPH,
-        _check_k3_dichotomy,
-        "well-covered G x K3 forces G = K3 or an isolatable vertex in G",
-    ),
-    Claim(
-        "no_isolatable_complete",
-        SHAPE_PAIR,
-        _check_no_isolatable_complete,
-        "a factor without isolatable vertices in a well-covered product is complete",
-    ),
-    Claim(
-        "both_complete",
-        SHAPE_PAIR,
-        _check_both_complete,
-        "two factors without isolatable vertices force equal complete graphs",
-    ),
-    Claim(
-        "no_bipartite_residual",
-        SHAPE_PAIR,
-        _check_no_bipartite_residual,
-        "well-covered but not very well-covered products leave no bipartite residual component above K1",
-    ),
-    Claim(
-        "edge_triangle",
-        SHAPE_PAIR,
-        _check_edge_triangle,
-        "well-covered but not very well-covered products leave every factor edge incident with a triangle",
-    ),
-    Claim(
-        "girth_three",
-        SHAPE_PAIR,
-        _check_girth_three,
-        "well-covered but not very well-covered products force girth 3 in both factors",
-    ),
-    Claim(
-        "twins",
-        SHAPE_GRAPH,
-        _check_twins,
-        "a maximal independent set meets the common neighborhood of twins or contains both",
-    ),
-    Claim(
-        "h_family_product",
-        SHAPE_GRAPH_N,
-        _check_h_family_product,
-        "split graphs H(k, n-1) have well-covered direct product with K_n",
-    ),
-    Claim(
-        "multipartite_square",
-        SHAPE_GRAPH,
-        _check_multipartite_square,
-        "balanced complete multipartite graphs have well-covered direct product squares",
-    ),
-    Claim(
-        "support_leaf_unique",
-        SHAPE_GRAPH,
-        _check_support_leaf_unique,
-        "support vertices of well-covered graphs carry exactly one leaf",
-    ),
-)
-
-REGISTRY: dict[str, Claim] = {c.claim_id: c for c in _CLAIMS}
-CLAIM_IDS: tuple[str, ...] = tuple(c.claim_id for c in _CLAIMS)
+CLAIM_IDS: tuple[str, ...] = tuple(REGISTRY)
 
 Instance = Graph | tuple
 
@@ -907,15 +875,19 @@ def facts_cache(bounded: bool = True) -> Callable[[Graph], GraphFacts]:
     return facts
 
 
-def _facts_for(
-    shape: str, instance: Instance, facts: Callable[[Graph], GraphFacts] = GraphFacts
-):
+def facts_for(
+    shape: str, instance: Instance, facts: Callable[[Graph], GraphFacts]
+) -> GraphFacts | PairFacts:
     """The facts of one instance, with each graph's ``GraphFacts`` from
-    ``facts``.  A pair of equal graphs is its first factor's ``square``."""
+    ``facts``, such as a ``facts_cache``.  A pair whose second factor is the
+    process's K_n is its first factor's ``clique(n)``, and another pair of
+    equal graphs is its first factor's ``square``."""
     if shape == SHAPE_GRAPH:
         return facts(instance)
     if shape == SHAPE_PAIR:
         g, h = facts(instance[0]), facts(instance[1])
+        if h is complete_facts(h.graph.n):
+            return g.clique(h.graph.n)
         return g.square if g is h else PairFacts(g, h)
     return facts(instance[0]).clique(instance[1])
 
@@ -930,7 +902,7 @@ def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
     shape = instance_shape(instance)
     if shape != claim.shape:
         raise TypeError(f"claim {claim_id} expects a {claim.shape} instance, got {shape}")
-    return claim.verdict(_facts_for(shape, instance))
+    return claim.verdict(facts_for(shape, instance, facts_cache()))
 
 
 @dataclass
@@ -1003,20 +975,18 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
         group = by_shape.get(shape)
         if not group:
             continue
-        facts = _facts_for(shape, inst, facts_of)
+        facts = facts_for(shape, inst, facts_of)
         for claim, tally in group:
-            try:
-                status, witness = claim.check(facts)
-            except CapacityError:
-                tally.skipped += 1
-                continue
+            status, witness = claim.outcome(facts)
             if status == HOLDS:
                 tally.holds += 1
             elif status == VACUOUS:
                 tally.vacuous += 1
+            elif status == SKIPPED:
+                tally.skipped += 1
             else:
                 tally.counterexamples.append(
-                    ClaimVerdict(claim.claim_id, facts.instance, status, witness)
+                    ClaimVerdict(claim.claim_id, instance_json(shape, facts), status, witness)
                 )
     return report
 

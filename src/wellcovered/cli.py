@@ -32,11 +32,14 @@ from .claims import (
     CLAIM_IDS,
     COUNTEREXAMPLE,
     REGISTRY,
+    SHAPE_PAIR,
     PairFacts,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
     facts_cache,
+    facts_for,
+    instance_json,
     run_suite_parallel,
     targeted_instances,
 )
@@ -146,8 +149,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
-    shared = facts_cache()  # G x G summarizes G once
-    facts = PairFacts(shared(g), shared(h))
+    facts = facts_for(SHAPE_PAIR, (g, h), facts_cache())  # G x G summarizes G once
     data = {"version": __version__}
     data.update(facts.product.to_json_sidecar())
     rep = facts.product_report
@@ -248,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _scan_row(f: PairFacts) -> dict:
     return {
-        **f.instance,
+        **instance_json(SHAPE_PAIR, f),
         "order": f.product.graph.n,
         "well_covered": f.product_wc,
         "very_well_covered": f.product_vwc,
@@ -261,7 +263,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # summarized once however many pairs it is in; unbounded, because the
     # pair stream holds the whole pool in memory anyway
     shared = facts_cache(bounded=False)
-    facts = (PairFacts(shared(g), shared(h)) for g, h in pairs)
+    facts = (facts_for(SHAPE_PAIR, pair, shared) for pair in pairs)
     rows = (
         r
         for r in map(_scan_row, facts)

@@ -24,10 +24,8 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         out = [chr(63 + n)]
-    elif n <= 258047:
+    else:  # Graph caps n at 64, well inside the 4-byte form's 258047
         out = [chr(126), chr(63 + (n >> 12 & 63)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
-    else:
-        raise ValueError(f"graph6 size field cannot hold n={n}")
     group = 0
     width = 0
     for i, j in _triangle_pairs(n):

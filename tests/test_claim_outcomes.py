@@ -47,6 +47,26 @@ def planted(monkeypatch):
     monkeypatch.setitem(REGISTRY, "berge", claim)
 
 
+# a claim of each shape, an instance of that shape, and the instance JSON
+# its verdicts name; the pair (C5, K3) and the instance (C5, 3) share one
+# facts object but not their JSON
+SHAPED = {
+    claims.SHAPE_GRAPH: ("berge", cycle(5), {"graph6": "Dhc"}),
+    claims.SHAPE_PAIR: ("inverse_image", (cycle(5), complete(3)), {"g": "Dhc", "h": "Bw"}),
+    claims.SHAPE_GRAPH_N: ("layer_sizes", (cycle(5), 3), {"graph6": "Dhc", "n": 3}),
+}
+
+
+@pytest.fixture
+def planted_shapes(monkeypatch):
+    """The claims of ``SHAPED`` made to find a counterexample everywhere."""
+    for claim_id, _, _ in SHAPED.values():
+        claim = dataclasses.replace(
+            REGISTRY[claim_id], check=lambda f: Outcome(COUNTEREXAMPLE, WITNESS)
+        )
+        monkeypatch.setitem(REGISTRY, claim_id, claim)
+
+
 def parity_instances():
     return [
         *targeted_instances(),
@@ -105,10 +125,28 @@ class TestParity:
         assert calls == [7]
 
     def test_claim_verdict_names_claim_and_instance(self):
-        f = claims._facts_for(claims.SHAPE_PAIR, (cycle(5), complete(3)))
+        f = claims.facts_for(claims.SHAPE_PAIR, (cycle(5), complete(3)), claims.facts_cache())
         instance = {"g": to_graph6(cycle(5)), "h": to_graph6(complete(3))}
         verdict = REGISTRY["inverse_image"].verdict(f)
         assert verdict == ClaimVerdict("inverse_image", instance, HOLDS)
+
+
+class TestInstanceJson:
+    @pytest.mark.parametrize("shape", sorted(SHAPED))
+    def test_verdict_names_the_instance(self, planted_shapes, shape):
+        claim_id, instance, expected = SHAPED[shape]
+        facts = claims.facts_for(shape, instance, claims.facts_cache())
+        verdict = REGISTRY[claim_id].verdict(facts)
+        assert verdict == ClaimVerdict(claim_id, expected, COUNTEREXAMPLE, WITNESS)
+
+    def test_suite_counterexample_names_the_instance(self, planted_shapes):
+        ids = [claim_id for claim_id, _, _ in SHAPED.values()]
+        report = run_suite(ids, [instance for _, instance, _ in SHAPED.values()])
+        assert report.counterexample_count == len(SHAPED)
+        for claim_id, _, expected in SHAPED.values():
+            assert report.tallies[claim_id].counterexamples == [
+                ClaimVerdict(claim_id, expected, COUNTEREXAMPLE, WITNESS)
+            ]
 
 
 class TestEmptyGraph:

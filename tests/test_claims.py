@@ -111,6 +111,14 @@ class TestRegistry:
             else:
                 assert claim.shape == "single-graph"
 
+    def test_every_check_registered_once(self):
+        """A check that loses its ``@_claim`` fails here instead of silently
+        dropping its claim from the registry."""
+        checks = [fn for name, fn in vars(claims).items() if name.startswith("_check_")]
+        assert len(checks) == len(REGISTRY)
+        for fn in checks:
+            assert sum(claim.check is fn for claim in REGISTRY.values()) == 1, fn.__name__
+
     def test_summaries_present(self):
         assert all(claim.summary for claim in REGISTRY.values())
 
@@ -288,7 +296,7 @@ class TestForcedWitnesses:
     def test_h_family_product(self):
         # H(2,2) x K3 is in fact well-covered with i = alpha = 6; the witness
         # is the product's summary, decoded into weak partitions
-        f = claims._facts_for(claims.SHAPE_GRAPH_N, (h_family(2, 2), 3))
+        f = claims.facts_for(claims.SHAPE_GRAPH_N, (h_family(2, 2), 3), claims.facts_cache())
         forced(f, product_wc_size=-1)
         verdict = REGISTRY["h_family_product"].verdict(f)
         assert verdict.status == COUNTEREXAMPLE
@@ -694,7 +702,27 @@ class TestSharedFacts:
         assert facts(cycle(5)) is first
         assert facts(cycle(6)) is not first
         assert first.clique(3) is first.clique(3)
-        assert claims._facts_for(claims.SHAPE_PAIR, (cycle(5), cycle(5)), facts) is first.square
+        assert claims.facts_for(claims.SHAPE_PAIR, (cycle(5), cycle(5)), facts) is first.square
+
+    def test_clique_pair_is_the_graph_n_facts(self):
+        """A (G, K_n) pair is ``G.clique(n)``, the facts of the (G, n)
+        instance, and for n = 3 the product ``k3_dichotomy`` reads; K_n x K_n
+        is also K_n's ``square``."""
+        facts = claims.facts_cache()
+        g = facts(path(3))
+        for n in (2, 3):
+            pair = claims.facts_for(claims.SHAPE_PAIR, (path(3), complete(n)), facts)
+            assert pair is g.clique(n)
+            assert claims.facts_for(claims.SHAPE_GRAPH_N, (path(3), n), facts) is pair
+        k3 = claims.facts_for(claims.SHAPE_PAIR, (complete(3), complete(3)), facts)
+        assert k3 is facts(complete(3)).square is complete_facts(3).clique(3)
+        # the last pair, P3 x K3, told well-covered, and P3 told free of
+        # isolatable vertices: k3_dichotomy then finds a counterexample
+        check = REGISTRY["k3_dichotomy"].outcome
+        assert check(g).status == VACUOUS
+        forced(pair, product_wc_size=3)
+        forced(g, isolatable_mask=0)
+        assert check(g).status == COUNTEREXAMPLE
 
     def test_cache_starts_afresh_when_full(self, monkeypatch):
         monkeypatch.setattr(claims, "FACTS_CACHE_SIZE", 2)

@@ -430,11 +430,14 @@ class TestVerify:
 
     def test_kernel_calls_per_run(self, capsys, monkeypatch):
         """One GraphFacts per distinct graph for the whole run: each graph is
-        summarized once however many instances it is in, and a (G, 3)
-        instance shares G x K3 with k3_dichotomy.  K2 and K3 are summarized
-        once, as instances and as the second factors of every G x K_n alike;
-        the process's facts of K_n are dropped first, so the count does not
-        depend on what ran before."""
+        summarized once however many instances it is in, and a (G, K3) pair,
+        a (G, 3) instance and k3_dichotomy share one G x K3, as a (G, K2)
+        pair and a (G, 2) instance share G x K2.  K_n x K_n is also K_n's
+        square, for multipartite_square and the pair (K_n, K_n).  So the
+        products and decisions of the (G, K_n) pairs are not counted twice.
+        K2 and K3 are summarized once, as instances and as the second
+        factors of every G x K_n alike; the process's facts of K_n are
+        dropped first, so the count does not depend on what ran before."""
         complete_facts.cache_clear()
         kn_partitions._kn_product.cache_clear()
         calls = count_kernel_calls(
@@ -448,9 +451,9 @@ class TestVerify:
         assert code == 0
         assert calls == {
             "independence_summary": 17,
-            "well_covered_size": 144,
+            "well_covered_size": 136,
             "maximal_independent_sets": 40,
-            "direct_product_adj": 135,
+            "direct_product_adj": 113,
         }
 
     def test_repeated_claim_id_counts_once(self, capsys):
@@ -515,7 +518,10 @@ class TestScan:
         assert "well_covered=" in lines[1]
 
     def test_text_streams(self, capsys, monkeypatch):
-        """Each row is printed as its pair is decided, before the scan ends."""
+        """Each row is printed as its pair is decided, before the scan ends.
+        Every pair of ``--max-n 2`` is a K_m x K_n, held by the process's
+        facts of K_m once decided, so those are dropped first."""
+        complete_facts.cache_clear()
         decide = kernel.well_covered_size
         calls = []
 

@@ -477,7 +477,7 @@ class TestClaimChecks:
 
     def test_necessary_condition_counterexample_verdict(self):
         # C5 x K2 told well-covered through the facts the claim reads
-        f = claims._facts_for(claims.SHAPE_GRAPH_N, (cycle(5), 2))
+        f = claims.facts_for(claims.SHAPE_GRAPH_N, (cycle(5), 2), claims.facts_cache())
         f.__dict__["product_wc_size"] = 5
         verdict = claims.REGISTRY["kn_necessary"].verdict(f)
         assert verdict.status == COUNTEREXAMPLE

@@ -344,8 +344,8 @@ class TestCertifiedDecision:
                 f = PairFacts(g, h)
                 product = f.product.graph
                 size = f.product_wc_size
-                assert size == kernel.well_covered_size(product.adj), f.instance
+                assert size == kernel.well_covered_size(product.adj), (g.graph6, h.graph6)
                 if product.n <= 16:
-                    assert size == brute_wc_size(product), f.instance
+                    assert size == brute_wc_size(product), (g.graph6, h.graph6)
                 checked += 1
         assert checked == 900
