@@ -21,9 +21,10 @@ is done, so the visit order is the recursive one.  One walk, ``_walk`` like
 the C kernel's ``walk``, serves every entry point.  Enumeration runs it in
 collect mode: it appends every emitted set to a list, and it never skips,
 tables or bounds a node, whatever the ``TABLE_*`` constants say, so it
-visits the whole tree.  The count is the length of that list.  The plain
-walk without skips, tables or bounds, kept as the reference for the visit
-order, is ``reference_maximal_sets`` in ``tests/brute.py``.
+visits the whole tree.  It does not count S or P either, since only the
+summary's tests read those counts.  The count is the length of that list.
+The plain walk without skips, tables or bounds, kept as the reference for
+the visit order, is ``reference_maximal_sets`` in ``tests/brute.py``.
 
 ``independence_summary`` runs the same walk and skips a node with
 P nonempty when |S| + |P| <= alpha-so-far and |S| + 1 >= i-so-far.  Every set
@@ -232,7 +233,8 @@ def _walk(
     min_wit = max_wit = 0
     # no state has 65 free vertices, so a small component never reads the rest
     min_free = 65
-    bounded = out is None and start.bit_count() >= TABLE_MIN_ORDER
+    collect = out is not None
+    bounded = not collect and start.bit_count() >= TABLE_MIN_ORDER
     if bounded:
         min_free = TABLE_MIN_FREE
         get = table.get
@@ -242,12 +244,15 @@ def _walk(
     push = stack.append
     pop = stack.pop
     s, p, x = 0, start, 0
+    # collect mode never counts P: free keeps this value, nonzero and below
+    # min_free, so every node is expanded and none is tabled
+    free = 1
     while True:
         branch = 0
         if p:
-            k = s.bit_count()
-            free = p.bit_count()
-            if k + free > hi or k + 1 < lo:
+            # collect expands every node without counting S and P; a summary
+            # skips a node none of whose sets is below lo or above hi
+            if collect or (k := s.bit_count()) + (free := p.bit_count()) > hi or k + 1 < lo:
                 entry = None
                 tabled = False
                 if free >= min_free and not x:
@@ -347,8 +352,7 @@ def _walk(
                     # completion, or the bounds settled the node
                     if best:
                         branch = closed[pivot] & p
-        elif out is not None:
-            # collect: lo and hi stay 65 and -1, so the walk skips no node
+        elif collect:
             if not x:
                 out.append(s)
         elif not x:

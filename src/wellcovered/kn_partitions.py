@@ -24,9 +24,10 @@ independent oracle at small orders.
 The codec works on the row-major index g*n + k of ``products``: the layer
 over g is the n bits (mask >> g*n) & (2^n - 1), and (g, k) is bit g*n + k.
 Decoding (``partition_from_mis``) reads each layer with one shift and takes
-the class of a single hit from its bit position; it rejects a clique order
-below 2, bits at or above n(G)*n and a layer met in a size outside
-{0, 1, n}.  Encoding (``mis_from_partition``) first requires
+the class of a single hit from its bit position; it stops at the last
+non-empty layer and puts every vertex above it into V0 with one mask.  It
+rejects a clique order below 2, bits at or above n(G)*n and a layer met in
+a size outside {0, 1, n}.  Encoding (``mis_from_partition``) first requires
 ``WeakPartition.violations`` to be empty, then sets the full layer over
 each bracket vertex and bit g*n + (k - 1) for each g in V_k, and finally
 checks that the result is a maximal independent set of the materialized
@@ -38,7 +39,12 @@ made.
 
 ``kn_alpha_i`` and ``mis_from_partition`` build G x K_n once per (G, n) and
 keep the last 16 in a memo, so a run of round trips over one graph shares
-one product.
+one product.  The memo stays because a caller may decode from (G, n, set)
+alone, with no product to hand over, and a round trip would then build
+the product again.
+
+A ``WeakPartition`` is a slotted dataclass: cheap to build, compared by
+value, mutable and so not hashable.
 """
 
 from __future__ import annotations
@@ -68,13 +74,15 @@ class InvalidPartition(ValueError):
     """A weak partition violating disjointness, cover, or a numbered condition."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WeakPartition:
     """A weak partition (V0, V1..Vn, bracket) of the vertices of ``graph``.
 
     ``classes[k-1]`` holds V_k.  Parts may be empty; validity against the
     four conditions is checked by ``violations``, not at construction, so
-    enumeration code can build candidates freely.
+    enumeration code can build candidates freely.  The record is a slotted
+    dataclass, since a decode builds one per set: two records are equal
+    when their fields are, and a record cannot be hashed.
     """
 
     graph: Graph
@@ -98,8 +106,9 @@ class WeakPartition:
         union = v0 | vb
         overlap = v0 & vb
         for vk in classes:
-            overlap |= union & vk
-            union |= vk
+            if vk:
+                overlap |= union & vk
+                union |= vk
         if overlap:
             out.append("disjointness")
         full = (1 << g.n) - 1
@@ -112,6 +121,8 @@ class WeakPartition:
         once = twice = 0
         cond1 = cond2 = False
         for vk in classes:
+            if not vk:
+                continue  # an empty class reaches nothing
             reach = 0
             m = vk
             while m:
@@ -198,7 +209,8 @@ def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
 
     Reads the layer over vertex g as (i_mask >> g*n) & (2^n - 1): an empty
     layer puts g in V0, a full one in the bracket, and a single bit at
-    position k in V_(k+1).  Rejects any set whose intersection with some
+    position k in V_(k+1).  Reading stops at the last non-empty layer, and
+    the vertices above it join V0 in one mask.  Rejects any set whose intersection with some
     layer has size outside {0, 1, n}: no maximal independent set can do
     that.  Bits at or above g.n * n name no product vertex and are rejected
     too.
@@ -212,7 +224,9 @@ def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
     vb = 0
     classes = [0] * n
     m = i_mask
-    for gv in range(g.n):
+    # the layers above the set's highest bit are empty
+    top = (i_mask.bit_length() + n - 1) // n
+    for gv in range(top):
         hit = m & layer
         m >>= n
         if not hit:
@@ -226,6 +240,7 @@ def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
                 f"layer over vertex {gv} meets the set in {hit.bit_count()} vertices, "
                 f"outside {{0, 1, {n}}}"
             )
+    v0 |= (1 << g.n) - (1 << top)
     return WeakPartition(g, n, v0, tuple(classes), vb)
 
 

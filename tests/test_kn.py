@@ -351,6 +351,122 @@ class TestCodecOracle:
         assert 3000 <= encoded <= 17000
 
 
+def greedy_maximal(adj: tuple[int, ...], seed: int, order) -> int:
+    """The maximal independent set that grows the independent set ``seed``
+    by each vertex of ``order`` in turn that has no neighbor in it yet."""
+    s = seed
+    for v in order:
+        if not adj[v] & s:
+            s |= 1 << v
+    return s
+
+
+# (G, n) with n(G) * n = 64, the product order cap
+CAP_PRODUCTS = [(cycle(32), 2), (cycle(16), 4)]
+
+
+class TestCodecAtTheCap:
+    """Decoding and encoding on 64-vertex products G x K_n, where the top
+    layer holds bit 63, against ``brute_decode`` and ``brute_encode``."""
+
+    @staticmethod
+    def cap_sets(g: Graph, n: int) -> dict[str, int]:
+        """Named maximal independent sets of G x K_n for G = C_m: one with
+        the full top layer and a class pair below it, and one whose two top
+        layers are empty, cut off by full layers over 0 and m - 3."""
+        adj = kn_product_adj(g, n)
+        full = (1 << n) - 1
+        top_seed = full << (g.n - 1) * n | 1 << 5 * n | 1 << 6 * n
+        empty_seed = full | full << (g.n - 3) * n | 1 << 10 * n + 1 | 1 << 11 * n + 1
+        return {
+            "top layer": greedy_maximal(adj, top_seed, range(g.n * n)),
+            "empty top layers": greedy_maximal(adj, empty_seed, range(g.n * n)),
+        }
+
+    @pytest.mark.parametrize(("g", "n"), CAP_PRODUCTS, ids=["C32xK2", "C16xK4"])
+    def test_maximal_sets_round_trip(self, fresh_memo, g, n):
+        sets = self.cap_sets(g, n)
+        top, empty = sets["top layer"], sets["empty top layers"]
+        assert top >> 63 & 1 and top.bit_length() == 64
+        assert empty.bit_length() <= (g.n - 2) * n
+        for name, mis in sets.items():
+            want = brute_decode(g, n, mis)
+            p = partition_from_mis(g, n, mis)
+            assert (p.v0, p.classes, p.vbracket) == want, name
+            assert p.violations() == [], name
+            assert sum(1 for vk in p.classes if vk) >= 1, name
+            assert p.weight() == mis.bit_count(), name
+            assert brute_encode(g, n, *want) == mis, name
+            assert mis_from_partition(p) == mis, name
+        # the two empty top layers are V0 vertices
+        assert partition_from_mis(g, n, empty).v0 >> g.n - 2 == 0b11
+
+    @pytest.mark.parametrize(("g", "n"), CAP_PRODUCTS, ids=["C32xK2", "C16xK4"])
+    def test_empty_set_decodes_to_v0(self, fresh_memo, g, n):
+        p = partition_from_mis(g, n, 0)
+        assert (p.v0, p.classes, p.vbracket) == brute_decode(g, n, 0)
+        assert p == WeakPartition(g, n, g.vertex_mask, (0,) * n, 0)
+        with pytest.raises(InvalidPartition, match="invalid weak partition: condition 4"):
+            mis_from_partition(p)
+
+    @pytest.mark.parametrize(("g", "n"), CAP_PRODUCTS, ids=["C32xK2", "C16xK4"])
+    def test_bit_past_the_product_rejected(self, g, n):
+        message = f"set has bits outside the 64 vertices of G x K_{n}"
+        for mis in [0, *self.cap_sets(g, n).values()]:
+            mask = mis | 1 << 64
+            with pytest.raises(ValueError, match=message):
+                brute_decode(g, n, mask)
+            with pytest.raises(ValueError, match=message):
+                partition_from_mis(g, n, mask)
+
+    @pytest.mark.parametrize("vertex", [0, 5, 13, 15])
+    def test_bad_layer_names_its_vertex(self, vertex):
+        """C16 x K4: a layer met twice, the lowest such layer when a second
+        bad layer sits above it, is reported with its vertex, also below
+        two empty top layers."""
+        g, n = cycle(16), 4
+        for mis in self.cap_sets(g, n).values():
+            bad = mis & ~(0b1111 << vertex * n) | 0b0101 << vertex * n
+            messages = []
+            for mask in (bad, bad & ~(0b1111 << 15 * n) | 0b0011 << 15 * n):
+                with pytest.raises(ValueError) as want:
+                    brute_decode(g, n, mask)
+                with pytest.raises(ValueError) as got:
+                    partition_from_mis(g, n, mask)
+                assert str(got.value) == str(want.value)
+                messages.append(str(got.value))
+            expected = f"layer over vertex {vertex} meets the set in 2 vertices, outside {{0, 1, 4}}"
+            assert messages == [expected, expected]
+
+    def test_decoded_partition_equals_one_built_by_hand(self, fresh_memo):
+        """C16 x K4 with bracket {0, 11, 13}, V1 = {5, 6} and V3 = {2, 3, 8,
+        9}: the full layers over the bracket, clique vertex 0 over V1 and
+        clique vertex 2 over V3.  The layers over 14 and 15 are empty."""
+        g = cycle(16)
+        mis = (
+            0b1111 | 0b1111 << 11 * 4 | 0b1111 << 13 * 4
+            | 1 << 5 * 4 | 1 << 6 * 4
+            | 1 << 2 * 4 + 2 | 1 << 3 * 4 + 2 | 1 << 8 * 4 + 2 | 1 << 9 * 4 + 2
+        )
+        by_hand = WeakPartition(
+            g,
+            4,
+            to_mask([1, 4, 7, 10, 12, 14, 15]),
+            (to_mask([5, 6]), 0, to_mask([2, 3, 8, 9]), 0),
+            to_mask([0, 11, 13]),
+        )
+        assert partition_from_mis(g, 4, mis) == by_hand
+        assert by_hand.violations() == [] and by_hand.weight() == 18
+        assert mis_from_partition(by_hand) == mis == brute_encode(g, 4, *brute_decode(g, 4, mis))
+
+    def test_record_is_slotted_and_unhashable(self):
+        p = partition_from_mis(cycle(16), 4, 0)
+        assert not hasattr(p, "__dict__")
+        assert p == WeakPartition(cycle(16), 4, cycle(16).vertex_mask, (0, 0, 0, 0), 0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(p)
+
+
 class TestEnumerateValidPartitions:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_per_vertex_oracle(self, n):
