@@ -45,15 +45,29 @@ than the certified maximal one, the product is not well-covered and no
 search runs.  Otherwise the kernel's decision runs the summary walk per
 component and stops at the first component with two maximal-set sizes.
 ``trivial_bounds`` needs the product's exact alpha and i only if the
-certificate fails.  The suite runner tallies verdicts per claim and merges
-partial reports associatively, so instance streams can be partitioned across
-processes.
+certificate fails.
+
+A claim pays only for the facts its verdict reads.  Every fact is a
+``lazy`` attribute, computed on first read and stored in the instance
+without a lock (on Python 3.11 ``functools.cached_property`` takes one on
+every first read, which costs more than many facts).  The pair hypotheses
+that ask for a well-covered product read ``PairFacts.decided_not_wc``
+before their factor-only facts, the isolatable vertices and connectivity:
+``wc_direct`` and ``trivial_bounds`` have already decided the product, and
+it is almost never well-covered.  That read comes first only when the
+product fits the 64-vertex cap.  Past the cap the factor facts still come
+first, so a hypothesis that fails on them stays vacuous rather than
+becoming skipped.  ``bipartite_isolation`` and ``support_leaf_unique`` read
+the graph's well-coveredness before anything else.  The suite runner
+groups the requested claims by shape when it meets the first instance of
+that shape, tallies verdicts per claim and merges partial reports
+associatively, so instance streams can be partitioned across processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -104,7 +118,6 @@ from .kn_partitions import kn_report, layer_cardinality_check, necessary_conditi
 from .products import (
     ProductGraph,
     direct_product,
-    lift_layers,
     lifted_witnesses,
     product_bounds_check,
 )
@@ -167,6 +180,26 @@ def _outcome(witness: dict | None) -> Outcome:
     return Outcome(COUNTEREXAMPLE, witness)
 
 
+class lazy:
+    """A fact computed on first read and stored in the instance ``__dict__``,
+    where it shadows this descriptor, so later reads are plain attribute
+    reads.  ``functools.cached_property`` does the same but on Python 3.11
+    takes a lock on every first read, which costs more than many of the
+    facts it stores; a facts object is never shared between threads.  Read
+    on the class, it returns itself."""
+
+    def __init__(self, compute: Callable[[Any], Any]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class GraphFacts:
     """Lazily computed facts about a single graph, shared across claims."""
 
@@ -174,31 +207,31 @@ class GraphFacts:
         self.graph = graph
         self._cliques: dict[int, PairFacts] = {}
 
-    @cached_property
+    @lazy
     def graph6(self) -> str:
         return to_graph6(self.graph)
 
-    @cached_property
+    @lazy
     def report(self) -> WellCoveredReport:
         return well_covered_report(self.graph)
 
-    @cached_property
+    @lazy
     def has_isolated(self) -> bool:
         return 0 in self.graph.adj
 
-    @cached_property
+    @lazy
     def nontrivial_connected(self) -> bool:
         return self.graph.n >= 2 and is_connected(self.graph)
 
-    @cached_property
+    @lazy
     def isolatable_mask(self) -> int:
         return isolatable_vertices(self.graph)
 
-    @cached_property
+    @lazy
     def mis_list(self) -> list[int]:
         return kernel.maximal_independent_sets(self.graph.adj)
 
-    @cached_property
+    @lazy
     def independent_sets(self) -> list[int]:
         """Every independent set in ``enumerate_independent_sets`` order, for
         ``residual_wc``, ``clique_leftover``, ``berge`` and, as first factor,
@@ -216,7 +249,7 @@ class GraphFacts:
             found = self._cliques[n] = self.square if kn is self else PairFacts(self, kn)
         return found
 
-    @cached_property
+    @lazy
     def square(self) -> PairFacts:
         """G x G, the product ``multipartite_square`` asks about and the
         facts of a pair of equal graphs."""
@@ -240,11 +273,11 @@ class PairFacts:
         self.g = g
         self.h = h
 
-    @cached_property
+    @lazy
     def product(self) -> ProductGraph:
         return direct_product(self.g.graph, self.h.graph)
 
-    @cached_property
+    @lazy
     def product_report(self) -> WellCoveredReport:
         """The full summary of the product, for ``cli product``, the
         witnesses of ``multipartite_square`` and ``h_family_product`` and a
@@ -252,18 +285,18 @@ class PairFacts:
         ``product_wc_size`` instead."""
         return well_covered_report(self.product.graph)
 
-    @cached_property
+    @lazy
     def product_mis_list(self) -> list[int]:
         """The product's maximal independent sets, for ``layer_sizes``."""
         return kernel.maximal_independent_sets(self.product.graph.adj)
 
-    @cached_property
+    @lazy
     def lifted(self) -> tuple[int, int] | None:
         """``lifted_witnesses`` of the product: the certificate that
         ``trivial_bounds`` and ``product_wc_size`` share."""
         return lifted_witnesses(self.product, self.g.report, self.h.report)
 
-    @cached_property
+    @lazy
     def product_wc_size(self) -> int:
         """The common size of the product's maximal independent sets, or -1.
 
@@ -281,6 +314,18 @@ class PairFacts:
     @property
     def product_wc(self) -> bool:
         return self.product_wc_size >= 0
+
+    @property
+    def decided_not_wc(self) -> bool:
+        """The product fits the 64-vertex cap and is not well-covered.
+
+        A hypothesis that asks for a well-covered product reads this before
+        its factor-only facts: ``wc_direct`` and ``trivial_bounds`` have
+        already decided the product, and the answer almost always refutes
+        the hypothesis.  Past the cap it is False and builds nothing, so the
+        hypothesis reads its factor facts first, as it always did, and one
+        that fails them stays vacuous rather than becoming skipped."""
+        return self.g.graph.n * self.h.graph.n <= MAX_VERTICES and not self.product_wc
 
     @property
     def product_vwc(self) -> bool:
@@ -354,7 +399,7 @@ def _check_inverse_image(f: PairFacts) -> Outcome:
         return VACUOUS_OUTCOME
     prod = f.product
     for mis in f.g.mis_list:
-        lifted = lift_layers(prod.layer_h, mis)
+        lifted = prod.layers_h(mis)
         if not is_maximal_independent(prod.graph, lifted):
             witness = {
                 "factor_mis": to_vertices(mis),
@@ -414,13 +459,14 @@ def _check_residual_wc(f: GraphFacts) -> Outcome:
 )
 def _check_clique_leftover(f: GraphFacts) -> Outcome:
     g = f.graph
+    adj = g.adj
     size = f.report.alpha - 1
     for s in f.independent_sets:
         if s.bit_count() != size:
             continue
         rest = residual(g, s)
         # G - N[S] is a clique exactly when every vertex left sees the rest
-        if any(rest & ~g.closed(v) for v in bits(rest)):
+        if any(rest & ~adj[v] != 1 << v for v in bits(rest)):
             witness = {
                 "independent_set": to_vertices(s),
                 "residual_vertices": to_vertices(rest),
@@ -551,9 +597,11 @@ def _check_kn_necessary(f: PairFacts) -> Outcome:
 )
 def _check_bipartite_isolation(f: GraphFacts) -> Outcome:
     """Deleting any closed neighborhood N[x] leaves an isolated vertex."""
+    if not f.report.well_covered:
+        return VACUOUS_OUTCOME
     b = f.graph
     # K0 has minimum degree infinity but no vertex to isolate
-    if b.n == 0 or not is_bipartite(b) or min_degree(b) < 2 or not f.report.well_covered:
+    if b.n == 0 or not is_bipartite(b) or min_degree(b) < 2:
         return VACUOUS_OUTCOME
     # a vertex left isolated by deleting N[x] is isolatable through {x}, so
     # without isolatable vertices this loop already fails at x = 0
@@ -574,6 +622,8 @@ def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
     """With H nontrivial connected, G free of isolatable vertices, and the
     product well-covered, every independent k-set of G has closed
     neighborhood of size exactly k * n(G) / alpha(G)."""
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = f.h.nontrivial_connected and f.g.isolatable_mask == 0 and f.product_wc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -603,6 +653,8 @@ def _check_closed_nbhd_size(f: PairFacts) -> Outcome:
 def _check_regularity(f: PairFacts) -> Outcome:
     """Same hypothesis as closed_nbhd_size but with both factors nontrivial
     connected; the first factor must be (n/alpha - 1)-regular."""
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = f.connected_factors and f.g.isolatable_mask == 0 and f.product_wc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -637,6 +689,8 @@ def _check_k3_dichotomy(f: GraphFacts) -> Outcome:
     "a factor without isolatable vertices in a well-covered product is complete",
 )
 def _check_no_isolatable_complete(f: PairFacts) -> Outcome:
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = f.connected_factors and f.product_wc and f.g.isolatable_mask == 0
     if not hyp:
         return VACUOUS_OUTCOME
@@ -655,6 +709,8 @@ def _check_no_isolatable_complete(f: PairFacts) -> Outcome:
     "two factors without isolatable vertices force equal complete graphs",
 )
 def _check_both_complete(f: PairFacts) -> Outcome:
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = (
         f.connected_factors
         and f.g.isolatable_mask == 0
@@ -680,6 +736,8 @@ def _check_both_complete(f: PairFacts) -> Outcome:
     "well-covered but not very well-covered products leave no bipartite residual component above K1",
 )
 def _check_no_bipartite_residual(f: PairFacts) -> Outcome:
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -708,6 +766,8 @@ def _in_triangle(g: Graph, w: int) -> bool:
 def _check_edge_triangle(f: PairFacts) -> Outcome:
     """An edge is incident with a triangle when at least one endpoint lies
     in one; the edge itself need not span a triangle."""
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -725,6 +785,8 @@ def _check_edge_triangle(f: PairFacts) -> Outcome:
     "well-covered but not very well-covered products force girth 3 in both factors",
 )
 def _check_girth_three(f: PairFacts) -> Outcome:
+    if f.decided_not_wc:
+        return VACUOUS_OUTCOME
     hyp = f.connected_factors and f.wc_not_vwc
     if not hyp:
         return VACUOUS_OUTCOME
@@ -812,10 +874,12 @@ def _check_multipartite_square(f: GraphFacts) -> Outcome:
     "support vertices of well-covered graphs carry exactly one leaf",
 )
 def _check_support_leaf_unique(f: GraphFacts) -> Outcome:
+    if not f.report.well_covered:
+        return VACUOUS_OUTCOME
     g = f.graph
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     supports = sorted({g.adj[v].bit_length() - 1 for v in leaves})
-    if not f.report.well_covered or not supports:
+    if not supports:
         return VACUOUS_OUTCOME
     leaf_mask = to_mask(leaves)
     for x in supports:
@@ -958,8 +1022,10 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
 
     Facts are computed once per distinct graph per call, through one
     ``facts_cache`` (at most ``FACTS_CACHE_SIZE`` graphs at a time), and
-    shared by every claim on every instance that graph is in.  Instances
-    whose shape matches no requested claim are passed over.
+    shared by every claim on every instance that graph is in.  The claims
+    of a shape are looked up in ``REGISTRY`` when the first instance of
+    that shape arrives; instances whose shape matches no requested claim
+    are passed over.
     Holds, vacuous and skipped outcomes are only counted; a ``ClaimVerdict``,
     and with it the instance's graph6 encoding, is built for counterexamples
     alone.
@@ -967,12 +1033,15 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
     report = SuiteReport({c: ClaimTally() for c in claim_ids})
     by_shape: dict[str, list[tuple[Claim, ClaimTally]]] = {}
     facts_of = facts_cache()
-    for claim_id, tally in report.tallies.items():  # each id once, however often it was named
-        claim = REGISTRY[claim_id]
-        by_shape.setdefault(claim.shape, []).append((claim, tally))
     for inst in instances:
         shape = instance_shape(inst)
         group = by_shape.get(shape)
+        if group is None:  # the first instance of this shape
+            group = by_shape[shape] = [
+                (claim, tally)
+                for claim_id, tally in report.tallies.items()  # each id once
+                if (claim := REGISTRY[claim_id]).shape == shape
+            ]
         if not group:
             continue
         facts = facts_for(shape, inst, facts_of)

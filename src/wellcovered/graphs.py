@@ -279,7 +279,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_complete(g: Graph) -> bool:
-    return all(g.degree(v) == g.n - 1 for v in range(g.n))
+    """Whether each row is every other vertex: row v equals the full mask
+    less bit v."""
+    full = (1 << g.n) - 1
+    return all(row == full ^ 1 << v for v, row in enumerate(g.adj))
 
 
 def min_degree(g: Graph) -> int | float:

@@ -148,21 +148,38 @@ def isolatable_vertices(g: Graph) -> int:
 def perfect_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
     """All perfect matchings as partner tuples, ``mate[v]`` the vertex that v
     is matched to, generated by pairing the lowest unmatched vertex with each
-    of its unmatched neighbors in turn."""
+    of its unmatched neighbors in turn.  One loop: ``free`` is the unmatched
+    set, ``v`` its lowest vertex and ``cands`` the partners of v not yet
+    tried; the stack holds the same three for each earlier pairing."""
     if g.n % 2:
         return
+    adj = g.adj
     mate = [0] * g.n
-
-    def rec(free: int) -> Iterator[tuple[int, ...]]:
-        if not free:
+    free = g.vertex_mask
+    if not free:
+        yield ()
+        return
+    stack: list[tuple[int, int, int]] = []
+    v = (free & -free).bit_length() - 1
+    cands = adj[v] & free
+    while True:
+        if not cands:
+            if not stack:
+                return
+            free, v, cands = stack.pop()
+            continue
+        low = cands & -cands
+        cands ^= low
+        u = low.bit_length() - 1
+        mate[v], mate[u] = u, v
+        rest = free & ~(1 << v | low)
+        if not rest:
             yield tuple(mate)
-            return
+            continue
+        stack.append((free, v, cands))
+        free = rest
         v = (free & -free).bit_length() - 1
-        for u in bits(g.adj[v] & free):
-            mate[v], mate[u] = u, v
-            yield from rec(free & ~(1 << v | 1 << u))
-
-    yield from rec(g.vertex_mask)
+        cands = adj[v] & free
 
 
 def has_pairing_property(g: Graph, mate: tuple[int, ...]) -> bool:

@@ -44,7 +44,33 @@ class ProductGraph:
         """The G-layer over h: all (g, h), always independent."""
         if not 0 <= h < self.n_h:
             raise ValueError(f"vertex {h} outside second factor")
-        return sum(1 << g * self.n_h + h for g in range(self.n_g))
+        return self._column() << h
+
+    def _column(self) -> int:
+        """The G-layer over h = 0: bit g * n_h for every g."""
+        stride = self.n_h
+        return ((1 << self.n_g * stride) - 1) // ((1 << stride) - 1) if stride else 0
+
+    def layers_h(self, mask: int) -> int:
+        """I x V(H) for a mask I of the first factor: the union of the
+        H-layers over its members.  Bit g of I is spread to g * n_h, and one
+        multiply fills each spread bit's layer."""
+        if mask >> self.n_g:  # a negative mask shifts to -1
+            raise ValueError(f"mask {mask:#x} has a vertex outside the first factor")
+        stride = self.n_h
+        spread = 0
+        while mask:
+            low = mask & -mask
+            spread |= 1 << (low.bit_length() - 1) * stride
+            mask ^= low
+        return spread * ((1 << stride) - 1)
+
+    def layers_g(self, mask: int) -> int:
+        """V(G) x J for a mask J of the second factor: the union of the
+        G-layers over its members, one multiply by the column."""
+        if mask >> self.n_h:
+            raise ValueError(f"mask {mask:#x} has a vertex outside the second factor")
+        return mask * self._column()
 
     def pairs(self, s: int) -> list[tuple[int, int]]:
         """Decode a product mask into sorted (g, h) pairs, for reports."""
@@ -69,20 +95,11 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     return ProductGraph(Graph(n, tuple(adj)), g.n, h.n, g, h)
 
 
-def lift_layers(layer, mask: int) -> int:
-    """The union of ``layer(v)`` over the members v of a factor mask, for a
-    layer map such as ``ProductGraph.layer_h``."""
-    out = 0
-    for v in bits(mask):
-        out |= layer(v)
-    return out
-
-
 def lift_independent(p: ProductGraph, i_mask: int) -> int:
     """I x V(H) as a product mask, for I independent in the first factor."""
     if not is_independent(p.factor_g, i_mask):
         raise ValueError("set is not independent in the first factor")
-    return lift_layers(p.layer_h, i_mask)
+    return p.layers_h(i_mask)
 
 
 def lifted_witnesses(
@@ -108,13 +125,13 @@ def lifted_witnesses(
     lower_g, lower_h = rep_g.alpha * h.n, rep_h.alpha * g.n
     upper_g, upper_h = rep_g.i_number * h.n, rep_h.i_number * g.n
     if lower_g >= lower_h:
-        big = lift_layers(p.layer_h, rep_g.witness_max)
+        big = p.layers_h(rep_g.witness_max)
     else:
-        big = lift_layers(p.layer_g, rep_h.witness_max)
+        big = p.layers_g(rep_h.witness_max)
     if upper_g <= upper_h:
-        small = lift_layers(p.layer_h, rep_g.witness_min)
+        small = p.layers_h(rep_g.witness_min)
     else:
-        small = lift_layers(p.layer_g, rep_h.witness_min)
+        small = p.layers_g(rep_h.witness_min)
     if (
         big.bit_count() >= max(lower_g, lower_h)
         and small.bit_count() <= min(upper_g, upper_h)

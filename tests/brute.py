@@ -16,6 +16,11 @@ reference for the order in which the package's one-loop enumeration yields
 independent sets.  ``reference_maximal_sets`` is the plain pivot walk over
 maximal independent sets, with no skip, table or bound, the reference for
 the order in which the kernels' one walk emits them.
+``brute_perfect_matchings`` lists the fixed-point-free involutions of the
+vertices, from ``itertools.permutations``, whose pairs are all edges: the
+reference for the order in which ``perfect_matchings`` yields matchings.
+``brute_layers_h`` and ``brute_layers_g`` lift a factor mask to the product
+one (g, h) pair at a time, from the row-major index g * n_h + h.
 
 The hypothesis strategy ``graphs`` and the networkx converter
 ``to_networkx`` are the test modules' shared ways to draw a graph and to
@@ -25,6 +30,7 @@ hand one to networkx.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import permutations
 from typing import Iterator
 
@@ -270,3 +276,39 @@ def brute_encode(g: Graph, n: int, v0: int, classes: tuple[int, ...], bracket: i
     if not is_maximal_independent(kn_product_adj(g, n), g.n * n, mask):
         raise RuntimeError("valid partition produced a set that is not maximal independent")
     return mask
+
+
+@cache
+def _involutions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every fixed-point-free involution of range(n) as a partner tuple, in
+    lexicographic order."""
+    return tuple(
+        p for p in permutations(range(n)) if all(p[v] != v and p[p[v]] == v for v in range(n))
+    )
+
+
+def brute_perfect_matchings(g: Graph) -> list[tuple[int, ...]]:
+    """The perfect matchings of g as partner tuples, in lexicographic order:
+    the fixed-point-free involutions of its vertices that pair only
+    neighbors."""
+    return [m for m in _involutions(g.n) if all(g.adj[v] >> u & 1 for v, u in enumerate(m))]
+
+
+def brute_layers_h(n_g: int, n_h: int, i_mask: int) -> int:
+    """I x V(H) as a product mask, pair by pair."""
+    out = 0
+    for g in range(n_g):
+        if i_mask >> g & 1:
+            for h in range(n_h):
+                out |= 1 << g * n_h + h
+    return out
+
+
+def brute_layers_g(n_g: int, n_h: int, j_mask: int) -> int:
+    """V(G) x J as a product mask, pair by pair."""
+    out = 0
+    for h in range(n_h):
+        if j_mask >> h & 1:
+            for g in range(n_g):
+                out |= 1 << g * n_h + h
+    return out

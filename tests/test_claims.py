@@ -208,7 +208,7 @@ class TestKnownVerdicts:
 
 
 def forced(facts, **values):
-    """``facts`` with cached properties preset, so a claim runs its
+    """``facts`` with lazy facts preset, so a claim runs its
     conclusion on an instance whose hypothesis does not really hold."""
     for name, value in values.items():
         if name == "report":
@@ -469,6 +469,128 @@ class TestProductPastTheCap:
                 status = verify(claim_id, graph).status
                 assert (status == SKIPPED) == (claim_id == capped)
                 assert status != COUNTEREXAMPLE
+
+
+# pairs past the cap, and H(4,2) x K5 at 60 vertices just inside it
+NEAR_THE_CAP = [
+    (cycle(11), complete(6)),
+    (path(9), cycle(8)),
+    (disjoint_union(complete(2), complete(1)), cycle(22)),
+    (h_family(4, 2), complete(5)),
+    (complete(9), complete(8)),
+    (corona_with_k1(5), cycle(7)),
+]
+
+
+class TestPairsPastTheCap:
+    """A pair claim reads the product decision before its factor-only facts
+    only while the product fits the cap.  Past it, a factor fact that fails
+    still makes the verdict vacuous rather than skipped.  These (holds,
+    vacuous, skipped) tallies were read before the decision was read first;
+    reading it first past the cap too turns vacuous verdicts into skips."""
+
+    EXPECTED = {
+        "inverse_image": (1, 0, 5),
+        "trivial_bounds": (1, 1, 4),
+        "wc_direct": (0, 1, 5),
+        "vwc_product": (0, 5, 1),
+        "closed_nbhd_size": (0, 5, 1),
+        "regularity": (0, 5, 1),
+        "no_isolatable_complete": (0, 2, 4),
+        "both_complete": (0, 5, 1),
+        "no_bipartite_residual": (0, 2, 4),
+        "edge_triangle": (0, 2, 4),
+        "girth_three": (0, 2, 4),
+    }
+
+    def test_tallies(self):
+        assert [g.n * h.n for g, h in NEAR_THE_CAP] == [66, 72, 66, 60, 72, 70]
+        report = run_suite(CLAIM_IDS, NEAR_THE_CAP)
+        assert report.passed
+        tallies = {c: (t.holds, t.vacuous, t.skipped) for c, t in report.tallies.items()}
+        assert {c: tallies[c] for c in PAIR_IDS} == self.EXPECTED
+        assert set(self.EXPECTED) == PAIR_IDS
+
+
+LAZY_FACTS = [
+    (cls, name)
+    for cls in (GraphFacts, PairFacts)
+    for name, attr in vars(cls).items()
+    if isinstance(attr, claims.lazy)
+]
+
+
+class TestLazyFacts:
+    """Facts are computed on first read, once per facts object, and a pair
+    whose product is decided not well-covered reads no factor-only fact."""
+
+    def test_descriptor(self):
+        assert len(LAZY_FACTS) == 13
+        for cls, name in LAZY_FACTS:
+            assert getattr(cls, name) is vars(cls)[name]
+        f = GraphFacts(cycle(5))
+        assert "report" not in vars(f)
+        report = f.report
+        assert vars(f)["report"] is report is f.report
+
+    def test_each_fact_computed_once(self, monkeypatch):
+        computed = Counter()
+        held = []  # keeps every facts object alive, so no id is reused
+
+        def counted(compute, name):
+            def run(obj):
+                value = compute(obj)
+                held.append(obj)
+                computed[id(obj), name] += 1
+                return value
+
+            return run
+
+        for cls, name in LAZY_FACTS:
+            attr = vars(cls)[name]
+            monkeypatch.setattr(attr, "compute", counted(attr.compute, name))
+        stream = (
+            targeted_instances()
+            + list(corpus_pair_instances(4, cap=16))
+            + list(corpus_graph_n_instances(4))
+            + NEAR_THE_CAP
+        )
+        assert run_suite(CLAIM_IDS, stream).passed
+        assert max(computed.values()) == 1
+        names = {name for _, name in computed}
+        assert {"report", "isolatable_mask", "lifted", "product_wc_size"} <= names
+
+    @pytest.mark.parametrize(
+        "pair",
+        # P3 x C4 and C5 x K3 are certified by the lifted sets; the kernel
+        # decides C5 x C5 and the 6-cycle times K2 + K1
+        [
+            (path(3), cycle(4)),
+            (cycle(5), complete(3)),
+            (cycle(5), cycle(5)),
+            (cycle(6), disjoint_union(complete(2), complete(1))),
+        ],
+        ids=["P3xC4", "C5xK3", "C5xC5", "C6x(K2+K1)"],
+    )
+    def test_not_well_covered_product_reads_no_factor_fact(self, monkeypatch, pair):
+        calls = Counter()
+
+        def counted(name, original):
+            def run(g):
+                calls[name] += 1
+                return original(g)
+
+            return run
+
+        for name in ("isolatable_vertices", "is_connected"):
+            monkeypatch.setattr(claims, name, counted(name, getattr(claims, name)))
+        report = run_suite(CLAIM_IDS, [pair])
+        assert report.tallies["wc_direct"].vacuous == 1
+        assert not claims.facts_for(claims.SHAPE_PAIR, pair, claims.facts_cache()).product_wc
+        assert calls == {}
+        # past the cap the factor facts are read first, as they always were
+        run_suite(CLAIM_IDS, [(cycle(11), complete(6))])
+        assert calls["isolatable_vertices"] == 1
 
 
 class TestSuite:

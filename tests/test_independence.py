@@ -11,6 +11,7 @@ from hypothesis import given
 
 from brute import (
     brute_maximal_independent_sets,
+    brute_perfect_matchings,
     brute_summary,
     graphs,
     is_independent,
@@ -176,6 +177,17 @@ class TestMatchings:
 
     def test_empty_graph_has_the_empty_matching(self):
         assert list(perfect_matchings(Graph(0, ()))) == [()]
+
+    def test_order_against_involutions(self):
+        """Every even-order graph on 2 to 6 vertices, isolated vertices
+        allowed: the matchings come in the order of the involution filter,
+        which is the lexicographic order of the partner tuples."""
+        checked = 0
+        for g in corpus(6, connected_only=False):
+            if g.n % 2 == 0:
+                assert list(perfect_matchings(g)) == brute_perfect_matchings(g)
+                checked += 1
+        assert checked == 2 + 64 + 32768
 
     def test_against_edge_subsets(self):
         """Every generated matching is an involution along edges with no

@@ -7,7 +7,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import brute_summary, graphs, is_independent, random_graph
+from brute import (
+    brute_layers_g,
+    brute_layers_h,
+    brute_summary,
+    graphs,
+    is_independent,
+    random_graph,
+)
 from wellcovered import kernel
 from wellcovered.claims import (
     COUNTEREXAMPLE,
@@ -128,6 +135,45 @@ class TestLifting:
         p = direct_product(g, h)
         lifted = lift_independent(p, to_mask([0, 2]))
         assert lifted == p.layer_h(0) | p.layer_h(2)
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [(cycle(32), complete(2)), (complete(2), cycle(32)), (cycle(16), complete(4))],
+        ids=["C32xK2", "K2xC32", "C16xK4"],
+    )
+    def test_layers_against_pairs(self, g, h):
+        """Both lifts at 64 vertices, where the top layer ends at bit 63,
+        against the pair-by-pair oracle: every mask of a factor on at most
+        16 vertices, and for C32 the empty and full masks, every mask of at
+        most two vertices and 2,000 seeded ones."""
+        p = direct_product(g, h)
+        rng = random.Random(g.n * 100 + h.n)
+
+        def masks(n):
+            if n <= 16:
+                return range(1 << n)
+            few = [0, (1 << n) - 1] + [1 << v | 1 << u for v in range(n) for u in range(v, n)]
+            return few + [rng.getrandbits(n) for _ in range(2000)]
+
+        for mask in masks(g.n):
+            assert p.layers_h(mask) == brute_layers_h(g.n, h.n, mask)
+        for mask in masks(h.n):
+            assert p.layers_g(mask) == brute_layers_g(g.n, h.n, mask)
+        assert p.layers_h(g.vertex_mask) == p.layers_g(h.vertex_mask) == (1 << 64) - 1
+        for v in range(g.n):
+            assert p.layers_h(1 << v) == p.layer_h(v)
+        for v in range(h.n):
+            assert p.layers_g(1 << v) == p.layer_g(v)
+
+    @pytest.mark.parametrize("g, h", [(cycle(16), complete(4)), (complete(2), cycle(32))])
+    def test_layers_reject_masks_outside_the_factor(self, g, h):
+        p = direct_product(g, h)
+        for mask in (1 << g.n, 1 << 63, -1):
+            with pytest.raises(ValueError, match="outside the first factor"):
+                p.layers_h(mask)
+        for mask in (1 << h.n, 1 << 63, -1):
+            with pytest.raises(ValueError, match="outside the second factor"):
+                p.layers_g(mask)
 
     def test_lift_rejects_dependent_set(self):
         p = direct_product(cycle(5), complete(2))
