@@ -220,7 +220,7 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
     Frame stack[128], f = {.p = start};
-    int top = 0, best, pivot, c, v, go, k, most, total, wide, b_lo, b_hi, gather;
+    int top = 0, best, stop, pivot, c, v, go, k, most, total, wide, b_lo, b_hi, gather;
     uint64_t bu, m, cover;
     for (;;) {
         f.branch = 0;
@@ -231,7 +231,10 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
             most = total = wide = 0;
             best = 65;
             pivot = 0;
-            for (m = f.p | f.x; m && best; m &= m - 1) {
+            /* with X empty every count is at least 1, so unless the loop
+             * gathers counts it stops at the first count of 1 */
+            stop = gather || f.x ? 0 : 1;
+            for (m = f.p | f.x; m && best > stop; m &= m - 1) {
                 v = CTZ(m);
                 c = POPCNT(closed[v] & f.p);
                 if (c < best) {

@@ -21,6 +21,8 @@ vertices, from ``itertools.permutations``, whose pairs are all edges: the
 reference for the order in which ``perfect_matchings`` yields matchings.
 ``brute_layers_h`` and ``brute_layers_g`` lift a factor mask to the product
 one (g, h) pair at a time, from the row-major index g * n_h + h.
+``ascending_bits`` lists the set bits of a mask by testing each position,
+the reference for the byte table the pure kernel reads vertices from.
 
 The hypothesis strategy ``graphs`` and the networkx converter
 ``to_networkx`` are the test modules' shared ways to draw a graph and to
@@ -122,6 +124,12 @@ def reference_maximal_sets(closed: list[int], full: int) -> Iterator[int]:
         if branch:
             push((s, p & ~bu, x | bu, branch))
         s, p, x = s | bu, p & ~cu, x & ~cu
+
+
+def ascending_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a nonnegative mask, lowest first,
+    tested one position at a time."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def brute_min_mask(g: Graph) -> int:

@@ -4,12 +4,14 @@ property tests against the subset-filter oracle."""
 
 import gc
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given
 
 from brute import (
+    ascending_bits,
     brute_maximal_independent_sets,
     brute_perfect_matchings,
     brute_summary,
@@ -374,6 +376,70 @@ class TestBoundedSummary:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestByteTable:
+    """The degree-bound loop of a bounded walk reads P's vertices from
+    ``_BYTE_BITS``, a byte of P at a time; they must be the set bits of P,
+    lowest first, as a per-bit scan lists them.  On the pure kernel,
+    ``TestBoundedSummary::test_bounds_everywhere_match_full_enumeration``
+    (``TABLE_MIN_ORDER = 0``) also runs that loop on 300 small graphs."""
+
+    def test_every_entry(self):
+        assert len(_mis_fallback._BYTE_BITS) == 8
+        for j, rows in enumerate(_mis_fallback._BYTE_BITS):
+            assert len(rows) == 256
+            for b, row in enumerate(rows):
+                assert row == tuple(ascending_bits(b << 8 * j))
+
+    def test_chained_iteration(self):
+        """The walk's iteration: the table rows of P's little-endian bytes,
+        chained, for P in ``nbytes`` bytes, all 8 or just enough."""
+        rng = random.Random(2031)
+        masks = [0, (1 << 64) - 1, *(1 << v for v in range(64))]
+        masks += [rng.getrandbits(64) for _ in range(2000)]
+        for p in masks:
+            expect = ascending_bits(p)
+            for nbytes in 8, (p.bit_length() + 7) >> 3:
+                rows = map(operator.getitem, _mis_fallback._BYTE_BITS, p.to_bytes(nbytes, "little"))
+                assert list(itertools.chain.from_iterable(rows)) == expect
+
+    def test_bounded_walk_in_the_high_bytes(self, monkeypatch):
+        """C5 x C5, 25 vertices and not well-covered, on labels 39..63 of a
+        64-vertex graph, so its bounded walk reads only bytes 4..7.  A
+        monotone relabelling keeps the visit order, so the answer is the one
+        on labels 0..24 shifted by 39."""
+        low = direct_product(cycle(5), cycle(5)).graph
+        shift = 64 - low.n
+        adj = [0] * shift + [row << shift for row in low.adj]
+        within = low.vertex_mask << shift
+        read = []
+
+        class Row:
+            """A row of the table that notes the byte position of every
+            nonzero byte looked up in it."""
+
+            def __init__(self, j, rows):
+                self.j, self.rows = j, rows
+
+            def __getitem__(self, b):
+                if b:
+                    read.append(self.j)
+                return self.rows[b]
+
+        table = tuple(itertools.starmap(Row, enumerate(_mis_fallback._BYTE_BITS)))
+        monkeypatch.setattr(_mis_fallback, "_BYTE_BITS", table)
+        closed = [row | 1 << v for v, row in enumerate(adj)]
+        sets = list(reference_maximal_sets(closed, within))
+        wit_min = min(sets, key=int.bit_count)
+        wit_max = max(sets, key=int.bit_count)
+        expect = (wit_min.bit_count(), wit_max.bit_count(), wit_min, wit_max)
+        assert _mis_fallback.independence_summary(adj, within) == expect
+        assert read and min(read) >= shift >> 3
+        assert _mis_fallback.well_covered_size(adj, within) == -1 == _mis_fallback.well_covered_size(low.adj)
+        i, a, w_min, w_max = _mis_fallback.independence_summary(low.adj)
+        assert expect == (i, a, w_min << shift, w_max << shift)
+        assert i < a
 
 
 def assert_sets_in_reference_order(g):
