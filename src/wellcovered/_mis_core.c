@@ -1,10 +1,11 @@
 /* Compiled enumeration kernel.
  *
  * Same walk, visit order and results as _mis_fallback.py.  That module's
- * docstring describes the walk once: the pivot rule, the summary's skip
- * test, the walk per component of G[within], the decision, the degree
- * bounds and the table of finished states with the rules that keep it
- * where it pays.  This file says only what is particular to C.
+ * docstring describes the walk once: the pivot rule, the step that adds
+ * every vertex isolated in G[P] to S, the summary's skip test, the walk per
+ * component of G[within], the decision, the degree bounds and the table of
+ * finished states with the rules that keep it where it pays.  This file
+ * says only what is particular to C.
  *
  * Graphs arrive as sequences of per-vertex adjacency masks and must fit in
  * 64 bits, so every row and every vertex set is one uint64_t.  One loop,
@@ -168,6 +169,14 @@ static void remember(Search *st, const Frame *f)
 
 enum { SKIP, EXPAND, NEW_STATE, KNOWN_STATE };
 
+/* Whether the summary's skip test settles a node with k vertices in S and
+ * nfree in P: none of its sets is below lo or above hi.  Enumeration
+ * settles none. */
+static int settled(const Search *st, int k, int nfree)
+{
+    return st->mode != COLLECT && k + nfree <= st->hi && k + 1 >= st->lo;
+}
+
 /* Whether to expand a node with P nonempty: SKIP, EXPAND, or expand it and
  * push an exit marker that remembers it, for a NEW_STATE or a KNOWN_STATE.
  * A remembered state first applies its exact sides like emitted sets and
@@ -181,7 +190,7 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
         return EXPAND;
     k = POPCNT(s);
     nfree = POPCNT(p);
-    if (k + nfree <= st->hi && k + 1 >= st->lo)
+    if (settled(st, k, nfree))
         return SKIP;
     if (nfree < st->min_free || x)
         return EXPAND;
@@ -210,8 +219,18 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
     return go;
 }
 
-/* The search from P = start, X = {}.  Each level of S holds at most one
- * stacked frame and one exit marker, so at most 128 are live.
+/* The search from P = start, X = {}.  A node pushes at most one exit marker
+ * and one frame of further candidates, and its child holds at least one
+ * more vertex in S, the candidate taken, after any absorbed ones.  So each
+ * vertex of S accounts for at most two live frames, at most 128 in all.
+ *
+ * The pivot loop follows _mis_fallback's scan rule.  With X nonempty it
+ * stops at the first count of 0.  With X empty, unless it gathers the
+ * bounds below, it reads all of P, adds every vertex of count 1, isolated
+ * in G[P], to S, and takes the first vertex of least count among the rest
+ * as the pivot; the absorbed node meets the skip test again.  With X
+ * nonempty absorbing could drop an excluded pivot from X and change the
+ * visit order, and in the gathering loop it was measured slower.
  *
  * In a bounded walk that has seen two sizes, the pivot loop also gathers
  * the counts of _mis_fallback's degree bounds: the sum total and the
@@ -220,8 +239,8 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
     Frame stack[128], f = {.p = start};
-    int top = 0, best, stop, pivot, c, v, go, k, most, total, wide, b_lo, b_hi, gather;
-    uint64_t bu, m, cover;
+    int top = 0, best, pivot, c, v, go, k, most, total, wide, b_lo, b_hi, gather;
+    uint64_t bu, m, cover, lone;
     for (;;) {
         f.branch = 0;
         if (f.p && (go = expand(st, f.s, f.p, f.x)) != SKIP) {
@@ -231,22 +250,33 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
             most = total = wide = 0;
             best = 65;
             pivot = 0;
-            /* with X empty every count is at least 1, so unless the loop
-             * gathers counts it stops at the first count of 1 */
-            stop = gather || f.x ? 0 : 1;
-            for (m = f.p | f.x; m && best > stop; m &= m - 1) {
-                v = CTZ(m);
-                c = POPCNT(closed[v] & f.p);
-                if (c < best) {
-                    best = c;
-                    pivot = v;
+            lone = 0;
+            if (!gather && !f.x) {
+                for (m = f.p; m; m &= m - 1) {
+                    v = CTZ(m);
+                    c = POPCNT(closed[v] & f.p);
+                    if (c == 1) {
+                        lone |= m & -m;
+                    } else if (c < best) {
+                        best = c;
+                        pivot = v;
+                    }
                 }
-                if (gather && f.p >> v & 1) {
-                    total += c;
-                    if (c > most)
-                        most = c;
-                    if (cover && (c = POPCNT(closed[v] & cover)) > wide)
-                        wide = c;
+            } else {
+                for (m = f.p | f.x; m && best; m &= m - 1) {
+                    v = CTZ(m);
+                    c = POPCNT(closed[v] & f.p);
+                    if (c < best) {
+                        best = c;
+                        pivot = v;
+                    }
+                    if (gather && f.p >> v & 1) {
+                        total += c;
+                        if (c > most)
+                            most = c;
+                        if (cover && (c = POPCNT(closed[v] & cover)) > wide)
+                            wide = c;
+                    }
                 }
             }
             /* best == 0: some excluded vertex can still join any completion */
@@ -270,11 +300,20 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
                 if (go >= NEW_STATE)
                     stack[top++] = (Frame){.s = f.s, .p = f.p, .x = f.x, .lo = st->lo,
                                            .hi = st->hi, .c_lo = b_lo, .c_hi = b_hi};
-                f.branch = closed[pivot] & f.p;
+                if (lone) {
+                    f.s |= lone;
+                    f.p &= ~lone;
+                    /* the skip test again, on the absorbed node */
+                    if (!f.p || settled(st, POPCNT(f.s), POPCNT(f.p)))
+                        best = 0;
+                }
+                if (best)
+                    f.branch = closed[pivot] & f.p;
             }
-        } else if (!f.p && !f.x && (c = emit(st, f.s)) != 0) {
-            return c;
         }
+        /* an emitted set, with P empty from the start or after absorbing */
+        if (!f.p && !f.x && (c = emit(st, f.s)) != 0)
+            return c;
         while (!f.branch) {
             if (!top)
                 return 0;

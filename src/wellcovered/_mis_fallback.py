@@ -12,12 +12,32 @@ them.  A set is emitted when P and X are both empty.  Branching picks the
 first vertex of P | X with the fewest candidates in P (a branch is dead
 when that count is 0) and tries each candidate in its closed neighborhood in
 increasing order, shrinking P twice per level, which is the classic pivot
-rule and keeps the tree near the number of emitted sets.  The scan for the
-pivot stops at the first count of 0.  With X empty no count is 0, since a
-vertex of P is its own candidate, so it stops at the first count of 1; no
-later vertex has fewer, and the pivot is the same.  A scan that gathers
-the degree bounds below does not stop at a count of 1, since the bounds
-read the count of every vertex of P.
+rule and keeps the tree near the number of emitted sets.  With X nonempty
+the scan for the pivot stops at the first count of 0.
+
+With X empty no count is 0, since a vertex of P is its own candidate, and a
+count of 1 marks a vertex isolated in G[P].  The first such vertex would be
+the pivot, with itself as its one candidate.  Taking it changes no other
+vertex's count and leaves X empty, so the walk would take every other
+isolated vertex the same way, one node and one scan of P up to it at a
+time.  Instead the scan reads all of P once, adds every isolated vertex to
+S in one step, and branches at the first vertex of least count among the
+rest.  That is the node the chain of forced moves reaches, with the same
+pivot, so the emitted sets and their order are those of the plain walk.
+The absorbed node meets the summary's skip test below again, since S grew,
+and emits S when no vertex of P is left.  An exit marker of the table below
+stays keyed by P before absorbing.  The residuals G - N[S] of the paper's
+well-covered products are full of isolated vertices: on the pure kernel,
+H(4,1) x H(4,1) decides in about 20 ms instead of 200 ms, and the three
+slowest well-covered products of two connected 8-vertex graphs in 10-12 ms
+instead of 0.7-1.6 s (the README has the table).
+
+Two scans keep the plain rule.  With X nonempty, taking an isolated vertex
+early can drop from X an excluded vertex that would have been the pivot, so
+the walk would branch elsewhere and could emit its sets in another order.
+The loop that gathers the degree bounds below does not absorb: absorbing
+there made the summaries of C6 x C7, C7 x C9, C5 x C11, C14 x K3 and C5 x C8
+3-4% slower.
 
 Both kernels walk the tree in one loop over an explicit stack of
 (S, P, X, remaining candidates) frames.  The stack is last in, first out and
@@ -69,25 +89,29 @@ be skipped, and while every set seen has one size k a skip needs b_lo =
 b_hi = k - |S|, which the counts seldom give: on a well-covered graph, and
 in a decision, the walk never counts them.
 
-The loop that gathers these counts reads P's vertices from ``_BYTE_BITS``,
-a byte of P at a time, instead of peeling P's lowest bit once per vertex.
-``_BYTE_BITS[j][b]`` lists, ascending, the vertices 8j..8j + 7 whose bits
-are set in byte b; the 8 x 256 tuples are built once, at import.  That loop
-runs over every vertex of P at every node it counts, and on the 36-64
-vertex products it makes up over half of the pure kernel's line events.
-There the table saves more than it costs to set up at each node: the
-recorded ``large_products`` summaries of the benchmark replay in about 0.77
-of the time.  Every other scan keeps the per-bit loop, because there the
-set-up costs more than the table saves.  Measured on the benchmark's
-recorded kernel calls, the table
+In a bounded walk, the two scans that read all of P, the loop that gathers
+these counts and the absorbing scan with X empty, read P's vertices from
+``_BYTE_BITS``, a byte of P at a time, instead of peeling P's lowest bit
+once per vertex.  ``_BYTE_BITS[j][b]`` lists, ascending, the vertices
+8j..8j + 7 whose bits are set in byte b; the 8 x 256 tuples are built once,
+at import.  The gathering loop runs over every vertex of P at every node it
+counts, and on the 36-64 vertex products it makes up over half of the pure
+kernel's line events.  There the table saves more than it costs to set up
+at each node: the recorded ``large_products`` summaries of the benchmark
+replay in about 0.77 of the time.  In the absorbing scan it decides the
+three products of 8-vertex graphs above 12-20% faster, leaves H(4,1) x
+H(4,1) as it was, and raises the ``large_products`` throughput of the
+benchmark by 2.5%.  Every other scan keeps the per-bit loop, because there
+the set-up costs more than the table saves or no gain was measured.  The
+table
 
-* in the plain pivot scan of bounded walks saves about 7% more of the
-  ``large_products`` summaries, but the H(4,1) x H(4,1) decision, whose
-  scans stop early, takes 7% longer (median 219 -> 235 ms);
+* in the scan with X nonempty of bounded walks, which stops at the first
+  count of 0, changed none of the hard cases above measurably;
 * in every walk makes the claim suite's calls 12% slower, because their
   small walks scan 3-5 vertices a node;
-* in collect mode, on 24-36 vertex products, is 14% slower than the
-  per-bit scan with its stop at a count of 1.
+* in collect mode, on 24-36 vertex products, was 14% slower than the
+  per-bit scan when that scan still stopped at the first count of 1; it
+  has not been measured against the absorbing scan.
 
 The summary covers G[within], in G's own labels, and walks each connected
 component of G[within] on its own, from P = that component and X = {}; a
@@ -390,10 +414,7 @@ def _walk(
                             elif tabled:
                                 # the exit marker, under the children
                                 push((s, p, (lo, hi, b_lo, 0, b_hi, 0), 0))
-                    else:
-                        # with X empty every count is at least 1, so the
-                        # first count of 1 is the pivot's
-                        floor = 0 if x else 1
+                    elif x:
                         m = p | x
                         while m:
                             v = (m & -m).bit_length() - 1
@@ -401,26 +422,58 @@ def _walk(
                             if c < best:
                                 best = c
                                 pivot = v
-                                if c <= floor:
+                                if c == 0:
                                     break
                             m &= m - 1
+                    else:
                         if tabled:
                             push((s, p, (lo, hi, c_lo, w_lo, c_hi, w_hi), 0))
+                        # every vertex isolated in G[P] joins S at once; the
+                        # pivot is the first of least count among the rest
+                        lone = 0
+                        if bounded:
+                            for v in chained(map(getitem, _BYTE_BITS, p.to_bytes(nbytes, "little"))):
+                                c = (closed[v] & p).bit_count()
+                                if c == 1:
+                                    lone |= 1 << v
+                                elif c < best:
+                                    best = c
+                                    pivot = v
+                        else:
+                            m = p
+                            while m:
+                                low = m & -m
+                                v = low.bit_length() - 1
+                                c = (closed[v] & p).bit_count()
+                                if c == 1:
+                                    lone |= low
+                                elif c < best:
+                                    best = c
+                                    pivot = v
+                                m ^= low
+                        if lone:
+                            s |= lone
+                            p ^= lone
+                            # the skip test again, on the absorbed node
+                            if not p or not collect and k + free <= hi and k + lone.bit_count() + 1 >= lo:
+                                best = 0
                     # best == 0: some excluded vertex can still join any
-                    # completion, or the bounds settled the node
+                    # completion, the bounds settled the node, or absorbing
+                    # emptied P or left a node the skip test settles
                     if best:
                         branch = closed[pivot] & p
-        elif collect:
-            if not x:
+        # an emitted set, with P empty from the start or after absorbing
+        if not p and not x:
+            if collect:
                 out.append(s)
-        elif not x:
-            size = s.bit_count()
-            if size < lo:
-                lo, min_wit = size, s
-            if size > hi:
-                hi, max_wit = size, s
-            if decide and lo < hi:
-                return lo, hi, min_wit, max_wit
+            else:
+                size = s.bit_count()
+                if size < lo:
+                    lo, min_wit = size, s
+                if size > hi:
+                    hi, max_wit = size, s
+                if decide and lo < hi:
+                    return lo, hi, min_wit, max_wit
         while not branch:
             if not stack:
                 return lo, hi, min_wit, max_wit

@@ -248,6 +248,12 @@ def summary_oracle_graphs():
     graphs = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(150)]
     graphs += large_family_products()
     families = [(cycle(5), cycle(7)), (path(8), complete(3)), (cycle(5), cycle(9)), (cycle(7), cycle(7))]
+    # walks that absorb many isolated vertices, in a bounded walk first
+    families += [
+        (h_family(3, 1), h_family(3, 1)),
+        (h_family(3, 2), complete(3)),
+        (disjoint_union(complete(1), path(5)), complete(3)),
+    ]
     graphs += [direct_product(g, h).graph for g, h in families]
     return graphs + [Graph(0, ()), complete(64)]
 
@@ -440,6 +446,68 @@ class TestByteTable:
         i, a, w_min, w_max = _mis_fallback.independence_summary(low.adj)
         assert expect == (i, a, w_min << shift, w_max << shift)
         assert i < a
+
+
+class CountingRows(list):
+    """Closed rows that count how often the walk reads one."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+class FirstSetReads(list):
+    """An ``out`` list that notes how many rows were read when the first set
+    was emitted."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+        self.reads = None
+
+    def append(self, s):
+        if self.reads is None:
+            self.reads = self.rows.reads
+        super().append(s)
+
+
+class TestAbsorption:
+    """At a node with X empty whose pivot scan does not gather the degree
+    bounds, the walk adds every vertex isolated in G[P] to S in one step.
+    One pass over P then replaces a chain of nodes that each scan P up to
+    the next isolated vertex, so the rows read before the first emitted set
+    grow like |P|, not like |P| times the number of isolated vertices."""
+
+    @staticmethod
+    def reads_before_first_set(g):
+        """The collect walk of ``maximal_independent_sets`` on counting rows:
+        the reads before its first set; its sets are those of the reference
+        walk, in order."""
+        rows = CountingRows(_mis_fallback._closed_rows(g.adj))
+        out = FirstSetReads(rows)
+        _mis_fallback._walk(rows, g.vertex_mask, {}, out=out)
+        assert out == _mis_fallback.maximal_independent_sets(g.adj) == reference_order(g)
+        return out.reads
+
+    @pytest.mark.parametrize("m, k", [(2, 40), (10, 30), (30, 30), (40, 20), (60, 4)])
+    def test_isolated_vertices_behind_a_clique(self, m, k):
+        """K_m on labels 0..m-1 and k isolated vertices above them: the
+        root's scan reads every row once and absorbs all k."""
+        g = disjoint_union(complete(m), Graph(k, (0,) * k))
+        # the scan, the pivot's row and the first candidate's row
+        assert self.reads_before_first_set(g) == m + k + 2
+
+    @pytest.mark.parametrize("m, k", [(3, 40), (10, 30), (30, 30), (40, 20)])
+    def test_star_behind_a_clique(self, m, k):
+        """K_m and then a star whose k leaves come before its center.  The
+        root branches at the first leaf, and taking it strands every other
+        leaf behind the clique."""
+        star = from_edge_list(k + 1, [(leaf, k) for leaf in range(k)])
+        g = disjoint_union(complete(m), star)
+        # two nodes, each a scan of its P, its pivot's row and a candidate's
+        assert self.reads_before_first_set(g) == 2 * (m + k) + 4
 
 
 def assert_sets_in_reference_order(g):

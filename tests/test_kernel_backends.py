@@ -19,11 +19,18 @@ from pathlib import Path
 
 import pytest
 
-from brute import brute_maximal_independent_sets, brute_summary, random_graph
+from brute import (
+    brute_maximal_independent_sets,
+    brute_summary,
+    is_maximal_independent,
+    random_graph,
+    reference_maximal_sets,
+)
 from wellcovered import _mis_fallback as pure
 from wellcovered import kernel
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
-from wellcovered.graphs import bits, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
+from wellcovered.formats import from_graph6
+from wellcovered.graphs import Graph, bits, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
 from wellcovered.products import direct_product
 
 SOURCE = Path(pure.__file__).with_name("_mis_core.c")
@@ -124,6 +131,71 @@ def test_identical_summary_on_large_products(compiled, g, h):
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
 
 
+def corona(g):
+    """g with one new leaf on each vertex v, labeled g.n + v."""
+    return from_edge_list(2 * g.n, [*g.edges(), *((v, g.n + v) for v in range(g.n))])
+
+
+def isolated_residual_graphs():
+    """Graphs whose walks meet many vertices isolated in G[P] at nodes with
+    X empty, which the walk adds to S in one step: 64 vertices with K1 at
+    label 0 and at label 63, G x K_n where G has isolated vertices, the
+    well-covered H(k, n) x K_{n+1}, and coronas."""
+    rng = random.Random(47)
+    big = direct_product(h_family(7, 2), complete(3)).graph
+    graphs = [disjoint_union(complete(1), big), disjoint_union(big, complete(1))]
+    for n in (2, 3, 4):
+        for isolated in (1, 3):
+            g = disjoint_union(random_graph(rng, rng.randint(2, 12), rng.random()), Graph(isolated, (0,) * isolated))
+            graphs.append(direct_product(g, complete(n)).graph)
+    hk = [(k, 1) for k in (2, 3, 4, 8, 16)] + [(k, 2) for k in (2, 3, 5, 7)] + [(2, 3), (4, 3), (2, 4), (1, 7)]
+    graphs += [direct_product(h_family(k, n), complete(n + 1)).graph for k, n in hk]
+    graphs += [corona(g) for g in (path(4), cycle(5), complete(6), cycle(16), path(32), complete(32))]
+    graphs += [corona(random_graph(rng, rng.randint(3, 32), rng.random())) for _ in range(12)]
+    return graphs
+
+
+@pytest.mark.parametrize("g", isolated_residual_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_identical_on_isolated_residuals(compiled, g):
+    """Both backends give equal summaries and decisions, and up to 20
+    vertices both enumerate in the reference walk's order."""
+    assert compiled.independence_summary(g.adj) == pure.independence_summary(g.adj)
+    assert compiled.well_covered_size(g.adj) == pure.well_covered_size(g.adj)
+    if g.n <= 20:
+        closed = [row | 1 << v for v, row in enumerate(g.adj)]
+        expect = list(reference_maximal_sets(closed, g.vertex_mask))
+        assert compiled.maximal_independent_sets(g.adj) == pure.maximal_independent_sets(g.adj) == expect
+
+
+# well-covered 64-vertex products whose walks absorb isolated vertices at
+# most nodes: H(4,1) x H(4,1) and the slowest well-covered products of two
+# connected 8-vertex graphs
+HARD_WELL_COVERED = [
+    (h_family(4, 1), h_family(4, 1)),
+    (from_graph6("GpQC?G"), from_graph6("GxQC?G")),
+    (from_graph6("GpQC?G"), from_graph6("GxQCAG")),
+    (from_graph6("GhQC?G"), from_graph6("GxQC?G")),
+]
+
+
+@pytest.mark.parametrize("impl", ["compiled", "pure"])
+def test_hard_well_covered_decisions(compiled, impl):
+    """Each product decides well-covered with size 32, and its summary is
+    (32, 32) with two maximal independent sets as witnesses.  A walk that
+    takes one isolated vertex a node spends several seconds on the four on
+    the pure kernel; absorbing them takes a fraction of a second."""
+    kernel_impl = compiled if impl == "compiled" else pure
+    start = time.perf_counter()
+    for g, h in HARD_WELL_COVERED:
+        prod = direct_product(g, h).graph
+        assert kernel_impl.well_covered_size(prod.adj) == 32
+        i, a, wit_min, wit_max = kernel_impl.independence_summary(prod.adj)
+        assert (i, a) == (32, 32)
+        for w in (wit_min, wit_max):
+            assert w.bit_count() == 32 and is_maximal_independent(prod.adj, prod.n, w)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_table_defaults_match_the_pure_kernel():
     """The ``TABLE_*`` defaults of ``_mis_core.c`` equal the constants of
     ``_mis_fallback``; the slot count is C's own.  The parity tests cannot
@@ -155,6 +227,7 @@ def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
         direct_product(g, h).graph
         for g, h in [(path(14), complete(3)), (cycle(14), complete(3)), (h_family(6, 2), complete(3))]
     ]
+    graphs += isolated_residual_graphs()
     for g in graphs:
         assert variant.independence_summary(g.adj) == pure.independence_summary(g.adj)
         assert variant.well_covered_size(g.adj) == pure.well_covered_size(g.adj)
@@ -248,17 +321,12 @@ def test_decision_agrees_with_subset_filter(compiled, impl):
             assert decide(g.adj, m) == (sizes.pop() if len(sizes) == 1 else -1)
 
 
-def comb(k):
-    """The path P_k with one leaf on each vertex."""
-    return from_edge_list(2 * k, [(v, v + 1) for v in range(k - 1)] + [(v, k + v) for v in range(k)])
-
-
 def test_decision_walks_components(compiled):
-    """comb(4) x comb(4) has 64 vertices in two components, and every maximal
-    independent set has 32.  A decision that walks the maximal sets of the
-    whole product takes seconds on the pure kernel; one bounded walk per
-    component takes milliseconds."""
-    adj = direct_product(comb(4), comb(4)).graph.adj
+    """The product of the corona of P4 with itself has 64 vertices in two
+    components, and every maximal independent set has 32.  A decision that
+    walks the maximal sets of the whole product takes seconds on the pure
+    kernel; one bounded walk per component takes milliseconds."""
+    adj = direct_product(corona(path(4)), corona(path(4))).graph.adj
     start = time.perf_counter()
     assert pure.well_covered_size(adj) == 32
     assert time.perf_counter() - start < 1.0
