@@ -248,13 +248,18 @@ def summary_oracle_graphs():
     graphs = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(150)]
     graphs += large_family_products()
     families = [(cycle(5), cycle(7)), (path(8), complete(3)), (cycle(5), cycle(9)), (cycle(7), cycle(7))]
-    # walks that absorb many isolated vertices, in a bounded walk first
-    families += [
+    graphs += [direct_product(g, h).graph for g, h in families]
+    # walks that absorb many isolated vertices, in a bounded walk first;
+    # their ids are tagged, as H_3,1 x H_3,1 has the order and size of a
+    # large family product above
+    absorbing = [
         (h_family(3, 1), h_family(3, 1)),
         (h_family(3, 2), complete(3)),
         (disjoint_union(complete(1), path(5)), complete(3)),
     ]
-    graphs += [direct_product(g, h).graph for g, h in families]
+    for g, h in absorbing:
+        p = direct_product(g, h).graph
+        graphs.append(pytest.param(p, id=f"absorb-n{p.n}m{p.m}"))
     return graphs + [Graph(0, ()), complete(64)]
 
 
