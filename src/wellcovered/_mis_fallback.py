@@ -500,21 +500,46 @@ def _walk(
         s, p, x = s | bu, p & ~cu, x & ~cu
 
 
+def _spread_table(stride: int) -> tuple[int, ...]:
+    """_SPREAD_TABLES[stride][b]: bit v of byte b moved to bit v * stride,
+    built by doubling like ``_byte_bits``."""
+    out = [0]
+    for v in range(8):
+        bit = 1 << v * stride
+        out += [b | bit for b in out]
+    return tuple(out)
+
+
+# one 256-entry table per stride n(H), built on the first product with it;
+# ``products.spread`` does the same, kept apart so this module imports
+# nothing from the package, like the C kernel
+_SPREAD_TABLES: dict[int, tuple[int, ...]] = {}
+
+
 def direct_product_adj(adj_g: Sequence[int], adj_h: Sequence[int]) -> list[int]:
     """Adjacency of the direct product under index (g, h) -> g*nH + h.
 
     Row (g, h) is ``layers * adj_h[h]``, where ``layers`` has one bit at the
     start g'*nH of each G-layer with g' adjacent to g: each copy of
-    adj_h[h] < 2**nH lands in its own layer block, so no carries occur."""
+    adj_h[h] < 2**nH lands in its own layer block, so no carries occur.
+    ``layers`` is row g of G spread by the stride nH, a byte at a time: the
+    stride's 256-entry table moves bit v of a byte to bit v * nH, and byte j
+    lands 8j * nH bits up."""
     nh = len(adj_h)
     if len(adj_g) * nh > 64:
         raise ValueError("product exceeds 64 vertices")
-    out: list[int] = []
+    table = _SPREAD_TABLES.get(nh)
+    if table is None:
+        table = _SPREAD_TABLES[nh] = _spread_table(nh)
+    step = 8 * nh
+    spread: list[int] = []
     for m in adj_g:
-        layers = 0
+        layers = table[m & 255]
+        m >>= 8
+        shift = step
         while m:
-            low = m & -m
-            layers |= 1 << (low.bit_length() - 1) * nh
-            m ^= low
-        out += [layers * row_h for row_h in adj_h]
-    return out
+            layers |= table[m & 255] << shift
+            m >>= 8
+            shift += step
+        spread.append(layers)
+    return [layers * row_h for layers in spread for row_h in adj_h]

@@ -969,7 +969,7 @@ def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
     return claim.verdict(facts_for(shape, instance, facts_cache()))
 
 
-@dataclass
+@dataclass(slots=True)
 class ClaimTally:
     holds: int = 0
     vacuous: int = 0

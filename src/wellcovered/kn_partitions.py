@@ -28,14 +28,16 @@ the class of a single hit from its bit position; it stops at the last
 non-empty layer and puts every vertex above it into V0 with one mask.  It
 rejects a clique order below 2, bits at or above n(G)*n and a layer met in
 a size outside {0, 1, n}.  Encoding (``mis_from_partition``) first requires
-``WeakPartition.violations`` to be empty, then sets the full layer over
-each bracket vertex and bit g*n + (k - 1) for each g in V_k, and finally
-checks that the result is a maximal independent set of the materialized
-product.  The cover test of ``violations`` keeps every vertex of a valid
-partition below n(G) and its class-count test keeps every class index
-below n, so each index is a vertex of G x K_n: the per-bit range checks of
-``ProductGraph.index`` and ``layer_h`` could never fail there and are not
-made.
+``WeakPartition.violations`` to be empty.  It then builds the set a byte of
+G at a time, by the 256-entry tables of ``products.spread``, which move bit
+g of a mask of G to bit g*n: the bracket gives ``ProductGraph.layers_h``,
+its spread times the full layer 2^n - 1, and V_k gives spread(V_k, n)
+shifted up by k - 1.  Last it checks that the result is a maximal
+independent set of the materialized product.  The cover test of
+``violations`` keeps every vertex of a valid partition below n(G) and its
+class-count test keeps every class index below n, so each index is a
+vertex of G x K_n: the per-bit range checks of ``ProductGraph.index`` and
+``layer_h`` could never fail there and are not made.
 
 ``kn_alpha_i`` and ``mis_from_partition`` build G x K_n once per (G, n) and
 keep the last 16 in a memo, so a run of round trips over one graph shares
@@ -65,7 +67,7 @@ from .graphs import (
     residual,
     to_vertices,
 )
-from .products import ProductGraph, direct_product
+from .products import ProductGraph, direct_product, spread
 
 ENGINE_PRODUCT = "product-enumeration"
 
@@ -173,9 +175,10 @@ def mis_from_partition(p: WeakPartition) -> int:
 
     Takes the full layer over every bracket vertex g, bits g*n..g*n + n - 1,
     and the single product vertex (g, k - 1), bit g*n + k - 1, for g in
-    V_k.  ``violations`` runs first and must be empty: its cover and
-    class-count tests put every g below n(G) and every k at most n, so
-    these indices need no range check.  The result is checked to be
+    V_k: ``layers_h`` of the bracket and ``spread(V_k, n) << k - 1``, a
+    byte of each part per table lookup.  ``violations`` runs first and must
+    be empty: its cover and class-count tests put every g below n(G) and
+    every k at most n, so these indices need no range check.  The result is checked to be
     maximal independent in the materialized product, which is built once
     per (G, n) and kept in a bounded memo; a failure raises rather than
     repairs, since it would contradict the partition correspondence.
@@ -185,19 +188,10 @@ def mis_from_partition(p: WeakPartition) -> int:
         raise InvalidPartition(f"invalid weak partition: {bad[0]}")
     n = p.n
     prod = _kn_product(p.graph, n)
-    layer = (1 << n) - 1
-    out = 0
-    m = p.vbracket
-    while m:
-        low = m & -m
-        out |= layer << (low.bit_length() - 1) * n
-        m ^= low
+    out = prod.layers_h(p.vbracket)
     for k, vk in enumerate(p.classes):
-        m = vk
-        while m:
-            low = m & -m
-            out |= 1 << (low.bit_length() - 1) * n + k
-            m ^= low
+        if vk:
+            out |= spread(vk, n) << k
     if not is_maximal_independent(prod.graph, out):
         fault = "non-maximal" if is_independent(prod.graph, out) else "non-independent"
         raise RuntimeError(f"valid partition produced a {fault} set")
@@ -210,10 +204,11 @@ def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
     Reads the layer over vertex g as (i_mask >> g*n) & (2^n - 1): an empty
     layer puts g in V0, a full one in the bracket, and a single bit at
     position k in V_(k+1).  Reading stops at the last non-empty layer, and
-    the vertices above it join V0 in one mask.  Rejects any set whose intersection with some
-    layer has size outside {0, 1, n}: no maximal independent set can do
-    that.  Bits at or above g.n * n name no product vertex and are rejected
-    too.
+    the vertices above it join V0 in one mask; a running one-bit mask of G
+    names the vertex of the layer in hand.  Rejects any set whose
+    intersection with some layer has size outside {0, 1, n}: no maximal
+    independent set can do that.  Bits at or above g.n * n name no product
+    vertex and are rejected too.
     """
     if n < 2:
         raise ValueError("clique order must be at least 2")
@@ -224,23 +219,23 @@ def partition_from_mis(g: Graph, n: int, i_mask: int) -> WeakPartition:
     vb = 0
     classes = [0] * n
     m = i_mask
-    # the layers above the set's highest bit are empty
-    top = (i_mask.bit_length() + n - 1) // n
-    for gv in range(top):
+    bit = 1  # the vertex of the layer m & layer, as a mask of G
+    while m:  # the layers above the set's highest bit are empty
         hit = m & layer
         m >>= n
         if not hit:
-            v0 |= 1 << gv
+            v0 |= bit
         elif hit == layer:
-            vb |= 1 << gv
+            vb |= bit
         elif not hit & hit - 1:
-            classes[hit.bit_length() - 1] |= 1 << gv
+            classes[hit.bit_length() - 1] |= bit
         else:
             raise ValueError(
-                f"layer over vertex {gv} meets the set in {hit.bit_count()} vertices, "
-                f"outside {{0, 1, {n}}}"
+                f"layer over vertex {bit.bit_length() - 1} meets the set in "
+                f"{hit.bit_count()} vertices, outside {{0, 1, {n}}}"
             )
-    v0 |= (1 << g.n) - (1 << top)
+        bit <<= 1
+    v0 |= (1 << g.n) - bit
     return WeakPartition(g, n, v0, tuple(classes), vb)
 
 

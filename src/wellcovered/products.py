@@ -3,6 +3,7 @@ structure, plus the independence bounds that lift factor data to the product.
 
 The product of G and H lives on index(g, h) = g*nH + h, row-major, fixed
 everywhere so witnesses and serialized reports decode the same way.
+``spread`` puts a factor mask onto that index, a byte at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,39 @@ from dataclasses import dataclass
 from . import kernel
 from .graphs import CapacityError, Graph, MAX_VERTICES, bits, is_independent, is_maximal_independent
 from .independence import WellCoveredReport
+
+# _SPREAD_TABLES[stride][b]: bit v of byte b moved to bit v * stride, for
+# v < 8; one 256-entry table per stride, built on its first use
+_SPREAD_TABLES: dict[int, tuple[int, ...]] = {}
+
+
+def _spread_table(stride: int) -> tuple[int, ...]:
+    """The 256 spread bytes for one stride, built by doubling: the bytes
+    with bit v set are those without it, each with bit v * stride added."""
+    out = [0]
+    for v in range(8):
+        bit = 1 << v * stride
+        out += [b | bit for b in out]
+    return tuple(out)
+
+
+def spread(mask: int, stride: int) -> int:
+    """Bit v of ``mask`` moved to bit v * stride, for v >= 0: byte j of the
+    mask is looked up in the stride's table and lands 8j * stride bits up.
+    Raises ValueError for a negative mask, which has no lowest byte."""
+    if mask < 0:
+        raise ValueError(f"cannot spread the negative mask {mask}")
+    table = _SPREAD_TABLES.get(stride)
+    if table is None:
+        table = _SPREAD_TABLES[stride] = _spread_table(stride)
+    out = table[mask & 255]
+    mask >>= 8
+    step = shift = 8 * stride
+    while mask:
+        out |= table[mask & 255] << shift
+        mask >>= 8
+        shift += step
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,17 +87,13 @@ class ProductGraph:
 
     def layers_h(self, mask: int) -> int:
         """I x V(H) for a mask I of the first factor: the union of the
-        H-layers over its members.  Bit g of I is spread to g * n_h, and one
-        multiply fills each spread bit's layer."""
+        H-layers over its members.  ``spread`` moves bit g of I to g * n_h,
+        a byte of I per table lookup, and one multiply by the full layer
+        2^n_h - 1 fills each spread bit's layer, with no carries."""
         if mask >> self.n_g:  # a negative mask shifts to -1
             raise ValueError(f"mask {mask:#x} has a vertex outside the first factor")
         stride = self.n_h
-        spread = 0
-        while mask:
-            low = mask & -mask
-            spread |= 1 << (low.bit_length() - 1) * stride
-            mask ^= low
-        return spread * ((1 << stride) - 1)
+        return spread(mask, stride) * ((1 << stride) - 1)
 
     def layers_g(self, mask: int) -> int:
         """V(G) x J for a mask J of the second factor: the union of the

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from brute import brute_decode, brute_encode, brute_violations, kn_product_adj
+from brute import (
+    ascending_bits,
+    brute_decode,
+    brute_encode,
+    brute_violations,
+    kn_product_adj,
+    random_graph,
+)
 from wellcovered import claims, kernel, kn_partitions
 from wellcovered.claims import COUNTEREXAMPLE, HOLDS, VACUOUS, verify
 from wellcovered.families import complete, corpus, cycle, h_family, path
@@ -465,6 +472,49 @@ class TestCodecAtTheCap:
         assert p == WeakPartition(cycle(16), 4, cycle(16).vertex_mask, (0, 0, 0, 0), 0)
         with pytest.raises(TypeError, match="unhashable"):
             hash(p)
+
+
+def byte_crossing_products(n: int) -> list[tuple[str, Graph]]:
+    """(name, G) for every order n(G) from 9 to 32 with n(G) * n <= 64: C_m
+    and a seeded random graph, so a set of G x K_n can meet layers over
+    vertices of G on both sides of a byte boundary."""
+    rng = random.Random(3500 + n)
+    out = []
+    for m in range(9, min(32, 64 // n) + 1):
+        out += [(f"C{m}", cycle(m)), (f"G({m},0.25)", random_graph(rng, m, 0.25))]
+    return out
+
+
+class TestCodecPastOneByte:
+    """Round trips of random maximal independent sets of G x K_n with n(G)
+    from 9 to 32 against ``brute_decode`` and ``brute_encode``.  Each set
+    grows, by a shuffled greedy pass, a seed that meets the layer over a
+    vertex of G past the first byte, so every decoded partition has a part
+    past it and the encoding spreads more than one byte of G."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_maximal_sets_round_trip(self, fresh_memo, n):
+        rng = random.Random(35 + n)
+        full = (1 << n) - 1
+        for name, g in byte_crossing_products(n):
+            adj = kn_product_adj(g, n)
+            order = list(range(g.n * n))
+            for _ in range(10):
+                # a full layer or one vertex over one vertex of G past the
+                # first byte and two below it, each if it fits
+                seed = 0
+                for v in [rng.randrange(8, g.n), *rng.sample(range(8), 2)]:
+                    layer = full << v * n if rng.random() < 0.5 else 1 << v * n + rng.randrange(n)
+                    if not any(adj[w] & seed for w in ascending_bits(layer)):
+                        seed |= layer
+                rng.shuffle(order)
+                mis = greedy_maximal(adj, seed, order)
+                want = brute_decode(g, n, mis)
+                p = partition_from_mis(g, n, mis)
+                assert (p.v0, p.classes, p.vbracket) == want, (name, mis)
+                assert brute_encode(g, n, *want) == mis, (name, mis)
+                assert mis_from_partition(p) == mis, (name, mis)
+                assert (p.vbracket | sum(p.classes)).bit_length() > 8
 
 
 class TestEnumerateValidPartitions:

@@ -28,7 +28,7 @@ from wellcovered.claims import (
 from wellcovered.families import complete, corpus_representatives, cycle, path
 from wellcovered.graphs import CapacityError, Graph, from_edge_list, to_mask
 from wellcovered.independence import well_covered_report
-from wellcovered.products import direct_product, lift_independent, lifted_witnesses
+from wellcovered.products import direct_product, lift_independent, lifted_witnesses, spread
 
 
 def graph_pairs():
@@ -122,6 +122,24 @@ class TestLayers:
             assert is_independent(p.graph.adj, p.layer_h(gv))
         for hv in range(h.n):
             assert is_independent(p.graph.adj, p.layer_g(hv))
+
+    @pytest.mark.parametrize("stride", [0, 1, 2, 3, 4, 7, 8, 9, 32, 64])
+    def test_spread_moves_each_bit(self, stride):
+        """Bit v of the mask lands at bit v * stride, whatever bytes the mask
+        spans; stride 0 folds every bit onto bit 0."""
+        rng = random.Random(stride)
+        masks = [0, 1, 0xFF, 0x100, (1 << 64) - 1]
+        masks += [rng.getrandbits(rng.randrange(1, 65)) for _ in range(300)]
+        for mask in masks:
+            want = 0
+            for v in range(mask.bit_length()):
+                if mask >> v & 1:
+                    want |= 1 << v * stride
+            assert spread(mask, stride) == want
+
+    def test_spread_rejects_a_negative_mask(self):
+        with pytest.raises(ValueError, match="negative mask -1"):
+            spread(-1, 3)
 
     def test_pairs_serialization(self):
         p = direct_product(cycle(3), path(2))

@@ -114,6 +114,20 @@ def test_claim_verdicts_stay_in_claims(path):
     assert found == []
 
 
+def test_pure_kernel_imports_nothing_from_the_package():
+    """``_mis_fallback`` mirrors ``_mis_core.c`` on its own: it imports only
+    the standard library, so it keeps its own copy of any table the package
+    also has (the spread tables of ``products.spread``)."""
+    path = Path(wellcovered.__file__).parent / "_mis_fallback.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("wellcovered")):
+            found.append(f"from {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] == "wellcovered"]
+    assert found == []
+
+
 # the kernel picks its backend by importing one of these modules
 KERNEL_BACKENDS = {"_mis_fallback", "_mis_core"}
 
