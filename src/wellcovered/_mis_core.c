@@ -3,9 +3,23 @@
  * Same walk, visit order and results as _mis_fallback.py.  That module's
  * docstring describes the walk once: the pivot rule, the step that adds
  * every vertex isolated in G[P] to S, the summary's skip test, the walk per
- * component of G[within], the decision, the degree bounds and the table of
- * finished states with the rules that keep it where it pays.  This file
- * says only what is particular to C.
+ * component of G[within], the decision, the degree bounds, the table of
+ * finished states with the rules that keep it where it pays, and the stop
+ * at the root's second branch.  This file says only what is particular to
+ * C, and that stop in brief.
+ *
+ * A summary or decision over all of G stops a walk over a component of at
+ * least TABLE_MIN_ORDER vertices when it pops back to its root for the
+ * root's second branch, if G has, for a block size d dividing n(G), the
+ * automorphisms v -> v + d mod n and the rotation by one inside every block
+ * of d consecutive labels.  They make G vertex-transitive, so every size of
+ * a maximal set of the component occurs among the sets through the root's
+ * first candidate, and the first set of each size lies in the first branch:
+ * the answer is already final.  rotation_block() runs at most once a call;
+ * collect mode, a proper within mask, a smaller component and a decision
+ * that stops at its second size never run it.  Cm x Cn, Cm x Kn and Km x Kn
+ * in direct_product's row-major labels, and Cn and Kn alone, have the
+ * rotations; relabeled copies of them seldom do, and are walked in full.
  *
  * Graphs arrive as sequences of per-vertex adjacency masks and must fit in
  * 64 bits, so every row and every vertex set is one uint64_t.  One loop,
@@ -79,7 +93,50 @@ typedef struct {
     Entry *slots;              /* the table, NULL until its first state */
     size_t mask;               /* slot count - 1 */
     int shift;                 /* 64 - log2(slot count) */
+    int order;                 /* n(G) */
+    int block;                 /* a walk over all of G: -1 until G's rotations
+                                  are checked, then their block size; else 0 */
 } Search;
+
+static uint64_t all_vertices(Py_ssize_t n)
+{
+    return n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+}
+
+/* The least block size d dividing n = n(G) for which G has two
+ * automorphisms, v -> v + d mod n and the rotation by one inside every block
+ * of d consecutive labels; 0 if there is none.  The closed rows map as the
+ * open ones do. */
+static int rotation_block(const uint64_t *closed, int n)
+{
+    uint64_t full = all_vertices(n), ends, row;
+    int d, v;
+    for (d = 1; d <= n; d++) {
+        if (n % d)
+            continue;
+        /* v -> v + d mod n, the identity when d = n */
+        for (v = 0; v < n; v++) {
+            row = closed[v];
+            if (d < n && closed[(v + d) % n] != ((row << d | row >> (n - d)) & full))
+                break;
+        }
+        if (v < n)
+            continue;
+        /* the last label of each block goes to the first */
+        ends = 0;
+        for (v = d - 1; v < n; v += d)
+            ends |= (uint64_t)1 << v;
+        for (v = 0; v < n; v++) {
+            row = closed[v];
+            if (closed[ends >> v & 1 ? v + 1 - d : v + 1] !=
+                ((row & ~ends) << 1 | (row & ends) >> (d - 1)))
+                break;
+        }
+        if (v == n)
+            return d;
+    }
+    return 0;
+}
 
 /* 1 to stop the walk, -1 on a Python error, else 0. */
 static int emit(Search *st, uint64_t s)
@@ -235,7 +292,10 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
  * In a bounded walk that has seen two sizes, the pivot loop also gathers
  * the counts of _mis_fallback's degree bounds: the sum total and the
  * maximum most of c_v over P and, while the i side is open with X
- * nonempty, the maximum wide of |N[v] & (P | X)| over P. */
+ * nonempty, the maximum wide of |N[v] & (P | X)| over P.
+ *
+ * A frame popped with candidates left and S empty is the root's: its next
+ * branch, where a walk over all of G with the rotations returns. */
 static int walk(const uint64_t *closed, uint64_t start, Search *st)
 {
     Frame stack[128], f = {.p = start};
@@ -318,8 +378,16 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
             if (!top)
                 return 0;
             f = stack[--top];
-            if (!f.branch)
+            if (!f.branch) {
                 remember(st, &f);
+            } else if (!f.s && st->bounded && st->block) {
+                /* the root's second branch: with G's rotations, the first
+                 * branch already met every size and its first witnesses */
+                if (st->block < 0)
+                    st->block = rotation_block(closed, st->order);
+                if (st->block)
+                    return 0;
+            }
         }
         v = CTZ(f.branch);
         bu = (uint64_t)1 << v;
@@ -333,10 +401,13 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
 }
 
 /* A sequence of at most 64 Python ints into rows[]: its length, or -1 with
- * an exception set. */
-static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows)
+ * an exception set.  Given a factor's name, every row must be a mask of the
+ * sequence's own vertices: a negative int, or one past 64 bits, has a bit
+ * at or past n too. */
+static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows, const char *factor)
 {
     Py_ssize_t n, v;
+    int bad;
     PyObject *seq = PySequence_Fast(adj, "adjacency must be a sequence");
     if (seq == NULL)
         return -1;
@@ -347,7 +418,15 @@ static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows)
     }
     for (v = 0; v < n; v++) {
         rows[v] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, v));
-        if (rows[v] == (uint64_t)-1 && PyErr_Occurred())
+        bad = rows[v] == (uint64_t)-1 && PyErr_Occurred();
+        if (factor != NULL && (bad ? PyErr_ExceptionMatches(PyExc_OverflowError)
+                                   : (rows[v] & ~all_vertices(n)) != 0)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "row of %s is negative or mentions vertices >= %zd",
+                         factor, n);
+            bad = 1;
+        }
+        if (bad)
             n = -1; /* ends the loop */
     }
     Py_DECREF(seq);
@@ -357,15 +436,10 @@ static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows)
 /* The closed rows of a graph: its order, or -1 with an exception set. */
 static Py_ssize_t load_closed(PyObject *adj, uint64_t *closed)
 {
-    Py_ssize_t v, n = load_rows(adj, closed);
+    Py_ssize_t v, n = load_rows(adj, closed, NULL);
     for (v = 0; v < n; v++)
         closed[v] |= (uint64_t)1 << v;
     return n;
-}
-
-static uint64_t all_vertices(Py_ssize_t n)
-{
-    return n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
 }
 
 static PyObject *maximal_independent_sets(PyObject *Py_UNUSED(self), PyObject *adj)
@@ -400,7 +474,7 @@ static PyObject *summarize(const char *name, PyObject *const *args, Py_ssize_t n
     uint64_t closed[64], within, comp, frontier, reach, m, min_wit = 0, max_wit = 0;
     int lo = 0, hi = 0, overflow;
     Py_ssize_t n;
-    Search st = {.mode = mode};
+    Search st = {.mode = mode, .block = -1};
     if (nargs < 1 || nargs > 2)
         return PyErr_Format(PyExc_TypeError, "%s() takes 1 or 2 positional arguments (%zd given)",
                             name, nargs);
@@ -416,8 +490,11 @@ static PyObject *summarize(const char *name, PyObject *const *args, Py_ssize_t n
         PyErr_Clear();
         if (overflow || m & ~within)
             return PyErr_Format(PyExc_ValueError, "within mask mentions vertices >= %zd", n);
+        if (m != within)
+            st.block = 0;
         within = m;
     }
+    st.order = (int)n;
     while (within) {
         comp = frontier = within & -within;
         while (frontier) {
@@ -484,7 +561,7 @@ static PyObject *direct_product_adj(PyObject *Py_UNUSED(self), PyObject *args)
     }
     if (ng * nh == 0)
         return PyList_New(0);
-    if (load_rows(adj_g, rows_g) < 0 || load_rows(adj_h, rows_h) < 0)
+    if (load_rows(adj_g, rows_g, "G") < 0 || load_rows(adj_h, rows_h, "H") < 0)
         return NULL;
     if ((out = PyList_New(ng * nh)) == NULL)
         return NULL;

@@ -6,6 +6,7 @@ import gc
 import itertools
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -21,9 +22,18 @@ from brute import (
     recursive_independent_sets,
     reference_maximal_sets,
 )
+from test_families import relabeled
 from wellcovered import _mis_fallback
 from wellcovered.families import complete, complete_multipartite, corpus, cycle, h_family, path
-from wellcovered.graphs import Graph, disjoint_union, from_edge_list, induced_subgraph, to_mask, to_vertices
+from wellcovered.graphs import (
+    Graph,
+    components,
+    disjoint_union,
+    from_edge_list,
+    induced_subgraph,
+    to_mask,
+    to_vertices,
+)
 from wellcovered.independence import (
     alpha,
     berge_violation,
@@ -513,6 +523,212 @@ class TestAbsorption:
         g = disjoint_union(complete(m), star)
         # two nodes, each a scan of its P, its pivot's row and a candidate's
         assert self.reads_before_first_set(g) == 2 * (m + k) + 4
+
+
+def cycle_complete_products():
+    """(name, product) for every Cm x Cn, Cm x Kn, Km x Cn and Km x Kn of 24
+    to 64 vertices, cycles from C3 and complete graphs from K2, in
+    ``direct_product``'s row-major labels."""
+    factors = [(f"C{m}", cycle(m)) for m in range(3, 33)] + [(f"K{m}", complete(m)) for m in range(2, 33)]
+    return [
+        (f"{a}x{b}", direct_product(g, h).graph)
+        for a, g in factors
+        for b, h in factors
+        if 24 <= g.n * h.n <= 64
+    ]
+
+
+def rotation_graphs():
+    """The products above, and Cn and Kn alone on 24 to 64 vertices: all
+    have the rotations of ``_rotation_block``."""
+    alone = [(f"{name}{n}", f(n)) for name, f in (("C", cycle), ("K", complete)) for n in range(24, 65)]
+    return cycle_complete_products() + alone
+
+
+def no_rotation_graphs():
+    """Graphs of 24 vertices or more without the rotations: Pm x K3, the
+    H(k, n) x K_{n+1} with k >= 2 (H(1, n) is K_{n+1}), seeded G(12, p) x K3 and seeded relabelings of graphs
+    that have them."""
+    rng = random.Random(2032)
+    pairs = [(path(m), complete(3)) for m in range(8, 22)]
+    pairs += [(h_family(k, n), complete(n + 1)) for k, n in [(6, 1), (16, 1), (3, 2), (7, 2), (2, 3), (4, 3), (2, 4)]]
+    pairs += [(random_graph(rng, 12, rng.uniform(0.6, 0.7)), complete(3)) for _ in range(10)]
+    graphs = [direct_product(g, h).graph for g, h in pairs]
+    # Kn is the same graph in every labeling
+    transitive = [g for name, g in rotation_graphs() if not name.startswith("K") or "x" in name]
+    return graphs + [relabeled(g, rng) for g in rng.sample(transitive, 40)]
+
+
+def rotation_block(g):
+    return _mis_fallback._rotation_block(_mis_fallback._closed_rows(g.adj))
+
+
+@pytest.fixture
+def rotation_checks(monkeypatch):
+    """The order of G at each check of G's rotations, in call order."""
+    checked = []
+    check = _mis_fallback._rotation_block
+
+    def counting(closed):
+        checked.append(len(closed))
+        return check(closed)
+
+    monkeypatch.setattr(_mis_fallback, "_rotation_block", counting)
+    return checked
+
+
+ROTATION_PRODUCTS = {
+    "K3xC8": (complete(3), cycle(8)),
+    "C4xC6": (cycle(4), cycle(6)),
+    "C5xC5": (cycle(5), cycle(5)),
+    "K2xC13": (complete(2), cycle(13)),
+    "C4xC8": (cycle(4), cycle(8)),
+    "K4xK8": (complete(4), complete(8)),
+    "C6xC6": (cycle(6), cycle(6)),
+    "C4xC9": (cycle(4), cycle(9)),
+    "C12xK3": (cycle(12), complete(3)),
+    "K6xK6": (complete(6), complete(6)),
+    "C5xC8": (cycle(5), cycle(8)),
+    "C6xC7": (cycle(6), cycle(7)),
+    "K6xC7": (complete(6), cycle(7)),
+    "C4xC16": (cycle(4), cycle(16)),
+}
+
+
+class TestRotationStop:
+    """A bounded walk over all of G stops at its root's second branch when G
+    has the two rotations of ``_rotation_block``.  They generate a
+    transitive group, so the first root branch meets every size and the
+    first set of each; the answers must be those of the full walk."""
+
+    def test_cycle_and_complete_products_have_rotations(self):
+        graphs = rotation_graphs()
+        assert len(graphs) == 404 + 82
+        for _, g in graphs:
+            d = rotation_block(g)
+            assert d and g.n % d == 0
+
+    def test_others_have_none(self):
+        assert not any(rotation_block(g) for g in no_rotation_graphs())
+
+    def test_stop_matches_the_full_walk(self, monkeypatch):
+        """Every summary and decision equals that of the walk that never
+        stops early."""
+        graphs = [g for _, g in rotation_graphs()]
+
+        def answers():
+            return [(_mis_fallback.independence_summary(g.adj), _mis_fallback.well_covered_size(g.adj)) for g in graphs]
+
+        stopped = answers()
+        monkeypatch.setattr(_mis_fallback, "_rotation_block", lambda closed: 0)
+        assert stopped == answers()
+
+    @pytest.mark.parametrize("min_order", [_mis_fallback.TABLE_MIN_ORDER, 0], ids=["default", "everywhere"])
+    @pytest.mark.parametrize("name", ROTATION_PRODUCTS)
+    def test_matches_reference_order(self, monkeypatch, rotation_checks, name, min_order):
+        """Products with one component and with two: the summary's
+        witnesses are the reference walk's first sets of each size.  The
+        summary checks the rotations when a component reaches
+        ``TABLE_MIN_ORDER``, in every walk when that is 0."""
+        monkeypatch.setattr(_mis_fallback, "TABLE_MIN_ORDER", min_order)
+        prod = direct_product(*ROTATION_PRODUCTS[name]).graph
+        _mis_fallback.independence_summary(prod.adj)
+        largest = max(comp.bit_count() for comp, _ in components(prod, prod.vertex_mask))
+        assert rotation_checks == ([prod.n] if largest >= min_order else [])
+        assert_summary_matches_enumeration(prod)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle(5),
+            direct_product(cycle(3), cycle(3)).graph,
+            direct_product(complete(3), complete(4)).graph,
+            direct_product(cycle(5), complete(3)).graph,
+            direct_product(cycle(4), cycle(4)).graph,
+        ],
+        ids=["C5", "C3xC3", "K3xK4", "C5xK3", "C4xC4"],
+    )
+    def test_small_graphs_with_table_everywhere(self, table_everywhere, rotation_checks, g):
+        """With ``TABLE_MIN_ORDER = 0`` every walk is bounded, so small
+        graphs stop too, and must still match the subset filter."""
+        assert_summary_matches_enumeration(g)
+        assert _mis_fallback.independence_summary(g.adj)[:2] == brute_summary(g.adj, g.n)
+        assert rotation_checks and rotation_block(g)
+
+    def test_checked_once_per_call(self, rotation_checks):
+        """C4 x C16 has two components of 32 vertices: the first walk checks,
+        the second reads its answer.  A ``within`` of every vertex counts as
+        all of G."""
+        adj = direct_product(cycle(4), cycle(16)).graph.adj
+        _mis_fallback.independence_summary(adj)
+        assert rotation_checks == [64]
+        _mis_fallback.independence_summary(adj, (1 << 64) - 1)
+        assert rotation_checks == [64, 64]
+
+    def test_gate(self, rotation_checks):
+        """Collect mode, a proper ``within`` mask, components under
+        ``TABLE_MIN_ORDER`` and a decision that stops at its second size
+        never check.  A graph with the rotations and two sizes meets both in
+        its first root branch, so its decision never reaches the second."""
+        big = direct_product(cycle(5), cycle(8)).graph
+        _mis_fallback.maximal_independent_sets(direct_product(cycle(5), cycle(5)).graph.adj)
+        _mis_fallback.independence_summary(big.adj, big.vertex_mask >> 1)
+        _mis_fallback.independence_summary(direct_product(cycle(4), cycle(10)).graph.adj)
+        assert _mis_fallback.well_covered_size(big.adj) == -1
+        assert rotation_checks == []
+        # a well-covered one reaches its root's second branch and stops
+        assert _mis_fallback.well_covered_size(direct_product(complete(6), complete(6)).graph.adj) == 6
+        assert rotation_checks == [36]
+
+    def test_residuals_match_reference_order(self, rotation_checks):
+        """Summaries and decisions of residuals G - N[S] and of random
+        masks, in products with the rotations, are those of the reference
+        walk over G[within], and no walk checks."""
+        rng = random.Random(2033)
+        for name in ("C5xC8", "C6xC6", "C12xK3", "K6xK6"):
+            prod = direct_product(*ROTATION_PRODUCTS[name]).graph
+            closed = _mis_fallback._closed_rows(prod.adj)
+            masks = [rng.getrandbits(prod.n) for _ in range(4)]
+            for _ in range(4):
+                covered = 0
+                for v in rng.sample(range(prod.n), 3):
+                    if not covered >> v & 1:
+                        covered |= closed[v]
+                masks.append(prod.vertex_mask & ~covered)
+            for m in masks:
+                sets = list(reference_maximal_sets(closed, m))
+                wit_min = min(sets, key=int.bit_count)
+                wit_max = max(sets, key=int.bit_count)
+                expect = (wit_min.bit_count(), wit_max.bit_count(), wit_min, wit_max)
+                assert _mis_fallback.independence_summary(prod.adj, m) == expect
+                one_size = expect[0] == expect[1]
+                assert _mis_fallback.well_covered_size(prod.adj, m) == (expect[0] if one_size else -1)
+        assert rotation_checks == []
+
+    def test_stop_saves_rows(self):
+        """The walks over C5 x C8 and C7 x C9 that stop read under half the
+        rows of those that do not."""
+        for g, h in [(cycle(5), cycle(8)), (cycle(7), cycle(9))]:
+            prod = direct_product(g, h).graph
+            reads = []
+            for rotations in ([], None):
+                rows = CountingRows(_mis_fallback._closed_rows(prod.adj))
+                _mis_fallback._walk(rows, prod.vertex_mask, {}, False, None, rotations)
+                reads.append(rows.reads)
+            assert 2 * reads[0] < reads[1]
+
+    def test_pinned_times(self):
+        """Best of three on the pure kernel.  C5 x C8 measured 3.3-4.1 ms
+        and C7 x C9 43-60 ms, against 9-11 and 84-103 ms without the stop,
+        so each bound is five times its measured time or more."""
+        for g, h, bound in [(cycle(5), cycle(8), 0.02), (cycle(7), cycle(9), 0.3)]:
+            adj = direct_product(g, h).graph.adj
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                _mis_fallback.independence_summary(adj)
+                times.append(time.perf_counter() - start)
+            assert min(times) < bound
 
 
 def assert_sets_in_reference_order(g):

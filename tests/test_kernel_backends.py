@@ -15,6 +15,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from brute import (
     random_graph,
     reference_maximal_sets,
 )
+from test_independence import no_rotation_graphs, rotation_graphs
 from wellcovered import _mis_fallback as pure
 from wellcovered import kernel
 from wellcovered.families import complete, complete_multipartite, cycle, h_family, path
@@ -219,7 +221,8 @@ def test_table_defaults_match_the_pure_kernel():
 def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
     """The compiled summary and decision with no table, a one-state table, a
     table at every node of every walk, or the degree bounds in every walk and
-    no table equal the pure ones with their own rules."""
+    no table equal the pure ones with their own rules, also on the graphs
+    whose walks stop at the root's second branch."""
     variant = load(build(tmp_path_factory, *defines))
     rng = random.Random(43)
     graphs = [random_graph(rng, rng.randint(8, 16), rng.random()) for _ in range(1500)]
@@ -228,9 +231,23 @@ def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
         for g, h in [(path(14), complete(3)), (cycle(14), complete(3)), (h_family(6, 2), complete(3))]
     ]
     graphs += isolated_residual_graphs()
+    graphs += [g for _, g in rotation_graphs()]
     for g in graphs:
-        assert variant.independence_summary(g.adj) == pure.independence_summary(g.adj)
-        assert variant.well_covered_size(g.adj) == pure.well_covered_size(g.adj)
+        assert (variant.independence_summary(g.adj), variant.well_covered_size(g.adj)) == pure_answers(g.adj)
+
+
+@cache
+def pure_answers(adj):
+    """The pure summary and decision, once per graph for all the builds."""
+    return pure.independence_summary(adj), pure.well_covered_size(adj)
+
+
+def test_identical_on_rotation_graphs(compiled):
+    """Every product of two cycles or complete graphs on 24 to 64 vertices,
+    and Cn and Kn alone, where both walks stop at the root's second branch,
+    and 40 seeded relabelings of them, where they do not."""
+    for g in [g for _, g in rotation_graphs()] + no_rotation_graphs():
+        assert (compiled.independence_summary(g.adj), compiled.well_covered_size(g.adj)) == pure_answers(g.adj)
 
 
 def within_graphs():
@@ -300,6 +317,33 @@ def test_identical_limits(compiled):
                 getattr(impl, fn)(*args)
             messages.append(str(info.value))
         assert messages[0] == messages[1], fn
+
+
+@pytest.mark.parametrize(
+    "adj_g, adj_h, factor",
+    [
+        ([-1, 0], [0, 0], "G"),
+        ([1 << 3, 0], [2, 1], "G"),
+        ([1 << 63, 0], [2, 1], "G"),
+        ([1 << 64, 0], [2, 1], "G"),
+        ([2, 1], [0, -2], "H"),
+        ([2, 1], [4, 0], "H"),
+        ([-1], [-1], "G"),
+        ([0] * 64, [1 << 64], "H"),
+    ],
+)
+def test_identical_row_errors(compiled, adj_g, adj_h, factor):
+    """A factor row that is negative or has a bit at or past the factor's
+    order is refused by both backends, rows of G first, where the pure
+    kernel looped forever on a negative row and the compiled one raised
+    OverflowError or shifted past bit 63."""
+    n = len(adj_g if factor == "G" else adj_h)
+    for impl in (compiled, pure):
+        with pytest.raises(ValueError) as info:
+            impl.direct_product_adj(adj_g, adj_h)
+        assert str(info.value) == f"row of {factor} is negative or mentions vertices >= {n}"
+    # an empty product reads no rows
+    assert compiled.direct_product_adj([], adj_h) == pure.direct_product_adj([], adj_h) == []
 
 
 @pytest.mark.parametrize("impl", ["compiled", "pure"])
