@@ -30,8 +30,9 @@ summarizes a graph once and lists its independent sets in one walk, which
 every claim about the residuals G - N[S] reads.  ``PairFacts`` is the one
 object that decides whether a product is well-covered: the pair claims,
 ``cli product`` and ``cli scan`` ask it, and so do the G x K_n claims.
-``GraphFacts.clique(n)`` is G paired with the process's one
-``complete_facts(n)``, which is also what ``facts_cache`` gives for K_n.  It
+``GraphFacts.clique(n)`` is G paired with the facts of K_n that the
+facts function which built G gives, so in a ``facts_cache`` it is the
+run's one K_n, and nothing decided in one run is kept for the next.  It
 is the facts of a (G, n) instance and of a (G, K_n) pair, and
 ``k3_dichotomy`` reads the same ``clique(3)``, so the three share one
 product, one lifted certificate and one decision.  ``multipartite_square``
@@ -67,7 +68,7 @@ associatively, so instance streams can be partitioned across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -201,10 +202,16 @@ class lazy:
 
 
 class GraphFacts:
-    """Lazily computed facts about a single graph, shared across claims."""
+    """Lazily computed facts about a single graph, shared across claims.
+    ``facts_of`` is the facts function that built it, such as a
+    ``facts_cache``, which ``clique`` asks for K_n; without one, each order
+    gets fresh facts of K_n."""
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(
+        self, graph: Graph, facts_of: Callable[[Graph], GraphFacts] | None = None
+    ) -> None:
         self.graph = graph
+        self.facts_of = GraphFacts if facts_of is None else facts_of
         self._cliques: dict[int, PairFacts] = {}
 
     @lazy
@@ -241,11 +248,11 @@ class GraphFacts:
     def clique(self, n: int) -> PairFacts:
         """G x K_n, one per order: the facts of a (G, n) instance and of a
         (G, K_n) pair, and for n = 3 the product ``k3_dichotomy`` asks about,
-        so all three share one product and one decision.  For G = K_n it is
-        the ``square``."""
+        so all three share one product and one decision.  When ``facts_of``
+        gives G itself for K_n, it is the ``square``."""
         found = self._cliques.get(n)
         if found is None:
-            kn = complete_facts(n)
+            kn = self.facts_of(complete(n))
             found = self._cliques[n] = self.square if kn is self else PairFacts(self, kn)
         return found
 
@@ -254,14 +261,6 @@ class GraphFacts:
         """G x G, the product ``multipartite_square`` asks about and the
         facts of a pair of equal graphs."""
         return PairFacts(self, self)
-
-
-@cache
-def complete_facts(n: int) -> GraphFacts:
-    """The facts of K_n, one per order and process, so every G x K_n shares
-    the summary of its second factor, and ``facts_cache`` gives the same
-    object for a K_n instance or factor."""
-    return GraphFacts(complete(n))
 
 
 class PairFacts:
@@ -913,8 +912,9 @@ FACTS_CACHE_SIZE = 1024  # distinct graphs a bounded facts_cache holds before it
 def facts_cache(bounded: bool = True) -> Callable[[Graph], GraphFacts]:
     """A function that returns one ``GraphFacts`` per distinct graph (equal
     by value) for as long as it is kept, so a graph that appears in many
-    instances is summarized, enumerated and walked once.  A complete graph
-    gets ``complete_facts(n)``, the second factor of every G x K_n.
+    instances is summarized, enumerated and walked once.  Each facts it
+    builds asks it for K_n in ``clique``, so K_n, as an instance and as the
+    second factor of every G x K_n, is summarized once per cache too.
 
     A bounded cache holds at most ``FACTS_CACHE_SIZE`` graphs and is emptied
     when it reaches that many, so a stream of any length keeps a bounded
@@ -933,7 +933,7 @@ def facts_cache(bounded: bool = True) -> Callable[[Graph], GraphFacts]:
         if found is None:
             if len(held) == limit:
                 held.clear()
-            found = held[g] = complete_facts(g.n) if is_complete(g) else GraphFacts(g)
+            found = held[g] = GraphFacts(g, facts)
         return found
 
     return facts
@@ -943,14 +943,14 @@ def facts_for(
     shape: str, instance: Instance, facts: Callable[[Graph], GraphFacts]
 ) -> GraphFacts | PairFacts:
     """The facts of one instance, with each graph's ``GraphFacts`` from
-    ``facts``, such as a ``facts_cache``.  A pair whose second factor is the
-    process's K_n is its first factor's ``clique(n)``, and another pair of
+    ``facts``, such as a ``facts_cache``.  A pair whose second factor is
+    complete, K_n, is its first factor's ``clique(n)``, and another pair of
     equal graphs is its first factor's ``square``."""
     if shape == SHAPE_GRAPH:
         return facts(instance)
     if shape == SHAPE_PAIR:
         g, h = facts(instance[0]), facts(instance[1])
-        if h is complete_facts(h.graph.n):
+        if is_complete(h.graph):
             return g.clique(h.graph.n)
         return g.square if g is h else PairFacts(g, h)
     return facts(instance[0]).clique(instance[1])

@@ -57,9 +57,11 @@ def _check_order(n: int) -> None:
 
 @cache
 def complete(n: int) -> Graph:
-    """K_n, one object per order and process: every G x K_n and every
-    ``claims.complete_facts(n)`` reads the same graph.  A rejected order
-    raises on every call, since ``cache`` keeps only returned values."""
+    """K_n, one object per order and process, which ``GraphFacts.clique``
+    hands to its run's facts function to find that run's facts of K_n.  A
+    graph is immutable, so sharing it keeps no decided fact across runs.  A
+    rejected order raises on every call, since ``cache`` keeps only
+    returned values."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     _check_order(n)

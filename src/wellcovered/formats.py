@@ -77,12 +77,15 @@ def load_graph_text(text: str) -> Graph:
     are 63..126, so a line that holds whitespace or starts with a digit or
     ``-`` is no graph6 string: it must be an edge-list header ``n m``.  A
     line that starts with the ``>>graph6<<`` header is graph6 whatever
-    follows."""
+    follows.  graph6 input holds one graph: more data lines are an error,
+    as extra lines are in an edge list."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("no graph data found in input")
     head = lines[0]
     if head.startswith(_HEADER) or not (head[0] in "-0123456789" or len(head.split()) > 1):
+        if len(lines) > 1:
+            raise ValueError(f"graph6 input holds {len(lines)} data lines; expected one graph")
         return from_graph6(head)
     try:
         n, m = map(int, head.split())

@@ -165,6 +165,11 @@ class WeakPartition:
         }
 
 
+# A process-wide memo, kept because callers decode from (G, n, set) alone:
+# ``partition_from_mis`` hands ``mis_from_partition`` no product, and the
+# benchmark's ``kn_roundtrip`` decodes that way, so without it every decode
+# would rebuild G x K_n.  It goes once a partition can carry the product
+# that ``kn_alpha_i`` already built, which needs a benchmark change first.
 @lru_cache(maxsize=16)
 def _kn_product(g: Graph, n: int) -> ProductGraph:
     return direct_product(g, complete(n))

@@ -74,17 +74,6 @@ class ProductGraph:
             raise ValueError(f"vertex {g} outside first factor")
         return ((1 << self.n_h) - 1) << g * self.n_h
 
-    def layer_g(self, h: int) -> int:
-        """The G-layer over h: all (g, h), always independent."""
-        if not 0 <= h < self.n_h:
-            raise ValueError(f"vertex {h} outside second factor")
-        return self._column() << h
-
-    def _column(self) -> int:
-        """The G-layer over h = 0: bit g * n_h for every g."""
-        stride = self.n_h
-        return ((1 << self.n_g * stride) - 1) // ((1 << stride) - 1) if stride else 0
-
     def layers_h(self, mask: int) -> int:
         """I x V(H) for a mask I of the first factor: the union of the
         H-layers over its members.  ``spread`` moves bit g of I to g * n_h,
@@ -97,10 +86,13 @@ class ProductGraph:
 
     def layers_g(self, mask: int) -> int:
         """V(G) x J for a mask J of the second factor: the union of the
-        G-layers over its members, one multiply by the column."""
+        G-layers over its members, one multiply by the G-layer over h = 0,
+        the column with bit g * n_h for every g."""
         if mask >> self.n_h:
             raise ValueError(f"mask {mask:#x} has a vertex outside the second factor")
-        return mask * self._column()
+        stride = self.n_h
+        column = ((1 << self.n_g * stride) - 1) // ((1 << stride) - 1) if stride else 0
+        return mask * column
 
     def pairs(self, s: int) -> list[tuple[int, int]]:
         """Decode a product mask into sorted (g, h) pairs, for reports."""

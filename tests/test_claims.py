@@ -23,7 +23,6 @@ from wellcovered.claims import (
     GraphFacts,
     PairFacts,
     SuiteReport,
-    complete_facts,
     corpus_graph_n_instances,
     corpus_pair_instances,
     corpus_single_instances,
@@ -644,12 +643,13 @@ class TestSuite:
         [
             # k3_dichotomy's P3 x K3 is certified not well-covered: the
             # lifted maximum set has 2 * 3 = 6 vertices and the lifted
-            # maximal set 1 * 3 = 3, so it makes no decision
-            (path(3), {"independence_summary": 1, "well_covered_size": 0}),
+            # maximal set 1 * 3 = 3, so it makes no decision; P3 and the
+            # run's K3 are summarized once each
+            (path(3), {"independence_summary": 2, "well_covered_size": 0}),
             # residual_wc decides each of the 7 residuals of C4 = K(2,2),
             # multipartite_square decides C4 x C4, and C4 x K3 is certified
-            # (6 > 4)
-            (cycle(4), {"independence_summary": 1, "well_covered_size": 8}),
+            # (6 > 4) from the summaries of C4 and the run's K3
+            (cycle(4), {"independence_summary": 2, "well_covered_size": 8}),
             # the lifted witnesses of P3 x C4 have 2 * 4 = 8 > 1 * 4 = 4
             # vertices, so the product is never searched
             (
@@ -657,32 +657,32 @@ class TestSuite:
                 {"direct_product_adj": 1, "independence_summary": 2, "well_covered_size": 0},
             ),
             # K3 x K3: both bounds are 3, so only the kernel can decide; the
-            # two equal factors share the process's K3, summarized before
-            # counting, so the pair needs no summary
+            # two equal factors are one K3 of the run, summarized once
             (
                 (complete(3), complete(3)),
-                {"direct_product_adj": 1, "independence_summary": 0, "well_covered_size": 1},
+                {"direct_product_adj": 1, "independence_summary": 1, "well_covered_size": 1},
             ),
             # layer_sizes lists the maximal sets of C5 x K3; kn_necessary
-            # finds it certified not well-covered (6 > 5) from the summary
-            # of C5 and the shared one of K3
+            # finds it certified not well-covered (6 > 5) from the summaries
+            # of C5 and the run's K3
             (
                 (cycle(5), 3),
                 {
                     "direct_product_adj": 1,
                     "maximal_independent_sets": 1,
-                    "independence_summary": 1,
+                    "independence_summary": 2,
                     "well_covered_size": 0,
                 },
             ),
             # H(2,2) x K3: both bounds are 6, so the kernel decides once,
-            # for kn_necessary and h_family_product alike
+            # for kn_necessary and h_family_product alike; H(2,2) and the
+            # run's K3 are summarized once each
             (
                 (h_family(2, 2), 3),
                 {
                     "direct_product_adj": 1,
                     "maximal_independent_sets": 1,
-                    "independence_summary": 1,
+                    "independence_summary": 2,
                     "well_covered_size": 1,
                 },
             ),
@@ -692,11 +692,8 @@ class TestSuite:
     def test_facts_built_once(self, monkeypatch, instance, expected):
         """All claims of an instance read one summary per graph, build each
         product once and ask it only what they need.  K3, the second factor
-        of every G x K3, is summarized once per process, before counting;
-        the process's facts of K_n are dropped first, so no product of K3
-        built by an earlier test is reused."""
-        complete_facts.cache_clear()
-        complete_facts(3).report
+        of every G x K3, is summarized once in the run, like any other
+        graph, so the counts do not depend on what ran before."""
         calls = Counter()
         for name in expected:
             original = getattr(kernel, name)
@@ -829,15 +826,19 @@ class TestSharedFacts:
     def test_clique_pair_is_the_graph_n_facts(self):
         """A (G, K_n) pair is ``G.clique(n)``, the facts of the (G, n)
         instance, and for n = 3 the product ``k3_dichotomy`` reads; K_n x K_n
-        is also K_n's ``square``."""
+        is also K_n's ``square``.  The K_n is the run's: its facts read
+        ``families.complete(n)``, and another run has its own."""
         facts = claims.facts_cache()
         g = facts(path(3))
         for n in (2, 3):
             pair = claims.facts_for(claims.SHAPE_PAIR, (path(3), complete(n)), facts)
             assert pair is g.clique(n)
+            assert pair.h is facts(complete(n))
+            assert pair.h.graph is complete(n)
             assert claims.facts_for(claims.SHAPE_GRAPH_N, (path(3), n), facts) is pair
         k3 = claims.facts_for(claims.SHAPE_PAIR, (complete(3), complete(3)), facts)
-        assert k3 is facts(complete(3)).square is complete_facts(3).clique(3)
+        assert k3 is facts(complete(3)).square is facts(complete(3)).clique(3)
+        assert claims.facts_cache()(complete(3)) is not facts(complete(3))
         # the last pair, P3 x K3, told well-covered, and P3 told free of
         # isolatable vertices: k3_dichotomy then finds a counterexample
         check = REGISTRY["k3_dichotomy"].outcome

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import wellcovered
-from wellcovered import __version__, claims, cli, kernel, kn_partitions
-from wellcovered.claims import complete_facts, corpus_pair_instances
+from wellcovered import __version__, claims, cli, kernel
+from wellcovered.claims import corpus_pair_instances
 from wellcovered.cli import main
 from wellcovered.families import complete, corpus, cycle
 from wellcovered.formats import from_graph6, to_graph6
@@ -168,6 +168,8 @@ class TestAnalyze:
             # whitespace or a leading digit rule out graph6 (bytes 63..126)
             ("3 x\n", "bad edge-list header '3 x': expected 'n m', the vertex and edge counts"),
             ("5\n", "bad edge-list header '5': expected 'n m', the vertex and edge counts"),
+            # a graph6 file names one graph, not the first of several
+            ("Bw\nCw\n", "graph6 input holds 2 data lines; expected one graph"),
         ],
         ids=[
             "empty",
@@ -177,6 +179,7 @@ class TestAnalyze:
             "loop",
             "non-integer-header",
             "one-field-header",
+            "several-graph6-lines",
         ],
     )
     def test_bad_edge_list_file_exits_1(self, capsys, tmp_path, text, message):
@@ -250,7 +253,6 @@ class TestProduct:
         """K_n x H decodes the partition view of H x K_n from its own report,
         each vertex (k, v) read as (v, k), instead of building and
         summarizing H x K_n as well."""
-        kn_partitions._kn_product.cache_clear()
         calls = count_kernel_calls(monkeypatch, "direct_product_adj", "independence_summary")
         _, out, _ = run_cli(capsys, "product", "complete:3", "cycle:5", "--format", "json")
         monkeypatch.undo()
@@ -436,25 +438,25 @@ class TestVerify:
         square, for multipartite_square and the pair (K_n, K_n).  So the
         products and decisions of the (G, K_n) pairs are not counted twice.
         K2 and K3 are summarized once, as instances and as the second
-        factors of every G x K_n alike; the process's facts of K_n are
-        dropped first, so the count does not depend on what ran before."""
-        complete_facts.cache_clear()
-        kn_partitions._kn_product.cache_clear()
-        calls = count_kernel_calls(
-            monkeypatch,
-            "independence_summary",
-            "well_covered_size",
-            "maximal_independent_sets",
-            "direct_product_adj",
-        )
-        code, _, _ = run_cli(capsys, "verify", "--max-n", "4", "--reps", "--format", "json")
-        assert code == 0
-        assert calls == {
-            "independence_summary": 17,
-            "well_covered_size": 136,
-            "maximal_independent_sets": 40,
-            "direct_product_adj": 113,
-        }
+        factors of every G x K_n alike.  The facts of K_n belong to the run,
+        so a second run in the same process makes the same calls."""
+        for _ in range(2):
+            calls = count_kernel_calls(
+                monkeypatch,
+                "independence_summary",
+                "well_covered_size",
+                "maximal_independent_sets",
+                "direct_product_adj",
+            )
+            code, _, _ = run_cli(capsys, "verify", "--max-n", "4", "--reps", "--format", "json")
+            monkeypatch.undo()
+            assert code == 0
+            assert calls == {
+                "independence_summary": 17,
+                "well_covered_size": 136,
+                "maximal_independent_sets": 40,
+                "direct_product_adj": 113,
+            }
 
     def test_repeated_claim_id_counts_once(self, capsys):
         argv = ["--max-n", "3", "--no-targeted", "--format", "json"]
@@ -518,10 +520,7 @@ class TestScan:
         assert "well_covered=" in lines[1]
 
     def test_text_streams(self, capsys, monkeypatch):
-        """Each row is printed as its pair is decided, before the scan ends.
-        Every pair of ``--max-n 2`` is a K_m x K_n, held by the process's
-        facts of K_m once decided, so those are dropped first."""
-        complete_facts.cache_clear()
+        """Each row is printed as its pair is decided, before the scan ends."""
         decide = kernel.well_covered_size
         calls = []
 
@@ -541,10 +540,9 @@ class TestScan:
     def test_each_factor_summarized_once(self, capsys, monkeypatch):
         """All pairs with a common factor share its summary, even when the
         pool holds more graphs than a bounded facts cache, and the lifted
-        certificate settles some pairs without a decision.  The process's
-        facts of K_n are dropped first, so K1, K2 and K3 count too."""
+        certificate settles some pairs without a decision.  K1, K2 and K3
+        are summarized in the run, as every other graph is."""
         monkeypatch.setattr(claims, "FACTS_CACHE_SIZE", 2)
-        complete_facts.cache_clear()
         calls = count_kernel_calls(monkeypatch, "independence_summary", "well_covered_size")
         code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--format", "json")
         assert code == 0

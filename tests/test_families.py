@@ -105,9 +105,12 @@ class TestNamed:
             with pytest.raises(CapacityError, match="65 vertices exceed the 64-vertex limit"):
                 complete(65)
 
-    def test_complete_facts_reads_the_cached_graph(self):
+    def test_run_facts_of_complete_read_the_cached_graph(self):
+        """A run's G x K_n pairs G with facts of the one K_n object."""
+        facts = claims.facts_cache()
+        g = facts(cycle(5))
         for n in (1, 2, 3, 5):
-            assert claims.complete_facts(n).graph is complete(n)
+            assert g.clique(n).h.graph is complete(n)
 
     def test_cycle(self):
         g = cycle(6)

@@ -69,3 +69,19 @@ def test_load_autodetect():
 def test_graph6_header_line_with_space_is_graph6():
     # the whitespace test for edge-list headers skips the graph6 header
     assert load_graph_text(">>graph6<< Bw\n") == complete(3)
+
+
+def test_graph6_with_comments_and_blank_lines_is_one_graph():
+    assert load_graph_text("# K3\n\nBw\n\n") == complete(3)
+
+
+@pytest.mark.parametrize(
+    "text,count",
+    [("Bw\nCw\n", 2), ("Bw\n# a comment\nBw\n", 2), (">>graph6<<Bw\nCw\nDw\n", 3)],
+    ids=["two-lines", "comment-between", "header-first"],
+)
+def test_several_graph6_lines_are_rejected(text, count):
+    """A file of several graph6 graphs names no single graph, so it is an
+    error rather than its first graph."""
+    with pytest.raises(ValueError, match=f"graph6 input holds {count} data lines"):
+        load_graph_text(text)

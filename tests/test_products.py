@@ -81,9 +81,6 @@ class TestConstruction:
         for g in (-1, 2):
             with pytest.raises(ValueError, match=f"vertex {g} outside first factor"):
                 p.layer_h(g)
-        for h in (-1, 3):
-            with pytest.raises(ValueError, match=f"vertex {h} outside second factor"):
-                p.layer_g(h)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -121,7 +118,7 @@ class TestLayers:
         for gv in range(g.n):
             assert is_independent(p.graph.adj, p.layer_h(gv))
         for hv in range(h.n):
-            assert is_independent(p.graph.adj, p.layer_g(hv))
+            assert is_independent(p.graph.adj, p.layers_g(1 << hv))
 
     @pytest.mark.parametrize("stride", [0, 1, 2, 3, 4, 7, 8, 9, 32, 64])
     def test_spread_moves_each_bit(self, stride):
@@ -180,8 +177,6 @@ class TestLifting:
         assert p.layers_h(g.vertex_mask) == p.layers_g(h.vertex_mask) == (1 << 64) - 1
         for v in range(g.n):
             assert p.layers_h(1 << v) == p.layer_h(v)
-        for v in range(h.n):
-            assert p.layers_g(1 << v) == p.layer_g(v)
 
     @pytest.mark.parametrize("g, h", [(cycle(16), complete(4)), (complete(2), cycle(32))])
     def test_layers_reject_masks_outside_the_factor(self, g, h):

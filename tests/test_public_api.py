@@ -128,6 +128,39 @@ def test_pure_kernel_imports_nothing_from_the_package():
     assert found == []
 
 
+# the process-wide memos, and why each may live as long as the process
+PROCESS_MEMOS = {
+    "families.complete",  # a Graph is immutable, so it keeps no decided fact
+    "cli._parser",  # the argument parser, built on first use
+    "kn_partitions._kn_product",  # decoders get no product from their callers
+}
+
+
+def test_process_wide_memos_are_the_known_ones():
+    """Facts decided in one run belong to that run (``claims.facts_cache``):
+    a ``cache`` or ``lru_cache`` on a module's function or a class's method
+    lives for the whole process, so each one in the package is named here."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [(node, "") for node in tree.body]
+        defs += [
+            (child, f"{node.name}.")
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for child in node.body
+        ]
+        for node, owner in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    found.add(f"{path.stem}.{owner}{node.name}")
+    assert found == PROCESS_MEMOS
+
+
 # the kernel picks its backend by importing one of these modules
 KERNEL_BACKENDS = {"_mis_fallback", "_mis_core"}
 
