@@ -25,7 +25,12 @@ claim reads them from there; ``facts_for`` gives the facts of one instance.
 ``run_suite`` keeps one ``GraphFacts`` per distinct graph for the whole
 call, through one ``facts_cache`` of at most ``FACTS_CACHE_SIZE`` graphs, so
 a graph in many instances is summarized, enumerated and walked once while
-the stream has at most that many distinct graphs.  ``GraphFacts``
+the stream has at most that many distinct graphs.  The cache owns every
+facts object it builds, and ``run_suite``, ``verify``, ``cli product`` and
+``cli scan`` release theirs when they return or raise: that drops the
+G x K_n and G x G pairs, which point back at their ``GraphFacts``, so
+reference counting frees a run's facts at once and no facts object is left
+in a cycle for the garbage collector.  ``GraphFacts``
 summarizes a graph once and lists its independent sets in one walk, which
 every claim about the residuals G - N[S] reads.  ``PairFacts`` is the one
 object that decides whether a product is well-covered: the pair claims,
@@ -261,6 +266,12 @@ class GraphFacts:
         """G x G, the product ``multipartite_square`` asks about and the
         facts of a pair of equal graphs."""
         return PairFacts(self, self)
+
+    def drop_pairs(self) -> None:
+        """Forget the ``clique`` and ``square`` pairs, the only facts that
+        point back at this one; a later read builds them again."""
+        self._cliques.clear()
+        self.__dict__.pop("square", None)
 
 
 class PairFacts:
@@ -909,12 +920,60 @@ def instance_shape(instance: Instance) -> str:
 FACTS_CACHE_SIZE = 1024  # distinct graphs a bounded facts_cache holds before it starts afresh
 
 
-def facts_cache(bounded: bool = True) -> Callable[[Graph], GraphFacts]:
-    """A function that returns one ``GraphFacts`` per distinct graph (equal
-    by value) for as long as it is kept, so a graph that appears in many
-    instances is summarized, enumerated and walked once.  Each facts it
-    builds asks it for K_n in ``clique``, so K_n, as an instance and as the
-    second factor of every G x K_n, is summarized once per cache too.
+class FactsCache:
+    """One ``GraphFacts`` per distinct graph, and the owner of every facts it
+    builds; ``facts_cache`` gives the docs."""
+
+    __slots__ = ("held", "limit", "retired")
+
+    def __init__(self, limit: int | None) -> None:
+        self.held: dict[Graph, GraphFacts] = {}
+        self.limit = limit
+        self.retired: list[GraphFacts] = []  # the generation emptied last, not yet released
+
+    def __call__(self, g: Graph) -> GraphFacts:
+        found = self.held.get(g)
+        if found is None:
+            if len(self.held) == self.limit:
+                self._start_afresh()
+            found = self.held[g] = GraphFacts(g, self)
+        return found
+
+    def _start_afresh(self) -> None:
+        """Empty the cache and release the generation emptied before.  An
+        instance asks the cache for at most two graphs, so the generation
+        just emptied may hold graphs that the instance still reads and grows
+        pairs on, but the one before cannot."""
+        for facts in self.retired:
+            facts.drop_pairs()
+        self.retired = list(self.held.values())
+        self.held.clear()
+
+    def release(self) -> None:
+        """Release every facts built and empty the cache, so nothing it
+        built is left in a reference cycle.  It still works afterwards, from
+        empty."""
+        for facts in (*self.retired, *self.held.values()):
+            facts.drop_pairs()
+        self.retired = []
+        self.held.clear()
+
+
+def facts_cache(bounded: bool = True) -> FactsCache:
+    """A cache that, called on a graph, returns one ``GraphFacts`` per
+    distinct graph (equal by value) until it is released, so a graph that
+    appears in many instances is summarized, enumerated and walked once.
+    Each facts it builds asks it for K_n in ``clique``, so K_n, as an
+    instance and as the second factor of every G x K_n, is summarized once
+    per cache too.
+
+    The cache owns what it builds, and its ``release`` frees it: the facts
+    keep their G x K_n and G x G pairs, which point back at them, and the
+    facts point at the cache, so until released they form reference cycles
+    that only the cyclic garbage collector could free.  Every caller in the
+    package releases its cache when its run returns or raises, so reference
+    counting frees the run's facts at once and no facts object is left in a
+    cycle.
 
     A bounded cache holds at most ``FACTS_CACHE_SIZE`` graphs and is emptied
     when it reaches that many, so a stream of any length keeps a bounded
@@ -923,20 +982,10 @@ def facts_cache(bounded: bool = True) -> Callable[[Graph], GraphFacts]:
     ``corpus(5)``.  Past it, as with the 27,476 labeled graphs of
     ``corpus(6)`` under a small ``--cap``, a graph may be summarized again
     after the cache is emptied, though never more than once per instance.
-    An unbounded cache keeps every graph it is given, for a caller that
-    holds the whole pool in memory anyway."""
-    held: dict[Graph, GraphFacts] = {}
-    limit = FACTS_CACHE_SIZE if bounded else None
-
-    def facts(g: Graph) -> GraphFacts:
-        found = held.get(g)
-        if found is None:
-            if len(held) == limit:
-                held.clear()
-            found = held[g] = GraphFacts(g, facts)
-        return found
-
-    return facts
+    An emptied generation is released when the next one is emptied.  An
+    unbounded cache keeps every graph it is given, for a caller that holds
+    the whole pool in memory anyway."""
+    return FactsCache(FACTS_CACHE_SIZE if bounded else None)
 
 
 def facts_for(
@@ -966,7 +1015,11 @@ def verify(claim_id: str, instance: Instance) -> ClaimVerdict:
     shape = instance_shape(instance)
     if shape != claim.shape:
         raise TypeError(f"claim {claim_id} expects a {claim.shape} instance, got {shape}")
-    return claim.verdict(facts_for(shape, instance, facts_cache()))
+    facts_of = facts_cache()
+    try:
+        return claim.verdict(facts_for(shape, instance, facts_of))
+    finally:
+        facts_of.release()
 
 
 @dataclass(slots=True)
@@ -1022,7 +1075,9 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
 
     Facts are computed once per distinct graph per call, through one
     ``facts_cache`` (at most ``FACTS_CACHE_SIZE`` graphs at a time), and
-    shared by every claim on every instance that graph is in.  The claims
+    shared by every claim on every instance that graph is in.  The cache
+    is released when the call returns or raises, which frees its facts.
+    The claims
     of a shape are looked up in ``REGISTRY`` when the first instance of
     that shape arrives; instances whose shape matches no requested claim
     are passed over.
@@ -1033,30 +1088,33 @@ def run_suite(claim_ids: Iterable[str], instances: Iterable[Instance]) -> SuiteR
     report = SuiteReport({c: ClaimTally() for c in claim_ids})
     by_shape: dict[str, list[tuple[Claim, ClaimTally]]] = {}
     facts_of = facts_cache()
-    for inst in instances:
-        shape = instance_shape(inst)
-        group = by_shape.get(shape)
-        if group is None:  # the first instance of this shape
-            group = by_shape[shape] = [
-                (claim, tally)
-                for claim_id, tally in report.tallies.items()  # each id once
-                if (claim := REGISTRY[claim_id]).shape == shape
-            ]
-        if not group:
-            continue
-        facts = facts_for(shape, inst, facts_of)
-        for claim, tally in group:
-            status, witness = claim.outcome(facts)
-            if status == HOLDS:
-                tally.holds += 1
-            elif status == VACUOUS:
-                tally.vacuous += 1
-            elif status == SKIPPED:
-                tally.skipped += 1
-            else:
-                tally.counterexamples.append(
-                    ClaimVerdict(claim.claim_id, instance_json(shape, facts), status, witness)
-                )
+    try:
+        for inst in instances:
+            shape = instance_shape(inst)
+            group = by_shape.get(shape)
+            if group is None:  # the first instance of this shape
+                group = by_shape[shape] = [
+                    (claim, tally)
+                    for claim_id, tally in report.tallies.items()  # each id once
+                    if (claim := REGISTRY[claim_id]).shape == shape
+                ]
+            if not group:
+                continue
+            facts = facts_for(shape, inst, facts_of)
+            for claim, tally in group:
+                status, witness = claim.outcome(facts)
+                if status == HOLDS:
+                    tally.holds += 1
+                elif status == VACUOUS:
+                    tally.vacuous += 1
+                elif status == SKIPPED:
+                    tally.skipped += 1
+                else:
+                    tally.counterexamples.append(
+                        ClaimVerdict(claim.claim_id, instance_json(shape, facts), status, witness)
+                    )
+    finally:
+        facts_of.release()
     return report
 
 
@@ -1089,15 +1147,34 @@ def corpus_single_instances(max_n: int, representatives: bool = False) -> Iterat
     yield from stream(max_n)
 
 
+def _pairs_within(pool: list[Graph], cap: int) -> Iterator[tuple[Graph, Graph]]:
+    """Ordered pairs of ``pool`` whose product has at most cap vertices.
+    The corpus streams yield graphs by ascending order, so each loop stops
+    at its first partner past the cap."""
+    for g in pool:
+        if g.n * pool[0].n > cap:  # even the smallest partner is too large
+            return
+        for h in pool:
+            if g.n * h.n > cap:
+                break
+            yield g, h
+
+
+def _with_orders(graphs: Iterable[Graph], orders: tuple[int, ...]) -> Iterator[tuple[Graph, int]]:
+    """Each graph paired with each clique order, each order once and in the
+    order first given, while the product fits the 64-vertex cap."""
+    orders = tuple(dict.fromkeys(orders))
+    for g in graphs:
+        for n in orders:
+            if g.n * n <= MAX_VERTICES:
+                yield g, n
+
+
 def corpus_pair_instances(
     max_n: int, cap: int = 36, representatives: bool = False
 ) -> Iterator[tuple[Graph, Graph]]:
     """Ordered pairs of connected graphs whose product stays within cap."""
-    pool = list(corpus_single_instances(max_n, representatives))
-    for g in pool:
-        for h in pool:
-            if g.n * h.n <= cap:
-                yield g, h
+    yield from _pairs_within(list(corpus_single_instances(max_n, representatives)), cap)
 
 
 def corpus_graph_n_instances(
@@ -1105,11 +1182,22 @@ def corpus_graph_n_instances(
 ) -> Iterator[tuple[Graph, int]]:
     """Connected graphs paired with each requested clique order, each order
     once and in the order first given."""
-    orders = tuple(dict.fromkeys(orders))
-    for g in corpus_single_instances(max_n, representatives):
-        for n in orders:
-            if g.n * n <= MAX_VERTICES:
-                yield g, n
+    yield from _with_orders(corpus_single_instances(max_n, representatives), orders)
+
+
+def corpus_instances(
+    max_n: int,
+    cap: int = 36,
+    orders: tuple[int, ...] = (2, 3),
+    representatives: bool = False,
+) -> Iterator[Instance]:
+    """The three corpus streams in turn, from one pool of graphs: the
+    single graphs, then ``corpus_pair_instances`` and then
+    ``corpus_graph_n_instances`` with the same arguments."""
+    pool = list(corpus_single_instances(max_n, representatives))
+    yield from pool
+    yield from _pairs_within(pool, cap)
+    yield from _with_orders(pool, orders)
 
 
 def targeted_instances() -> list[Instance]:

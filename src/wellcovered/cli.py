@@ -34,7 +34,7 @@ from .claims import (
     REGISTRY,
     SHAPE_PAIR,
     PairFacts,
-    corpus_graph_n_instances,
+    corpus_instances,
     corpus_pair_instances,
     corpus_single_instances,
     facts_cache,
@@ -149,27 +149,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
-    facts = facts_for(SHAPE_PAIR, (g, h), facts_cache())  # G x G summarizes G once
-    data = {"version": __version__}
-    data.update(facts.product.to_json_sidecar())
-    rep = facts.product_report
-    data.update(rep.to_json())
-    if is_complete(h) and h.n >= 2:
-        # G x K_n is the product just summarized, in kn_report's layout
-        summary = (rep.i_number, rep.alpha, rep.witness_min, rep.witness_max)
-        data["partition_engine"] = kn_report(g, h.n, summary).to_json()
-    elif is_complete(g) and g.n >= 2:
-        # K_n x H is H x K_n with each vertex (k, v) read as (v, k)
-        swap = facts.product.swapped
-        summary = (rep.i_number, rep.alpha, swap(rep.witness_min), swap(rep.witness_max))
-        data["partition_engine"] = kn_report(h, g.n, summary).to_json()
-    status = 0
-    if args.check:
-        verdict = REGISTRY["wc_direct"].verdict(facts)
-        data["check"] = verdict.to_json()
-        if verdict.status == COUNTEREXAMPLE:
-            status = 2
-    print(_render(data, args.format))
+    shared = facts_cache()
+    try:
+        facts = facts_for(SHAPE_PAIR, (g, h), shared)  # G x G summarizes G once
+        data = {"version": __version__}
+        data.update(facts.product.to_json_sidecar())
+        rep = facts.product_report
+        data.update(rep.to_json())
+        if is_complete(h) and h.n >= 2:
+            # G x K_n is the product just summarized, in kn_report's layout
+            summary = (rep.i_number, rep.alpha, rep.witness_min, rep.witness_max)
+            data["partition_engine"] = kn_report(g, h.n, summary).to_json()
+        elif is_complete(g) and g.n >= 2:
+            # K_n x H is H x K_n with each vertex (k, v) read as (v, k)
+            swap = facts.product.swapped
+            summary = (rep.i_number, rep.alpha, swap(rep.witness_min), swap(rep.witness_max))
+            data["partition_engine"] = kn_report(h, g.n, summary).to_json()
+        status = 0
+        if args.check:
+            verdict = REGISTRY["wc_direct"].verdict(facts)
+            data["check"] = verdict.to_json()
+            if verdict.status == COUNTEREXAMPLE:
+                status = 2
+        print(_render(data, args.format))
+    finally:
+        shared.release()
     return status
 
 
@@ -223,9 +227,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _instances(args: argparse.Namespace) -> Iterator:
     if not args.no_targeted:
         yield from targeted_instances()
-    yield from corpus_single_instances(args.max_n, args.reps)
-    yield from corpus_pair_instances(args.max_n, args.cap, args.reps)
-    yield from corpus_graph_n_instances(args.max_n, tuple(args.orders), args.reps)
+    yield from corpus_instances(args.max_n, args.cap, tuple(args.orders), args.reps)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -269,10 +271,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for r in map(_scan_row, facts)
         if _passes_filter(args.filter, r["well_covered"], r["very_well_covered"])
     )
-    if args.format == "json":
-        print(json.dumps({"version": __version__, "pairs": list(rows)}, indent=2))
-    else:
-        _print_lines(" ".join(f"{k}={_text(v)}" for k, v in r.items()) for r in rows)
+    try:
+        if args.format == "json":
+            print(json.dumps({"version": __version__, "pairs": list(rows)}, indent=2))
+        else:
+            _print_lines(" ".join(f"{k}={_text(v)}" for k, v in r.items()) for r in rows)
+    finally:
+        shared.release()
     return 0
 
 

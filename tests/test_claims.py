@@ -3,7 +3,9 @@ runner in both serial and parallel form."""
 
 import dataclasses
 import functools
+import gc
 import json
+import weakref
 from collections import Counter
 
 import networkx as nx
@@ -630,6 +632,27 @@ class TestSuite:
         assert len(pairs) == 12
         assert all(g.n * h.n <= 5 for g, h in pairs)
 
+    @pytest.mark.parametrize(
+        "args", [(4, 36), (5, 10), (6, 36, True), (7, 8, True), (5, 4), (3, 1), (0, 36)], ids=str
+    )
+    def test_pairs_equal_the_full_double_loop(self, args):
+        """The pair loops stop at the cap and keep the pairs and their order."""
+        max_n, cap, *reps = args
+        pool = list(corpus_single_instances(max_n, *reps))
+        full = [(g, h) for g in pool for h in pool if g.n * h.n <= cap]
+        assert list(corpus_pair_instances(*args)) == full
+
+    @pytest.mark.parametrize(
+        "args", [(3, 9, (2, 3), False), (4, 16, (3, 2, 3), True), (0, 36, (2,), False)]
+    )
+    def test_corpus_instances_chain_the_three_streams(self, args):
+        max_n, cap, orders, reps = args
+        assert list(claims.corpus_instances(*args)) == [
+            *corpus_single_instances(max_n, reps),
+            *corpus_pair_instances(max_n, cap, reps),
+            *corpus_graph_n_instances(max_n, orders, reps),
+        ]
+
     def test_graph_n_orders(self):
         insts = list(corpus_graph_n_instances(2, orders=(2, 4)))
         assert [(g.n, n) for g, n in insts] == [(1, 2), (1, 4), (2, 2), (2, 4)]
@@ -808,6 +831,7 @@ class TestSharedFacts:
             def facts(g):
                 return held.setdefault(g.n, GraphFacts(g))
 
+            facts.release = held.clear  # run_suite releases its cache when it returns
             return facts
 
         monkeypatch.setattr(claims, "facts_cache", by_order)
@@ -855,6 +879,132 @@ class TestSharedFacts:
         assert facts(cycle(4)) is first
         facts(cycle(6))  # the third graph empties the cache
         assert facts(cycle(4)) is not first
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to every ``GraphFacts`` and ``PairFacts`` built in
+    the test, which runs with the cyclic collector off: a facts object left
+    in a reference cycle then stays alive."""
+    refs = []
+    for cls in (GraphFacts, PairFacts):
+
+        def tracked(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            refs.append((type(self).__name__, weakref.ref(self)))
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()
+
+
+def assert_all_freed(refs):
+    assert {kind for kind, _ in refs} == {"GraphFacts", "PairFacts"}  # the run built both
+    assert [ref() for _, ref in refs if ref() is not None] == []
+
+
+def run_suite_unbounded(stream):
+    """``run_suite`` with a cache that never starts afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(claims, "FACTS_CACHE_SIZE", None)
+        return run_suite(CLAIM_IDS, stream)
+
+
+class Interrupted(Exception):
+    """Raised by a stub check partway through a run."""
+
+
+# a graph, a pair, a (G, n) instance and a balanced multipartite graph:
+# k3_dichotomy reads C5's clique(3), multipartite_square K(2,2,2)'s square
+FOUR_SHAPES = [cycle(5), (path(3), cycle(4)), (path(3), 3), complete_multipartite([2, 2, 2])]
+
+
+class TestRunsFreeTheirFacts:
+    """A run owns the facts it builds and releases them when it returns or
+    raises, so reference counting frees them: none is left in a cycle for
+    the collector."""
+
+    @pytest.mark.parametrize(
+        "stream", [FOUR_SHAPES, targeted_instances()], ids=["four-shapes", "targeted"]
+    )
+    def test_run_suite(self, built, stream):
+        run_suite(CLAIM_IDS, stream)
+        assert_all_freed(built)
+
+    def test_run_suite_that_raises(self, built, monkeypatch):
+        """A check that raises after C5's clique(3) is built, mid-run."""
+        claim = REGISTRY["k3_dichotomy"]
+
+        def check_then_fail(f):
+            outcome = claim.check(f)
+            if f.graph == cycle(5):
+                raise Interrupted
+            return outcome
+
+        failing = dataclasses.replace(claim, check=check_then_fail)
+        monkeypatch.setitem(REGISTRY, claim.claim_id, failing)
+        with pytest.raises(Interrupted):
+            run_suite(CLAIM_IDS, targeted_instances())
+        assert_all_freed(built)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_cache_that_starts_afresh(self, built, monkeypatch, size):
+        """The cache is emptied inside instances too: (C5, 3) empties it
+        when it asks for K3, after C5's facts were taken."""
+        monkeypatch.setattr(claims, "FACTS_CACHE_SIZE", size)
+        stream = [*FOUR_SHAPES, (cycle(4), cycle(5)), (cycle(5), 3), *targeted_instances()]
+        assert run_suite(CLAIM_IDS, stream).to_json() == run_suite_unbounded(stream).to_json()
+        assert_all_freed(built)
+
+    def test_verify(self, built):
+        for claim_id, instance in [
+            ("k3_dichotomy", cycle(5)),
+            ("multipartite_square", complete_multipartite([2, 2])),
+            ("layer_sizes", (path(3), 3)),
+            ("wc_direct", (cycle(4), cycle(4))),
+        ]:
+            assert verify(claim_id, instance).status in (HOLDS, VACUOUS)
+        assert_all_freed(built)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "cycle:5", "complete:3", "--check"],
+            ["product", "complete:2", "path:3"],
+            ["scan", "--max-n", "3"],
+            ["scan", "--max-n", "3", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_cli(self, built, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert_all_freed(built)
+
+    def test_no_cyclic_garbage(self):
+        """With the collector off, a run leaves nothing for it to find."""
+        run_suite(CLAIM_IDS, targeted_instances())  # first-use caches of the process
+        gc.collect()
+        gc.disable()
+        try:
+            run_suite(CLAIM_IDS, targeted_instances())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_released_cache_starts_empty(self):
+        facts = claims.facts_cache()
+        first = facts(cycle(5))
+        pair = first.clique(3)
+        square = first.square
+        facts.release()
+        assert facts(cycle(5)) is not first
+        assert pair.g is first and square.h is first  # the pairs still read
+        assert first.clique(3) is not pair and first.square is not square
 
 
 class TestTallyMachinery:

@@ -458,6 +458,21 @@ class TestVerify:
                 "direct_product_adj": 113,
             }
 
+    @pytest.mark.parametrize("reps", [[], ["--reps"]], ids=["labeled", "reps"])
+    def test_corpus_built_once_per_run(self, capsys, monkeypatch, reps):
+        """The singles, the pairs and the (G, n) instances read one pool."""
+        passes = Counter()
+        for name in ("corpus", "corpus_representatives"):
+
+            def counted(max_n, _stream=getattr(claims, name), _name=name):
+                passes[_name] += 1
+                return _stream(max_n)
+
+            monkeypatch.setattr(claims, name, counted)
+        code, _, _ = run_cli(capsys, "verify", "--max-n", "3", *reps)
+        assert code == 0
+        assert passes == {"corpus_representatives" if reps else "corpus": 1}
+
     def test_repeated_claim_id_counts_once(self, capsys):
         argv = ["--max-n", "3", "--no-targeted", "--format", "json"]
         _, once, _ = run_cli(capsys, "verify", "berge", *argv)
