@@ -28,8 +28,8 @@
  *
  * The table is an open-addressing hash table keyed by P.  Its slots start
  * at TABLE_SLOTS and double to stay at most half full, so a walk holds at
- * most 2 * TABLE_CAP slots of 32 bytes.  TABLE_MIN_ORDER, TABLE_MIN_FREE,
- * TABLE_CAP and TABLE_MIN_HITS can be set with -D: the parity tests build
+ * most 2 * TABLE_CAP slots of 32 bytes, 1 MiB.  TABLE_MIN_ORDER,
+ * TABLE_MIN_FREE and TABLE_CAP can be set with -D: the parity tests build
  * the kernel with no table, a one-state table, a table at every node, and
  * the degree bounds in every walk with no table.
  */
@@ -56,12 +56,8 @@ enum { COLLECT, SUMMARY, DECIDE };
 #define TABLE_MIN_FREE 8
 #endif
 #ifndef TABLE_CAP
-#define TABLE_CAP 4096
+#define TABLE_CAP 16384
 #endif
-#ifndef TABLE_MIN_HITS
-#define TABLE_MIN_HITS 8
-#endif
-#define TABLE_WINDOW 64
 #define TABLE_SLOTS 64
 
 /* S built so far, P free to join it, X excluded, candidates still to try;
@@ -86,10 +82,11 @@ typedef struct {
     PyObject *out;             /* COLLECT: the emitted masks */
     int lo, hi;                /* SUMMARY, DECIDE: extreme sizes seen */
     uint64_t min_wit, max_wit; /* first set of each extreme size */
-    int bounded;               /* apply the degree bounds */
-    int min_free;              /* least |P| of a remembered state */
-    int room;                  /* states the table may still take */
-    int window, hits;          /* lookups left in this window, hits in it */
+    int bounded;               /* apply the degree bounds and the table to
+                                  states of TABLE_MIN_FREE free vertices */
+    int room;                  /* states the table may still take: every
+                                  lookup that misses takes one until none
+                                  is left */
     Entry *slots;              /* the table, NULL until its first state */
     size_t mask;               /* slot count - 1 */
     int shift;                 /* 64 - log2(slot count) */
@@ -241,7 +238,7 @@ static int settled(const Search *st, int k, int nfree)
  * enumeration expands every node. */
 static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
 {
-    int k, nfree, go;
+    int k, nfree;
     const Entry *e;
     if (st->mode == COLLECT)
         return EXPAND;
@@ -249,31 +246,24 @@ static int expand(Search *st, uint64_t s, uint64_t p, uint64_t x)
     nfree = POPCNT(p);
     if (settled(st, k, nfree))
         return SKIP;
-    if (nfree < st->min_free || x)
+    if (!st->bounded || nfree < TABLE_MIN_FREE || x)
         return EXPAND;
     e = st->slots == NULL ? NULL : slot(st, p);
     if (e == NULL || !e->p) {
-        go = st->room ? NEW_STATE : EXPAND;
-        st->room -= go == NEW_STATE;
-    } else {
-        st->hits++;
-        if (e->w_lo && k + e->c_lo < st->lo) {
-            st->lo = k + e->c_lo;
-            st->min_wit = s | e->w_lo;
-        }
-        if (e->w_hi && k + e->c_hi > st->hi) {
-            st->hi = k + e->c_hi;
-            st->max_wit = s | e->w_hi;
-        }
-        go = k + e->c_hi > st->hi || k + e->c_lo < st->lo ? KNOWN_STATE : SKIP;
+        if (!st->room)
+            return EXPAND;
+        st->room--;
+        return NEW_STATE;
     }
-    if (!--st->window) {
-        if (st->hits < TABLE_MIN_HITS)
-            st->min_free = 65;
-        st->window = TABLE_WINDOW;
-        st->hits = 0;
+    if (e->w_lo && k + e->c_lo < st->lo) {
+        st->lo = k + e->c_lo;
+        st->min_wit = s | e->w_lo;
     }
-    return go;
+    if (e->w_hi && k + e->c_hi > st->hi) {
+        st->hi = k + e->c_hi;
+        st->max_wit = s | e->w_hi;
+    }
+    return k + e->c_hi > st->hi || k + e->c_lo < st->lo ? KNOWN_STATE : SKIP;
 }
 
 /* The search from P = start, X = {}.  A node pushes at most one exit marker
@@ -401,9 +391,9 @@ static int walk(const uint64_t *closed, uint64_t start, Search *st)
 }
 
 /* A sequence of at most 64 Python ints into rows[]: its length, or -1 with
- * an exception set.  Given a factor's name, every row must be a mask of the
- * sequence's own vertices: a negative int, or one past 64 bits, has a bit
- * at or past n too. */
+ * an exception set that names the graph as factor.  Every row must be a
+ * mask of the sequence's own vertices: a negative int, or one past 64 bits,
+ * has a bit at or past n too. */
 static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows, const char *factor)
 {
     Py_ssize_t n, v;
@@ -419,8 +409,8 @@ static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows, const char *factor)
     for (v = 0; v < n; v++) {
         rows[v] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, v));
         bad = rows[v] == (uint64_t)-1 && PyErr_Occurred();
-        if (factor != NULL && (bad ? PyErr_ExceptionMatches(PyExc_OverflowError)
-                                   : (rows[v] & ~all_vertices(n)) != 0)) {
+        if (bad ? PyErr_ExceptionMatches(PyExc_OverflowError)
+                : (rows[v] & ~all_vertices(n)) != 0) {
             PyErr_Clear();
             PyErr_Format(PyExc_ValueError, "row of %s is negative or mentions vertices >= %zd",
                          factor, n);
@@ -433,10 +423,11 @@ static Py_ssize_t load_rows(PyObject *adj, uint64_t *rows, const char *factor)
     return n;
 }
 
-/* The closed rows of a graph: its order, or -1 with an exception set. */
+/* The closed rows of a graph, named G: its order, or -1 with an exception
+ * set. */
 static Py_ssize_t load_closed(PyObject *adj, uint64_t *closed)
 {
-    Py_ssize_t v, n = load_rows(adj, closed, NULL);
+    Py_ssize_t v, n = load_rows(adj, closed, "G");
     for (v = 0; v < n; v++)
         closed[v] |= (uint64_t)1 << v;
     return n;
@@ -509,10 +500,7 @@ static PyObject *summarize(const char *name, PyObject *const *args, Py_ssize_t n
             st.lo = 65;
             st.hi = -1;
             st.bounded = POPCNT(comp) >= TABLE_MIN_ORDER;
-            st.min_free = st.bounded ? TABLE_MIN_FREE : 65;
             st.room = TABLE_CAP;
-            st.window = TABLE_WINDOW;
-            st.hits = 0;
             walk(closed, comp, &st);
             PyMem_Free(st.slots);
             st.slots = NULL;

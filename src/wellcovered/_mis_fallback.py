@@ -209,13 +209,20 @@ where it pays:
   costs more than the few repeats it saves.
 * At most ``TABLE_CAP`` states a walk.  A full table still answers lookups.
   The largest table among the products measured (Cm x K3 and Pm x K3 up to
-  63 vertices, two-cycle products up to C7 x C9) holds 1,170 states, for
-  C21 x K3.  Each state costs a dict slot, a tuple and its ints, at most
-  about 250 bytes, so a table stays under 1 MiB.
-* The walk stops looking up states after a window of ``TABLE_WINDOW``
-  lookups with fewer than ``TABLE_MIN_HITS`` hits.  On products of two
-  cycles and on random graphs few states repeat, and the lookups would cost
-  more than the repeats save.
+  63 vertices, two-cycle products up to 64 vertices, the hard well-covered
+  products of the README, each also in one seeded relabeling) holds 10,663
+  states, for a relabeled C7 x C9.  Each state costs a dict slot, a tuple
+  and its ints, at most about 250 bytes, so a table stays under 4 MiB.
+* Within these rules every state is looked up, however seldom the walk's
+  states repeat.  A walk whose sets all have one size, as on a
+  well-covered graph or in a decision that has not stopped yet, has no
+  other pruning, since the degree bounds wait for two sizes.  Switching
+  the table off after a run of lookups that seldom hit, as an earlier rule
+  did, left ``GsCaC?`` x ``G{CaC?``, a census product in the labels
+  ``_canonical_mask`` gives its factors, deciding in 1.4 s; with every
+  lookup it takes 40 ms.  The lookups make the summaries of two-cycle
+  products, whose states seldom repeat, about 5-10% slower, and up to 29%
+  in one run of C7 x C9 (the README has the table).
 """
 
 from __future__ import annotations
@@ -228,9 +235,7 @@ from typing import Sequence
 # the table rules of the summary walk; the module docstring explains them
 TABLE_MIN_ORDER = 24
 TABLE_MIN_FREE = 8
-TABLE_CAP = 4096
-TABLE_WINDOW = 64
-TABLE_MIN_HITS = 8
+TABLE_CAP = 16384
 
 _BITS = tuple(1 << v for v in range(64))
 
@@ -252,8 +257,14 @@ _BYTE_BITS = _byte_bits()
 
 
 def _closed_rows(adj: Sequence[int]) -> list[int]:
-    if len(adj) > 64:
+    """The closed rows of G.  A row that is negative or has a bit at or past
+    n raises ``direct_product_adj``'s ValueError for G: the union of the rows
+    has such a bit too."""
+    n = len(adj)
+    if n > 64:
         raise ValueError("kernel limited to 64 vertices")
+    if reduce(or_, adj, 0) >> n:
+        raise ValueError(f"row of G is negative or mentions vertices >= {n}")
     return list(map(or_, adj, _BITS))
 
 
@@ -354,7 +365,6 @@ def _walk(
         min_free = TABLE_MIN_FREE
         get = table.get
         room = TABLE_CAP
-        window, hits = TABLE_WINDOW, 0
         nbytes = (start.bit_length() + 7) >> 3
         chained = chain.from_iterable
     else:
@@ -377,7 +387,6 @@ def _walk(
                 if free >= min_free and not x:
                     entry = get(p)
                     if entry is not None:
-                        hits += 1
                         c_lo, w_lo, c_hi, w_hi = entry
                         if w_lo and k + c_lo < lo:
                             lo, min_wit = k + c_lo, s | w_lo
@@ -391,11 +400,6 @@ def _walk(
                         tabled = True
                         # 1 <= |T| <= |P|, unless the degree bounds are counted
                         c_lo, w_lo, c_hi, w_hi = 1, 0, free, 0
-                    window -= 1
-                    if not window:
-                        if hits < TABLE_MIN_HITS:
-                            min_free = 65
-                        window, hits = TABLE_WINDOW, 0
                 if free:
                     best = 65
                     pivot = -1

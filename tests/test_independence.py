@@ -311,7 +311,6 @@ def table_everywhere(monkeypatch):
     """Remember every finished state of every walk, small graphs included."""
     monkeypatch.setattr(_mis_fallback, "TABLE_MIN_ORDER", 0)
     monkeypatch.setattr(_mis_fallback, "TABLE_MIN_FREE", 1)
-    monkeypatch.setattr(_mis_fallback, "TABLE_MIN_HITS", 0)
 
 
 def table_soundness_graphs():

@@ -125,9 +125,10 @@ def test_identical_summary_on_large_products(compiled, g, h):
     the next three are the 64-vertex and 0-vertex edges of the product.  The
     walks over P14 x K3, C14 x K3 and H(6,2) x K3 answer revisits from the
     table of finished states.  The connected products of two odd cycles,
-    C7 x C9, C5 x C11 and C7 x C7, repeat few states, so their walks soon
-    stop looking states up; the degree bounds of the pivot loop skip nearly
-    half of the nodes they expand, with X empty and nonempty."""
+    C7 x C9, C5 x C11 and C7 x C7, repeat few states, so their tables fill
+    with states that seldom answer a lookup; the degree bounds of the pivot
+    loop skip nearly half of the nodes they expand, with X empty and
+    nonempty."""
     adj = compiled.direct_product_adj(g.adj, h.adj)
     assert adj == pure.direct_product_adj(g.adj, h.adj) == list(direct_product(g, h).graph.adj)
     assert compiled.independence_summary(adj) == pure.independence_summary(adj)
@@ -170,13 +171,16 @@ def test_identical_on_isolated_residuals(compiled, g):
 
 
 # well-covered 64-vertex products whose walks absorb isolated vertices at
-# most nodes: H(4,1) x H(4,1) and the slowest well-covered products of two
-# connected 8-vertex graphs
+# most nodes: H(4,1) x H(4,1), the slowest well-covered products of two
+# connected 8-vertex graphs, and the first of those in the labels that
+# ``_canonical_mask`` gives its factors, in both orders
 HARD_WELL_COVERED = [
     (h_family(4, 1), h_family(4, 1)),
     (from_graph6("GpQC?G"), from_graph6("GxQC?G")),
     (from_graph6("GpQC?G"), from_graph6("GxQCAG")),
     (from_graph6("GhQC?G"), from_graph6("GxQC?G")),
+    (from_graph6("GsCaC?"), from_graph6("G{CaC?")),
+    (from_graph6("G{CaC?"), from_graph6("GsCaC?")),
 ]
 
 
@@ -184,8 +188,10 @@ HARD_WELL_COVERED = [
 def test_hard_well_covered_decisions(compiled, impl):
     """Each product decides well-covered with size 32, and its summary is
     (32, 32) with two maximal independent sets as witnesses.  A walk that
-    takes one isolated vertex a node spends several seconds on the four on
-    the pure kernel; absorbing them takes a fraction of a second."""
+    takes one isolated vertex a node spends several seconds on the first
+    four on the pure kernel; absorbing them takes a fraction of a second.  A
+    walk that stops looking up its table after a run of lookups that seldom
+    hit spends 1.4 s or more on ``GsCaC?`` x ``G{CaC?`` alone."""
     kernel_impl = compiled if impl == "compiled" else pure
     start = time.perf_counter()
     for g, h in HARD_WELL_COVERED:
@@ -208,22 +214,30 @@ def test_table_defaults_match_the_pure_kernel():
     assert {name: int(value) for name, value in defines.items()} == constants
 
 
-@pytest.mark.parametrize(
-    "defines",
-    [
-        ["-DTABLE_CAP=0"],
-        ["-DTABLE_CAP=1"],
-        ["-DTABLE_MIN_ORDER=0", "-DTABLE_MIN_FREE=1", "-DTABLE_MIN_HITS=0"],
-        ["-DTABLE_MIN_ORDER=0", "-DTABLE_CAP=0"],
-    ],
-    ids=["cap0", "cap1", "everywhere", "bounds"],
-)
-def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
+# the -D builds: no table, a one-state table, a table at every node of every
+# walk, and the degree bounds in every walk with no table
+TABLE_RULES = {
+    "cap0": ["-DTABLE_CAP=0"],
+    "cap1": ["-DTABLE_CAP=1"],
+    "everywhere": ["-DTABLE_MIN_ORDER=0", "-DTABLE_MIN_FREE=1"],
+    "bounds": ["-DTABLE_MIN_ORDER=0", "-DTABLE_CAP=0"],
+}
+
+
+@pytest.fixture(scope="session")
+def variants(tmp_path_factory):
+    """The kernel built with each of ``TABLE_RULES``, once per run."""
+    return {name: load(build(tmp_path_factory, *defines)) for name, defines in TABLE_RULES.items()}
+
+
+@pytest.mark.parametrize("rules", list(TABLE_RULES))
+def test_table_rules_leave_summary_unchanged(variants, rules):
     """The compiled summary and decision with no table, a one-state table, a
     table at every node of every walk, or the degree bounds in every walk and
     no table equal the pure ones with their own rules, also on the graphs
-    whose walks stop at the root's second branch."""
-    variant = load(build(tmp_path_factory, *defines))
+    whose walks stop at the root's second branch and on one hard
+    well-covered product in three labelings."""
+    variant = variants[rules]
     rng = random.Random(43)
     graphs = [random_graph(rng, rng.randint(8, 16), rng.random()) for _ in range(1500)]
     graphs += [
@@ -232,6 +246,7 @@ def test_table_rules_leave_summary_unchanged(tmp_path_factory, defines):
     ]
     graphs += isolated_residual_graphs()
     graphs += [g for _, g in rotation_graphs()]
+    graphs += [direct_product(g, h).graph for g, h in HARD_WELL_COVERED[1:2] + HARD_WELL_COVERED[4:]]
     for g in graphs:
         assert (variant.independence_summary(g.adj), variant.well_covered_size(g.adj)) == pure_answers(g.adj)
 
@@ -307,16 +322,20 @@ def test_identical_within_errors(compiled):
                 getattr(impl, fn)()
 
 
-def test_identical_limits(compiled):
-    calls = [(fn, ([0] * 65,)) for fn in SEARCHES]
-    calls.append(("direct_product_adj", ([0] * 13, [0] * 5)))
-    for fn, args in calls:
-        messages = []
-        for impl in (compiled, pure):
+def test_identical_limits(compiled, variants):
+    """Both backends and the -D builds refuse a graph past 64 vertices and,
+    with one message, a row that is negative or has a bit at or past n, where
+    the pure kernel answered (2, 2, 3, 3) and the compiled one raised
+    OverflowError or answered too."""
+    calls = [(fn, ([0] * 65,), "kernel limited to 64 vertices") for fn in SEARCHES]
+    calls.append(("direct_product_adj", ([0] * 13, [0] * 5), "product exceeds 64 vertices"))
+    for row in (-1, 1 << 5, 1 << 63, 1 << 64):
+        calls += [(fn, ([row, 0],), "row of G is negative or mentions vertices >= 2") for fn in SEARCHES]
+    for fn, args, message in calls:
+        for impl in (pure, compiled, *variants.values()):
             with pytest.raises(ValueError) as info:
                 getattr(impl, fn)(*args)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1], fn
+            assert str(info.value) == message, (fn, args)
 
 
 @pytest.mark.parametrize(
